@@ -4,6 +4,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "dense/sampling.hpp"
 #include "util/check.hpp"
 
 namespace circles::analysis {
@@ -67,9 +68,8 @@ Workload random_counts(util::Rng& rng, std::uint64_t n, std::uint32_t k) {
   CIRCLES_CHECK(k >= 1 && n >= 1);
   Workload w;
   w.counts.assign(k, 0);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    w.counts[rng.uniform_below(k)] += 1;
-  }
+  const std::vector<double> uniform(k, 1.0);
+  dense::multinomial(rng, n, uniform, w.counts);
   return w;
 }
 
@@ -171,12 +171,10 @@ Workload dominant(util::Rng& rng, std::uint64_t n, std::uint32_t k,
   const auto dominant_count =
       static_cast<std::uint64_t>(share * static_cast<double>(n));
   const pp::ColorId dom = static_cast<pp::ColorId>(rng.uniform_below(k));
-  w.counts[dom] = dominant_count;
-  for (std::uint64_t i = dominant_count; i < n; ++i) {
-    // Spread the rest over the other colors (or the same when k == 1).
-    pp::ColorId c = static_cast<pp::ColorId>(rng.uniform_below(k));
-    w.counts[c] += 1;
-  }
+  // Spread the rest uniformly over all k colors, the dominant one included.
+  const std::vector<double> uniform(k, 1.0);
+  dense::multinomial(rng, n - dominant_count, uniform, w.counts);
+  w.counts[dom] += dominant_count;
   return w;
 }
 
@@ -186,9 +184,7 @@ Workload zipf(util::Rng& rng, std::uint64_t n, std::uint32_t k,
   for (int attempt = 0; attempt < 10000; ++attempt) {
     Workload w;
     w.counts.assign(k, 0);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      w.counts[util::sample_discrete(rng, weights)] += 1;
-    }
+    dense::multinomial(rng, n, weights, w.counts);
     if (!w.tied()) return w;
   }
   CIRCLES_CHECK_MSG(false, "could not sample a unique-winner zipf workload");

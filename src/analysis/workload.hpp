@@ -1,5 +1,6 @@
 // Workload generation for experiments: per-color count vectors and the agent
-// color assignments derived from them.
+// color assignments derived from them. The random families draw their counts
+// as one multinomial (dense::multinomial), O(k) per attempt whatever n is.
 #pragma once
 
 #include <cstdint>

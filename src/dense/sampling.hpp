@@ -1,4 +1,5 @@
-// Exact samplers for the dense (count-based) engines.
+// Exact samplers for the dense (count-based) engines and for per-trial
+// workload counts (binomial / multinomial, O(k) whatever n is).
 //
 // The batched engine advances ~sqrt(n) interactions per epoch; turning an
 // epoch into O(present_states^2) work instead of O(sqrt(n)) requires draws
@@ -37,6 +38,23 @@ double log_choose(std::uint64_t n, std::uint64_t k);
 /// consuming randomness.
 std::uint64_t hypergeometric(util::Rng& rng, std::uint64_t total,
                              std::uint64_t successes, std::uint64_t draws);
+
+/// Number of successes in `n` independent trials of probability `p`. Same
+/// idiom as `hypergeometric`: item by item for small n, otherwise chop-down
+/// inversion from the mode with one uniform draw and O(stddev) expected walk
+/// length. The mode's probability is anchored in saddle-point form, so the
+/// walked mass stays within ~1e-11 of 1 up to n = 10^12 (log_choose drifts
+/// to ~1e-3 there). Requires a finite p in [0, 1]; n == 0 and p in {0, 1}
+/// return without consuming randomness.
+std::uint64_t binomial(util::Rng& rng, std::uint64_t n, double p);
+
+/// Multinomial: splits `n` items over the categories of `weights` (finite,
+/// non-negative, positive sum; need not be normalized) as a chain of
+/// binomials, counts[c] ~ Bin(remaining, w_c / sum_{j>=c} w_j). O(k) draws
+/// whatever n is. `out` (same size as `weights`) always sums to `n`.
+void multinomial(util::Rng& rng, std::uint64_t n,
+                 std::span<const double> weights,
+                 std::span<std::uint64_t> out);
 
 /// Multivariate hypergeometric: splits `draws` items drawn without
 /// replacement from sum(counts) across the categories of `counts`.

@@ -1,5 +1,6 @@
 #include "sim/run_spec.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <numeric>
@@ -62,6 +63,10 @@ WorkloadSpec WorkloadSpec::close_margin() {
 }
 
 WorkloadSpec WorkloadSpec::dominant(double share) {
+  // Written so NaN fails too.
+  if (!(share > 0.0 && share <= 1.0)) {
+    throw std::invalid_argument("dominant share must be in (0, 1]");
+  }
   WorkloadSpec spec;
   spec.family = Family::kDominant;
   spec.share = share;
@@ -69,6 +74,9 @@ WorkloadSpec WorkloadSpec::dominant(double share) {
 }
 
 WorkloadSpec WorkloadSpec::zipf(double exponent) {
+  if (!std::isfinite(exponent)) {
+    throw std::invalid_argument("zipf exponent must be finite");
+  }
   WorkloadSpec spec;
   spec.family = Family::kZipf;
   spec.exponent = exponent;
@@ -175,9 +183,9 @@ WorkloadSpec WorkloadSpec::parse(const std::string& text) {
   } catch (const std::out_of_range&) {
   }
   throw std::invalid_argument(
-      "unknown workload spec '" + text +
-      "' (expected unique, random, tie:<t>, margin1, dominant:<share>, "
-      "zipf:<s>, counts:<c0,c1,...>)");
+      "invalid workload spec '" + text +
+      "' (expected unique, random, tie:<t>, margin1, dominant:<share in "
+      "(0,1]>, zipf:<finite s>, counts:<c0,c1,...>)");
 }
 
 std::uint64_t RunSpec::effective_n() const {

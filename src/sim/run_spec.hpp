@@ -46,7 +46,9 @@ struct WorkloadSpec {
   static WorkloadSpec random_counts();
   static WorkloadSpec exact_tie(std::uint32_t tied_colors);
   static WorkloadSpec close_margin();
+  /// Throws std::invalid_argument unless 0 < share <= 1.
   static WorkloadSpec dominant(double share);
+  /// Throws std::invalid_argument on a non-finite exponent.
   static WorkloadSpec zipf(double exponent);
   static WorkloadSpec explicit_counts(std::vector<std::uint64_t> counts);
 

@@ -103,27 +103,14 @@ Rng Rng::split() {
   return Rng(a ^ rotl(b, 32) ^ 0xd1b54a32d192ed03ULL);
 }
 
-std::size_t sample_discrete(Rng& rng, std::span<const double> weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    CIRCLES_CHECK_MSG(w >= 0.0, "negative weight in discrete distribution");
-    total += w;
-  }
-  CIRCLES_CHECK_MSG(total > 0.0, "discrete distribution has zero total mass");
-  double r = rng.uniform01() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r < 0.0) return i;
-  }
-  return weights.size() - 1;  // numeric fallback
-}
-
 std::vector<double> zipf_weights(std::size_t k, double exponent) {
   CIRCLES_CHECK(k > 0);
   std::vector<double> w(k);
   double total = 0.0;
+  // Scaled so the largest weight is 1: no overflow for any finite exponent.
+  const double top = exponent >= 0.0 ? 1.0 : static_cast<double>(k);
   for (std::size_t i = 0; i < k; ++i) {
-    w[i] = 1.0 / std::pow(static_cast<double>(i + 1), exponent);
+    w[i] = std::pow(top / static_cast<double>(i + 1), exponent);
     total += w[i];
   }
   for (auto& x : w) x /= total;

@@ -72,10 +72,6 @@ class Rng {
   std::uint64_t s_[4];
 };
 
-/// Sample an index from a discrete distribution given by non-negative weights.
-/// Requires at least one strictly positive weight.
-std::size_t sample_discrete(Rng& rng, std::span<const double> weights);
-
 /// Zipf(s) sample support helper: returns the probability vector over [0, k).
 std::vector<double> zipf_weights(std::size_t k, double exponent);
 

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <string>
+#include <utility>
 
 namespace circles::analysis {
 namespace {
@@ -46,6 +49,30 @@ TEST(RandomCountsTest, SumsToN) {
     EXPECT_EQ(w.n(), 40u);
     EXPECT_EQ(w.k(), 5u);
   }
+}
+
+// Mean and variance of color `c`'s count over `samples` sampled workloads.
+template <typename Sample>
+std::pair<double, double> color_moments(int samples, pp::ColorId c,
+                                        Sample sample) {
+  double sum = 0.0, sum_sq = 0.0;
+  for (int i = 0; i < samples; ++i) {
+    const double x = static_cast<double>(sample().counts[c]);
+    sum += x;
+    sum_sq += x * x;
+  }
+  const double mean = sum / samples;
+  return {mean, (sum_sq - samples * mean * mean) / (samples - 1)};
+}
+
+TEST(RandomCountsTest, PerColorCountsAreMultinomial) {
+  // Each color's count is Bin(n, 1/k): mean n/k, variance n(1/k)(1-1/k).
+  util::Rng rng(12);
+  constexpr int kSamples = 20000;
+  const auto [mean, variance] = color_moments(
+      kSamples, 3, [&] { return random_counts(rng, 1000, 4); });
+  EXPECT_NEAR(mean, 250.0, 5.0 * std::sqrt(187.5 / kSamples));
+  EXPECT_NEAR(variance / 187.5, 1.0, 0.05);
 }
 
 TEST(RandomUniqueWinnerTest, NeverTied) {
@@ -117,6 +144,37 @@ TEST(ZipfTest, SkewedAndUntied) {
     EXPECT_EQ(w.n(), 60u);
     EXPECT_FALSE(w.tied());
   }
+}
+
+TEST(ZipfTest, PerColorCountsFollowZipfWeights) {
+  // At n = 10^4 ties are vanishingly rare, so the tie rejection leaves each
+  // color's count Bin(n, w_c) for the normalized Zipf weight w_c.
+  const auto weights = util::zipf_weights(5, 1.2);
+  constexpr double n = 10000.0;
+  constexpr int kSamples = 20000;
+  for (const pp::ColorId c : {0u, 2u, 4u}) {
+    SCOPED_TRACE("c=" + std::to_string(c));
+    util::Rng rng(13);
+    const auto [mean, variance] = color_moments(
+        kSamples, c, [&] { return zipf(rng, 10000, 5, 1.2); });
+    const double expected_var = n * weights[c] * (1.0 - weights[c]);
+    EXPECT_NEAR(mean, n * weights[c],
+                5.0 * std::sqrt(expected_var / kSamples));
+    EXPECT_NEAR(variance / expected_var, 1.0, 0.05);
+  }
+}
+
+TEST(DominantTest, RestIsSpreadOverAllColors) {
+  // 600 agents on a uniform color plus Bin(400, 1/4) per color: every
+  // color's count has mean 600/4 + 100 = 250.
+  util::Rng rng(14);
+  constexpr int kSamples = 20000;
+  const auto [mean, variance] = color_moments(
+      kSamples, 1, [&] { return dominant(rng, 1000, 4, 0.6); });
+  // Var = Var(Bin(400, 1/4)) + Var(600 * Bernoulli(1/4)) + 2 Cov, with
+  // Cov = 0 by independence: 75 + 600^2 * 3/16 = 67575.
+  EXPECT_NEAR(mean, 250.0, 5.0 * std::sqrt(67575.0 / kSamples));
+  EXPECT_NEAR(variance / 67575.0, 1.0, 0.05);
 }
 
 TEST(PermuteColorsTest, PreservesCountMultiset) {

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -101,6 +103,139 @@ TEST(HypergeometricTest, DeterministicPerSeed) {
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(hypergeometric(a, 5000, 1234, 777),
               hypergeometric(b, 5000, 1234, 777));
+  }
+}
+
+// Sample mean and (unbiased) variance of `samples` draws of `draw()`.
+template <typename Draw>
+std::pair<double, double> mean_and_variance(int samples, Draw draw) {
+  double sum = 0.0, sum_sq = 0.0;
+  for (int i = 0; i < samples; ++i) {
+    const double x = static_cast<double>(draw());
+    sum += x;
+    sum_sq += x * x;
+  }
+  const double mean = sum / samples;
+  return {mean, (sum_sq - samples * mean * mean) / (samples - 1)};
+}
+
+TEST(BinomialTest, DegenerateCasesNeedNoRandomness) {
+  util::Rng rng(1), untouched(1);
+  EXPECT_EQ(binomial(rng, 0, 0.4), 0u);
+  EXPECT_EQ(binomial(rng, 50, 0.0), 0u);
+  EXPECT_EQ(binomial(rng, 50, 1.0), 50u);
+  EXPECT_EQ(binomial(rng, 1'000'000'000'000, 1.0), 1'000'000'000'000u);
+  EXPECT_EQ(rng(), untouched());
+}
+
+TEST(BinomialTest, StaysInRange) {
+  util::Rng rng(7);
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint64_t n =
+        i % 2 == 0 ? rng.uniform_below(200) : rng.uniform_below(1'000'000);
+    const double p = rng.uniform01();
+    EXPECT_LE(binomial(rng, n, p), n) << "n=" << n << " p=" << p;
+  }
+}
+
+TEST(BinomialTest, MatchesExactPmfOnSmallCases) {
+  // Chi-square goodness of fit against the exact pmf at a fixed seed, on
+  // both the item-by-item path (n = 10) and the chop-down path (n = 40).
+  // Bins with expected count < 5 are pooled; the bound df + 5 sqrt(2 df)
+  // sits beyond the 0.999 quantile for every df here.
+  util::Rng rng(42);
+  constexpr int kSamples = 100000;
+  for (const std::uint64_t n : {std::uint64_t{10}, std::uint64_t{40}}) {
+    for (const double p : {0.03, 0.3, 0.5, 0.7, 0.97}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " p=" + std::to_string(p));
+      std::vector<double> observed(n + 1, 0.0);
+      for (int i = 0; i < kSamples; ++i) observed[binomial(rng, n, p)] += 1;
+      double chi2 = 0.0, pooled_obs = 0.0, pooled_exp = 0.0;
+      int bins = 0;
+      for (std::uint64_t x = 0; x <= n; ++x) {
+        pooled_obs += observed[x];
+        pooled_exp += kSamples * std::exp(log_choose(n, x) +
+                                          static_cast<double>(x) * std::log(p) +
+                                          static_cast<double>(n - x) *
+                                              std::log1p(-p));
+        if (pooled_exp >= 5.0 || x == n) {
+          chi2 += (pooled_obs - pooled_exp) * (pooled_obs - pooled_exp) /
+                  pooled_exp;
+          pooled_obs = pooled_exp = 0.0;
+          ++bins;
+        }
+      }
+      const double df = bins - 1;
+      ASSERT_GE(df, 1.0);
+      EXPECT_LT(chi2, df + 5.0 * std::sqrt(2.0 * df)) << "bins=" << bins;
+    }
+  }
+}
+
+TEST(BinomialTest, LargeNMeanAndVarianceAreRight) {
+  // Exercises the saddle-point anchor far from the lookup table, on both
+  // sides of the p > 1/2 symmetry branch.
+  util::Rng rng(3);
+  const std::uint64_t n = 1'000'000'000;
+  constexpr int kSamples = 5000;
+  for (const double p : {0.3, 0.8, 1e-8}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    const auto [mean, variance] =
+        mean_and_variance(kSamples, [&] { return binomial(rng, n, p); });
+    const double expected_var = static_cast<double>(n) * p * (1.0 - p);
+    // Five standard errors on the mean; the variance estimator's relative
+    // standard error is ~sqrt(2 / samples) = 2%.
+    EXPECT_NEAR(mean, n * p, 5.0 * std::sqrt(expected_var / kSamples));
+    EXPECT_NEAR(variance / expected_var, 1.0, 0.1);
+  }
+}
+
+TEST(BinomialTest, DeterministicPerSeed) {
+  util::Rng a(99), b(99);
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(binomial(a, 5000, 0.37), binomial(b, 5000, 0.37));
+    EXPECT_EQ(binomial(a, 12, 0.6), binomial(b, 12, 0.6));
+  }
+}
+
+TEST(MultinomialTest, SumsToNAndSkipsZeroWeights) {
+  util::Rng rng(5);
+  const std::vector<std::vector<double>> cases = {
+      {0.0, 3.0, 0.5, 0.0, 7.25, 1.0, 0.0},
+      {0.0, 0.0, 2.5, 0.0},  // a single positive weight takes every item
+  };
+  for (const auto& weights : cases) {
+    std::vector<std::uint64_t> out(weights.size());
+    for (int i = 0; i < 500; ++i) {
+      const std::uint64_t n = i % 2 == 0 ? rng.uniform_below(50)
+                                         : rng.uniform_below(1'000'000'000);
+      multinomial(rng, n, weights, out);
+      std::uint64_t sum = 0;
+      for (std::size_t c = 0; c < weights.size(); ++c) {
+        if (weights[c] == 0.0) EXPECT_EQ(out[c], 0u) << "c=" << c;
+        sum += out[c];
+      }
+      EXPECT_EQ(sum, n);
+    }
+  }
+}
+
+TEST(MultinomialTest, PerColorMeansAndVariancesMatch) {
+  const std::vector<double> weights = {1.0, 2.0, 5.0, 2.0};  // sum 10
+  constexpr std::uint64_t n = 1000;
+  constexpr int kSamples = 20000;
+  for (std::size_t c = 0; c < weights.size(); ++c) {
+    SCOPED_TRACE("c=" + std::to_string(c));
+    util::Rng rng(11);
+    std::vector<std::uint64_t> out(weights.size());
+    const auto [mean, variance] = mean_and_variance(kSamples, [&] {
+      multinomial(rng, n, weights, out);
+      return out[c];
+    });
+    const double p = weights[c] / 10.0;
+    const double expected_var = static_cast<double>(n) * p * (1.0 - p);
+    EXPECT_NEAR(mean, n * p, 5.0 * std::sqrt(expected_var / kSamples));
+    EXPECT_NEAR(variance / expected_var, 1.0, 0.05);
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "sim/specs_from_flags.hpp"
 #include "util/cli.hpp"
@@ -24,6 +26,25 @@ TEST(WorkloadSpecTest, ParseRoundTripsEveryFamily) {
   EXPECT_THROW(WorkloadSpec::parse("tie:-1"), std::invalid_argument);
   EXPECT_THROW(WorkloadSpec::parse("tie:1"), std::invalid_argument);
   EXPECT_THROW(WorkloadSpec::parse("counts:5,-1"), std::invalid_argument);
+}
+
+TEST(WorkloadSpecTest, RejectsOutOfRangeFamilyParameters) {
+  // A NaN zipf exponent would reach the samplers as NaN probabilities, and a
+  // share outside (0, 1] trips analysis::dominant's check inside a worker;
+  // both must fail at parse time (sweep exits 2) instead.
+  for (const char* text :
+       {"zipf:nan", "zipf:inf", "zipf:-inf", "dominant:0", "dominant:1.5",
+        "dominant:-0.2", "dominant:nan", "dominant:inf"}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW(WorkloadSpec::parse(text), std::invalid_argument);
+  }
+  EXPECT_THROW(WorkloadSpec::zipf(std::nan("")), std::invalid_argument);
+  EXPECT_THROW(WorkloadSpec::dominant(1.5), std::invalid_argument);
+  EXPECT_THROW(RunSpec::parse("circles(k=3) n=10 workload=dominant:1.5"),
+               std::invalid_argument);
+  EXPECT_EQ(WorkloadSpec::parse("dominant:1").share, 1.0);
+  EXPECT_EQ(WorkloadSpec::parse("zipf:0").exponent, 0.0);
+  EXPECT_EQ(WorkloadSpec::parse("zipf:-0.5").exponent, -0.5);
 }
 
 TEST(WorkloadSpecTest, ToStringRoundTripsEveryConstructor) {
@@ -165,6 +186,25 @@ TEST(WorkloadSpecTest, MaterializeIsDeterministicInRng) {
   EXPECT_EQ(wa.counts, wb.counts);
   EXPECT_EQ(wa.n(), 60u);
   EXPECT_EQ(wa.k(), 5u);
+}
+
+TEST(WorkloadSpecTest, SampledFamiliesCostOrderKNotN) {
+  // Per-agent sampling would run for hours at n = 10^12; ctest's timeout is
+  // the complexity guard, so there is no wall-clock assertion here.
+  constexpr std::uint64_t kHuge = 1'000'000'000'000;
+  for (const char* text : {"unique", "random", "dominant:0.6", "zipf:1.2"}) {
+    for (const std::uint32_t k : {2u, 8u}) {
+      SCOPED_TRACE(std::string(text) + " k=" + std::to_string(k));
+      const WorkloadSpec spec = WorkloadSpec::parse(text);
+      util::Rng rng(7);
+      const auto workload = spec.materialize(rng, kHuge, k);
+      EXPECT_EQ(workload.k(), k);
+      EXPECT_EQ(workload.n(), kHuge);
+      if (spec.family != WorkloadSpec::Family::kRandomCounts) {
+        EXPECT_FALSE(workload.tied()) << workload.to_string();
+      }
+    }
+  }
 }
 
 TEST(WorkloadSpecTest, ExplicitCountsIgnoreRngAndN) {

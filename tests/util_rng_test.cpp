@@ -164,25 +164,6 @@ TEST(RngTest, SplitProducesIndependentStream) {
   EXPECT_LT(equal, 3);
 }
 
-TEST(SampleDiscreteTest, RespectsWeights) {
-  Rng rng(37);
-  const std::vector<double> weights{0.0, 1.0, 3.0};
-  std::array<int, 3> histogram{};
-  constexpr int kSamples = 40000;
-  for (int i = 0; i < kSamples; ++i) {
-    histogram[sample_discrete(rng, weights)] += 1;
-  }
-  EXPECT_EQ(histogram[0], 0);
-  EXPECT_NEAR(histogram[1], kSamples * 0.25, kSamples * 0.02);
-  EXPECT_NEAR(histogram[2], kSamples * 0.75, kSamples * 0.02);
-}
-
-TEST(SampleDiscreteTest, SingleBucket) {
-  Rng rng(41);
-  const std::vector<double> weights{2.5};
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(sample_discrete(rng, weights), 0u);
-}
-
 TEST(ZipfWeightsTest, NormalizedAndDecreasing) {
   const auto w = zipf_weights(6, 1.2);
   ASSERT_EQ(w.size(), 6u);
@@ -199,6 +180,22 @@ TEST(ZipfWeightsTest, NormalizedAndDecreasing) {
 TEST(ZipfWeightsTest, ExponentZeroIsUniform) {
   const auto w = zipf_weights(4, 0.0);
   for (const double x : w) EXPECT_NEAR(x, 0.25, 1e-12);
+}
+
+TEST(ZipfWeightsTest, ExtremeExponentsStayFinite) {
+  // Every finite exponent is a valid workload parameter, so the weights must
+  // never overflow into inf / inf = NaN.
+  for (const double exponent : {-1e308, -400.0, 400.0, 1e308}) {
+    SCOPED_TRACE(exponent);
+    const auto w = zipf_weights(8, exponent);
+    double total = 0.0;
+    for (const double x : w) {
+      EXPECT_TRUE(std::isfinite(x));
+      total += x;
+    }
+    EXPECT_NEAR(total, 1.0, 1e-12);
+    EXPECT_EQ(exponent > 0 ? w.front() : w.back(), 1.0);
+  }
 }
 
 TEST(RngForkTest, DeterministicAndOrderIndependent) {
