@@ -15,9 +15,7 @@
 
 #include "bench_report.hpp"
 #include "exp_common.hpp"
-#include "kernel/compiled_protocol.hpp"
 #include "metrics/metrics.hpp"
-#include "pp/transition_cache.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -62,8 +60,8 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   // --smoke shrinks every size so the whole binary finishes in seconds on a
   // CI runner; the determinism/correctness checks still bind but the
-  // wall-clock ratio requirements (thread speedup, kernel gain, urn/fluid
-  // margins) do not — small sizes cannot amortize anything.
+  // wall-clock ratio requirements (thread speedup, urn/fluid margins) do
+  // not — small sizes cannot amortize anything.
   const bool smoke = cli.bool_flag(
       "smoke", false,
       "CI sizes: identity/correctness checks only, perf ratios reported but "
@@ -180,15 +178,6 @@ int main(int argc, char** argv) {
           .set("k", static_cast<std::uint64_t>(c.k))
           .set("ops_per_sec", rate);
     }
-    // Dense transition caching: the pairwise baseline's transitions decode
-    // O(k^2) digits; the cached variant is one array load.
-    {
-      const auto base = registry.create("pairwise_plurality", {.k = 4});
-      pp::CachedProtocol cached(*base);
-      table.add_row({"pairwise k=4 (cached)",
-                     util::Table::num(transitions_per_second(cached, calls),
-                                      0)});
-    }
     table.print("raw transition-function throughput");
   }
 
@@ -293,100 +282,6 @@ int main(int argc, char** argv) {
       .set("wall_ms", pooled_seconds * 1000.0)
       .set("ops_per_sec", pooled_rate)
       .set("speedup_vs_single", speedup);
-
-  // Virtual dispatch vs compiled kernel, per backend: the same pinned-seed
-  // specs run to silence twice, once on the legacy virtual transition()
-  // loops (kernel=off) and once through the spec's shared
-  // kernel::CompiledProtocol. Results are bitwise identical; the wall-clock
-  // ratio is the kernel's end-to-end gain.
-  double best_kernel_speedup = 0.0;
-  double worst_kernel_speedup = 1e300;
-  bool kernel_identical = true;
-  {
-    struct KernelCase {
-      std::string protocol;
-      std::uint32_t k;
-      sim::EngineKind backend;
-      std::uint64_t n;
-      std::uint32_t trials;
-    };
-    // Sized so the one-time per-spec compile amortizes the way it does in
-    // real sweeps (many trials share one kernel).
-    const std::vector<KernelCase> kernel_cases{
-        {"pairwise_plurality", 4, sim::EngineKind::kAgentArray, 1'024, 8},
-        {"circles", 3, sim::EngineKind::kAgentArray, 2'000, 8},
-        {"circles", 3, sim::EngineKind::kDense, 3'000, 3},
-        {"circles", 3, sim::EngineKind::kDenseBatched, 10'000, 3},
-    };
-    util::Table table({"protocol", "backend", "n", "trials", "kernel",
-                       "virtual s", "compiled s", "speedup"});
-    for (const auto& c : kernel_cases) {
-      sim::RunSpec spec;
-      spec.protocol = c.protocol;
-      spec.params.k = c.k;
-      spec.n = c.n;
-      spec.trials = c.trials;
-      spec.seed = sim::mix_seed(seed, 0xC0DE + c.n);
-      spec.backend = c.backend;
-      spec.engine.max_interactions = ~std::uint64_t{0};
-      auto options = batch;
-      // Keep trials so the on/off passes can be compared record by record.
-      options.keep_trials = true;
-
-      spec.use_kernel = false;
-      const auto t_off = Clock::now();
-      const auto off = sim::BatchRunner(options).run_one(spec);
-      const double off_seconds = seconds_since(t_off);
-
-      spec.use_kernel = true;
-      const auto t_on = Clock::now();
-      const auto on = sim::BatchRunner(options).run_one(spec);
-      const double on_seconds = seconds_since(t_on);
-
-      kernel_identical =
-          kernel_identical && off.trials.size() == on.trials.size();
-      for (std::size_t t = 0;
-           kernel_identical && t < on.trials.size(); ++t) {
-        kernel_identical =
-            off.trials[t].seed == on.trials[t].seed &&
-            off.trials[t].outcome.run.interactions ==
-                on.trials[t].outcome.run.interactions &&
-            off.trials[t].outcome.run.state_changes ==
-                on.trials[t].outcome.run.state_changes &&
-            off.trials[t].outcome.run.final_outputs ==
-                on.trials[t].outcome.run.final_outputs;
-      }
-      const double speedup = on_seconds > 0 ? off_seconds / on_seconds : 0.0;
-      best_kernel_speedup = std::max(best_kernel_speedup, speedup);
-      worst_kernel_speedup = std::min(worst_kernel_speedup, speedup);
-      const double on_interactions = on.interactions.mean * on.trial_count;
-      report.add_cell()
-          .set("section", "kernel")
-          .set("protocol", c.protocol)
-          .set("k", static_cast<std::uint64_t>(c.k))
-          .set("backend", sim::to_string(c.backend))
-          .set("n", c.n)
-          .set("trials", static_cast<std::uint64_t>(c.trials))
-          .set("kernel", kernel::to_string(on.kernel_stats.kind))
-          .set("interactions", on_interactions)
-          .set("wall_ms", on_seconds * 1000.0)
-          .set("ops_per_sec",
-               on_seconds > 0 ? on_interactions / on_seconds : 0.0)
-          .set("virtual_wall_ms", off_seconds * 1000.0)
-          .set("speedup_vs_virtual", speedup);
-      table.add_row({c.protocol, sim::to_string(c.backend),
-                     util::Table::num(c.n),
-                     util::Table::num(std::uint64_t{c.trials}),
-                     kernel::to_string(on.kernel_stats.kind),
-                     util::Table::num(off_seconds, 2),
-                     util::Table::num(on_seconds, 2),
-                     util::Table::num(speedup, 1)});
-    }
-    table.print(
-        "virtual dispatch vs compiled kernel, run to silence (bitwise "
-        "identical results: " +
-        std::string(kernel_identical ? "yes" : "NO") + ")");
-  }
 
   // Dense vs agent-array backends: identical specs (same pinned seed, so
   // identical per-trial workloads) run to silence on every backend; the
@@ -867,19 +762,12 @@ int main(int argc, char** argv) {
   const bool parallel_ok =
       parallel_identical &&
       (smoke || hw_cores < 8 || parallel_speedup8 >= 4.0);
-  // The compiled kernel must pay for itself: a >= 2x end-to-end win on at
-  // least one (protocol, backend) pair and no real regression anywhere
-  // (0.7 allows wall-clock noise on near-parity cells).
-  const bool kernel_ok =
-      kernel_identical &&
-      (smoke || (best_kernel_speedup >= 2.0 && worst_kernel_speedup >= 0.7));
   // Tracing is observation-only by contract: identical results always, and
   // at real sizes the decimated spans must cost under 2% wall clock.
   const bool spans_ok =
       spans_identical && (smoke || spans_overhead < 0.02);
   const bool pass = identical && single_rate > 0 && speedup_ok && dense_ok &&
-                    kernel_ok && urn_ok && fluid_ok && parallel_ok &&
-                    spans_ok;
+                    urn_ok && fluid_ok && parallel_ok && spans_ok;
   std::string failure;
   if (!identical) {
     failure = "thread count changed the results";
@@ -895,12 +783,6 @@ int main(int argc, char** argv) {
               std::to_string(hw_cores) + " cores)";
   } else if (!dense_ok) {
     failure = "dense backend slower than the agent array";
-  } else if (!kernel_identical) {
-    failure = "compiled kernel changed the results";
-  } else if (!kernel_ok) {
-    failure = "compiled-kernel speedup below expectation (best " +
-              std::to_string(best_kernel_speedup) + "x, worst " +
-              std::to_string(worst_kernel_speedup) + "x)";
   } else if (!urn_identical_grading) {
     failure = "clustered urn run failed to reach silent consensus";
   } else if (!urn_ok) {
@@ -923,7 +805,7 @@ int main(int argc, char** argv) {
   return bench::verdict(
       pass, pass ? "throughput measured; deterministic results at every "
                    "thread count; dense backend at least matches the agent "
-                   "array; compiled kernels beat virtual dispatch; clustered "
+                   "array; clustered "
                    "urn backend beats the agent engine by " +
                        util::Table::num(urn_speedup, 0) + "x at n=" +
                        std::to_string(urn_n) +

@@ -84,29 +84,27 @@ Workload random_unique_winner(util::Rng& rng, std::uint64_t n,
   return {};
 }
 
+bool exact_tie_feasible(std::uint64_t n, std::uint32_t k,
+                        std::uint32_t tied_colors) {
+  if (tied_colors < 2 || tied_colors > k || n < tied_colors) return false;
+  // The shared top count is as large as possible; a smaller one only grows
+  // the leftover while shrinking the room below it.
+  const std::uint64_t top = n / tied_colors;
+  const std::uint64_t rest = n - top * tied_colors;
+  const std::uint32_t others = k - tied_colors;
+  return others == 0 ? rest == 0
+                     : rest <= static_cast<std::uint64_t>(others) * (top - 1);
+}
+
 Workload exact_tie(util::Rng& rng, std::uint64_t n, std::uint32_t k,
                    std::uint32_t tied_colors) {
-  CIRCLES_CHECK(tied_colors >= 2 && tied_colors <= k);
-  CIRCLES_CHECK(n >= tied_colors);
-  // Choose the shared top count as large as possible while leaving the
-  // remaining agents strictly below it on the other colors.
+  CIRCLES_CHECK_MSG(exact_tie_feasible(n, k, tied_colors),
+                    "cannot build an exact tie with these parameters");
   Workload w;
   w.counts.assign(k, 0);
-  std::uint64_t top = n / tied_colors;
+  const std::uint64_t top = n / tied_colors;
   std::uint64_t rest = n - top * tied_colors;
   const std::uint32_t others = k - tied_colors;
-  // Lower `top` until the leftover fits under the other colors with counts
-  // strictly below top.
-  while (top > 1 && (others == 0
-                         ? rest != 0
-                         : rest > static_cast<std::uint64_t>(others) * (top - 1))) {
-    top -= 1;
-    rest = n - top * tied_colors;
-  }
-  CIRCLES_CHECK_MSG(
-      others == 0 ? rest == 0
-                  : rest <= static_cast<std::uint64_t>(others) * (top - 1),
-      "cannot build an exact tie with these parameters");
   for (std::uint32_t c = 0; c < tied_colors; ++c) w.counts[c] = top;
   // Spread the remainder over the non-tied colors, each strictly below top.
   std::uint32_t cursor = tied_colors;

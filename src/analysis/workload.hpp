@@ -44,10 +44,17 @@ Workload random_unique_winner(util::Rng& rng, std::uint64_t n,
 Workload random_counts(util::Rng& rng, std::uint64_t n, std::uint32_t k);
 
 /// An exact tie on the top colors: `tied_colors` colors share the maximum
-/// count; remaining agents are spread below it. Requires 2 <= tied_colors <=
-/// k and enough agents.
+/// count; remaining agents are spread below it. Requires
+/// exact_tie_feasible(n, k, tied_colors).
 Workload exact_tie(util::Rng& rng, std::uint64_t n, std::uint32_t k,
                    std::uint32_t tied_colors);
+
+/// Whether exact_tie can build its tie: 2 <= tied_colors <= k, n >=
+/// tied_colors, and the agents left over after giving each tied color
+/// floor(n / tied_colors) fit on the other k - tied_colors colors strictly
+/// below that count.
+bool exact_tie_feasible(std::uint64_t n, std::uint32_t k,
+                        std::uint32_t tied_colors);
 
 /// The hardest non-tie margin: winner beats the runner-up by exactly one.
 Workload close_margin(util::Rng& rng, std::uint64_t n, std::uint32_t k);

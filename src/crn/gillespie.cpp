@@ -15,12 +15,11 @@
 namespace circles::crn {
 
 ExponentialClockMonitor::ExponentialClockMonitor(
-    std::uint64_t seed, const kernel::CompiledProtocol* kernel)
-    : rng_(seed), kernel_(kernel) {}
+    std::uint64_t seed, const kernel::CompiledProtocol& kernel)
+    : rng_(seed), kernel_(&kernel) {}
 
 void ExponentialClockMonitor::on_start(const pp::Population& population,
-                                       const pp::Protocol& protocol) {
-  protocol_ = &protocol;
+                                       const pp::Protocol&) {
   rate_ = static_cast<double>(population.size()) - 1.0;
   CIRCLES_CHECK_MSG(rate_ > 0.0, "chemical kinetics need at least 2 agents");
   now_ = 0.0;
@@ -34,30 +33,17 @@ void ExponentialClockMonitor::on_interaction(const pp::InteractionEvent& event,
   now_ += -std::log1p(-rng_.uniform01()) / rate_;
   if (!event.changed()) return;
   last_change_time_ = now_;
-  // With a kernel the flip predicate is the precomputed per-pair
-  // output-delta flag; the fallback recomputes it from four output() calls.
-  const bool output_flip =
-      kernel_ != nullptr
-          ? kernel_->output_changes(event.initiator_before,
-                                    event.responder_before)
-          : protocol_->output(event.initiator_before) !=
-                    protocol_->output(event.initiator_after) ||
-                protocol_->output(event.responder_before) !=
-                    protocol_->output(event.responder_after);
-  if (output_flip) last_output_change_time_ = now_;
+  if (kernel_->output_changes(event.initiator_before, event.responder_before)) {
+    last_output_change_time_ = now_;
+  }
 }
 
-namespace {
-
-/// Shared body: `kernel` may be null, in which case the legacy virtual
-/// engine loop runs and the clock monitor recomputes output flips
-/// virtually. Results are bitwise identical either way.
-GillespieResult run_gillespie_impl(const pp::Protocol& protocol,
-                                   const kernel::CompiledProtocol* kernel,
-                                   std::span<const pp::ColorId> colors,
-                                   std::uint64_t seed,
-                                   pp::EngineOptions options,
-                                   obs::Recorder* recorder) {
+GillespieResult run_gillespie(const kernel::CompiledProtocol& kernel,
+                              std::span<const pp::ColorId> colors,
+                              std::uint64_t seed,
+                              pp::EngineOptions options,
+                              obs::Recorder* recorder) {
+  const pp::Protocol& protocol = kernel.protocol();
   util::Rng rng(seed);
   pp::Population population(protocol, colors);
   auto scheduler = pp::make_scheduler(
@@ -69,7 +55,7 @@ GillespieResult run_gillespie_impl(const pp::Protocol& protocol,
   std::optional<obs::RecorderMonitor> recorder_monitor;
   std::vector<pp::Monitor*> monitors{&clock};
   if (recorder != nullptr) {
-    recorder_monitor.emplace(*recorder, kernel,
+    recorder_monitor.emplace(*recorder, &kernel,
                              [&clock]() { return clock.now(); });
     monitors.push_back(&*recorder_monitor);
   }
@@ -78,10 +64,7 @@ GillespieResult run_gillespie_impl(const pp::Protocol& protocol,
 
   pp::Engine engine(options);
   GillespieResult result;
-  result.run = kernel != nullptr
-                   ? engine.run(*kernel, population, *scheduler, monitor_span)
-                   : engine.run_virtual(protocol, population, *scheduler,
-                                        monitor_span);
+  result.run = engine.run(kernel, population, *scheduler, monitor_span);
   result.stabilization_time = clock.last_change_time();
   result.convergence_time = clock.last_output_change_time();
   result.parallel_time = static_cast<double>(result.run.interactions) /
@@ -96,17 +79,6 @@ GillespieResult run_gillespie_impl(const pp::Protocol& protocol,
   return result;
 }
 
-}  // namespace
-
-GillespieResult run_gillespie(const kernel::CompiledProtocol& kernel,
-                              std::span<const pp::ColorId> colors,
-                              std::uint64_t seed,
-                              pp::EngineOptions options,
-                              obs::Recorder* recorder) {
-  return run_gillespie_impl(kernel.protocol(), &kernel, colors, seed, options,
-                            recorder);
-}
-
 GillespieResult run_gillespie(const pp::Protocol& protocol,
                               std::span<const pp::ColorId> colors,
                               std::uint64_t seed,
@@ -114,17 +86,7 @@ GillespieResult run_gillespie(const pp::Protocol& protocol,
                               obs::Recorder* recorder) {
   const kernel::CompiledProtocol kernel(protocol,
                                         kernel::CompileOptions::one_shot());
-  return run_gillespie_impl(protocol, &kernel, colors, seed, options,
-                            recorder);
-}
-
-GillespieResult run_gillespie_virtual(const pp::Protocol& protocol,
-                                      std::span<const pp::ColorId> colors,
-                                      std::uint64_t seed,
-                                      pp::EngineOptions options,
-                                      obs::Recorder* recorder) {
-  return run_gillespie_impl(protocol, nullptr, colors, seed, options,
-                            recorder);
+  return run_gillespie(kernel, colors, seed, options, recorder);
 }
 
 std::string Reaction::to_string(const pp::Protocol& protocol) const {

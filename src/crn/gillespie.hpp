@@ -36,13 +36,13 @@ namespace circles::crn {
 /// Accumulates exponential inter-collision times alongside a discrete run:
 /// after interaction m the chemical clock reads the sum of m Exp(rate)
 /// variables. Records the clock at the last state change (= stabilization
-/// time) and at the last output flip (= convergence time). With a kernel
-/// the output-flip predicate is the precomputed per-pair output-delta flag
-/// (one load); without one it falls back to virtual output() calls.
+/// time) and at the last output flip (= convergence time). The output-flip
+/// predicate is the kernel's precomputed per-pair output-delta flag (one
+/// load); `kernel` must outlive the monitor.
 class ExponentialClockMonitor final : public pp::Monitor {
  public:
-  explicit ExponentialClockMonitor(
-      std::uint64_t seed, const kernel::CompiledProtocol* kernel = nullptr);
+  ExponentialClockMonitor(std::uint64_t seed,
+                          const kernel::CompiledProtocol& kernel);
 
   void on_start(const pp::Population& population,
                 const pp::Protocol& protocol) override;
@@ -55,8 +55,7 @@ class ExponentialClockMonitor final : public pp::Monitor {
 
  private:
   util::Rng rng_;
-  const pp::Protocol* protocol_ = nullptr;
-  const kernel::CompiledProtocol* kernel_ = nullptr;
+  const kernel::CompiledProtocol* kernel_;
   double rate_ = 1.0;  // n − 1: total collision rate of the solution
   double now_ = 0.0;
   double last_change_time_ = 0.0;
@@ -90,15 +89,6 @@ GillespieResult run_gillespie(const kernel::CompiledProtocol& kernel,
                               std::uint64_t seed,
                               pp::EngineOptions options = {},
                               obs::Recorder* recorder = nullptr);
-
-/// The legacy virtual-dispatch path (no kernel anywhere): the baseline for
-/// virtual-vs-compiled comparisons and the honest RunSpec::use_kernel=false
-/// semantics for chemical-time trials. Bitwise-identical results.
-GillespieResult run_gillespie_virtual(const pp::Protocol& protocol,
-                                      std::span<const pp::ColorId> colors,
-                                      std::uint64_t seed,
-                                      pp::EngineOptions options = {},
-                                      obs::Recorder* recorder = nullptr);
 
 /// One reaction of the network induced by a protocol.
 struct Reaction {

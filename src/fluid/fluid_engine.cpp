@@ -59,24 +59,17 @@ std::uint64_t poisson(util::Rng& rng, double mean) {
 
 FluidEngine::FluidEngine(const pp::Protocol& protocol, pp::EngineOptions engine,
                          FluidOptions options, pp::UrnLumping lumping)
-    : protocol_(&protocol),
-      kernel_(nullptr),
-      engine_(engine),
-      options_(options),
-      lumping_(std::move(lumping)),
-      drift_(protocol, nullptr, options.max_pair_lookups) {
-  init_blocks();
-}
+    : FluidEngine(std::make_shared<const kernel::CompiledProtocol>(protocol),
+                  engine, options, std::move(lumping)) {}
 
 FluidEngine::FluidEngine(std::shared_ptr<const kernel::CompiledProtocol> kernel,
                          pp::EngineOptions engine, FluidOptions options,
                          pp::UrnLumping lumping)
-    : protocol_(&kernel->protocol()),
-      kernel_(std::move(kernel)),
+    : kernel_(std::move(kernel)),
       engine_(engine),
       options_(options),
       lumping_(std::move(lumping)),
-      drift_(*protocol_, kernel_.get(), options.max_pair_lookups) {
+      drift_(*kernel_, options.max_pair_lookups) {
   init_blocks();
 }
 
@@ -478,7 +471,7 @@ pp::RunResult FluidEngine::run_counts(
     std::vector<std::vector<std::uint64_t>>& urns, std::uint64_t seed,
     obs::Recorder* recorder) const {
   const std::size_t num_states =
-      static_cast<std::size_t>(protocol_->num_states());
+      static_cast<std::size_t>(protocol().num_states());
   CIRCLES_CHECK_MSG(urns.size() == num_urns_,
                     "fluid engine: configuration urn count does not match "
                     "the engine's lumping");
@@ -504,7 +497,7 @@ pp::RunResult FluidEngine::run_counts(
       if (idx < 0) {
         throw std::invalid_argument(
             "fluid engine: state '" +
-            protocol_->state_name(static_cast<pp::StateId>(s)) +
+            protocol().state_name(static_cast<pp::StateId>(s)) +
             "' holds agents but is outside the protocol's input-state "
             "closure; the mean-field drift table only covers configurations "
             "reachable from inputs");
@@ -540,7 +533,7 @@ pp::RunResult FluidEngine::run_counts(
 
   if (recorder != nullptr) {
     obs::ProbeContext ctx;
-    ctx.protocol = protocol_;
+    ctx.protocol = &protocol();
     ctx.kernel = kernel_.get();
     ctx.n = n;
     if (sim.U > 1) ctx.urn_sizes = sim.sizes;
@@ -591,7 +584,7 @@ pp::RunResult FluidEngine::run_counts(
       !sim.silent && (sim.budget || sim.t >= sim.horizon);
   dense::DenseConfig final_config;
   final_config.counts = sim.aggregate;
-  result.final_outputs = final_config.output_histogram(*protocol_);
+  result.final_outputs = final_config.output_histogram(protocol());
 
   if (recorder != nullptr) {
     recorder->finish(result.interactions, sim.t, sim.aggregate,

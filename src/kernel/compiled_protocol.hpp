@@ -1,11 +1,11 @@
 // CompiledProtocol: one transition IR shared by every engine.
 //
-// Every simulated interaction used to pay a virtual Protocol::transition()
-// call, and each engine worked around it differently (pp::CachedProtocol in
-// the benches, a private table inside DenseEngine, nothing at all in
-// Gillespie and the model checker). This module lowers a pp::Protocol ONCE
-// into an immutable, thread-shareable kernel carrying everything the hot
-// loops need:
+// This module lowers a pp::Protocol ONCE into an immutable, thread-shareable
+// kernel, and it is the only transition path of every engine (agent array,
+// Gillespie, dense, fluid): no steady-state loop makes a virtual
+// Protocol::transition() call. Protocol::transition stays the reference the
+// kernel is checked against pair by pair. The kernel carries everything the
+// hot loops need:
 //
 //  * the transition function itself, virtual-dispatch-free;
 //  * per-pair flags — null-ness (exact silence detection) and whether the
@@ -42,6 +42,7 @@
 
 #include "pp/protocol.hpp"
 #include "pp/types.hpp"
+#include "util/mapped_allocator.hpp"
 
 namespace circles::kernel {
 
@@ -54,8 +55,10 @@ std::string to_string(TableKind kind);
 
 struct CompileOptions {
   /// Largest ordered-pair count lowered to a dense table; above it the
-  /// kernel switches to the sparse cache. The default (2^22 entries, 36 MiB
-  /// of table) matches the historical pp::CachedProtocol budget.
+  /// kernel switches to the sparse cache. The default is 2^22 entries
+  /// (36 MiB of table). 0 forces the sparse kind at every size, the
+  /// independent lowering the identity tests cross-check the dense table
+  /// against.
   std::uint64_t max_dense_entries = 1ull << 22;
 
   /// Slot capacity of the sparse pair cache (rounded up to a power of two).
@@ -242,11 +245,12 @@ class CompiledProtocol {
   std::vector<pp::StateId> inputs_;       // per color
   std::vector<pp::OutputSymbol> outputs_; // per state; empty if over budget
 
-  // Dense kind.
-  std::vector<pp::Transition> table_;
-  std::vector<std::uint8_t> flags_;
-  std::vector<std::size_t> adjacency_offsets_;  // CSR: num_states + 1
-  std::vector<pp::StateId> adjacency_partners_;
+  // Dense kind. Page-mapped, so a batch that compiles and drops a large
+  // kernel leaves malloc's heap (and the peak RSS) as it found it.
+  util::MappedVector<pp::Transition> table_;
+  util::MappedVector<std::uint8_t> flags_;
+  util::MappedVector<std::size_t> adjacency_offsets_;  // CSR: num_states + 1
+  util::MappedVector<pp::StateId> adjacency_partners_;
 
   // Sparse kind: open-addressing cache with linear probing. values_/vflags_
   // for a slot are written exclusively by the thread that claimed the slot's

@@ -8,17 +8,10 @@
 
 namespace circles::pp {
 
-namespace {
-
-/// The interaction loop, shared by the compiled-kernel and legacy-virtual
-/// paths. `Model` supplies the two protocol-dependent operations:
-/// transition(a, b) and silent(population); everything else — monitors,
-/// streak accounting, silence-check backoff, budgets — is identical, so the
-/// two paths produce bitwise-identical RunResults.
-template <typename Model>
-RunResult run_loop(const EngineOptions& options, const Protocol& protocol,
-                   const Model& model, Population& population,
-                   Scheduler& scheduler, std::span<Monitor* const> monitors) {
+RunResult Engine::run(const kernel::CompiledProtocol& kernel,
+                      Population& population, Scheduler& scheduler,
+                      std::span<Monitor* const> monitors) {
+  const Protocol& protocol = kernel.protocol();
   CIRCLES_CHECK_MSG(population.size() >= 2,
                     "engine requires at least two agents");
   RunResult result;
@@ -29,28 +22,28 @@ RunResult run_loop(const EngineOptions& options, const Protocol& protocol,
   std::uint64_t silence_checks = 0;
   metrics::Timer* monitor_timer =
       monitors.empty() ? nullptr
-                       : metrics::timer(options.metrics, "engine.monitor");
+                       : metrics::timer(options_.metrics, "engine.monitor");
 
   // Spans follow the same rule: the per-interaction loop emits nothing (one
   // run = one span), so tracing costs two clock reads per run and zero when
   // no tracer is attached.
-  trace::TraceBuffer* trace_buffer = trace::buffer(options.tracer);
+  trace::TraceBuffer* trace_buffer = trace::buffer(options_.tracer);
   const trace::ScopedSpan run_span(trace_buffer, "engine.run");
 
   for (Monitor* monitor : monitors) monitor->on_start(population, protocol);
 
   const std::uint64_t period = scheduler.fairness_period();
   std::uint64_t change_free_streak = 0;
-  std::uint64_t next_silence_check = options.initial_silence_streak;
+  std::uint64_t next_silence_check = options_.initial_silence_streak;
 
   // An initial configuration can already be silent (e.g. n agents of one
   // color under a protocol whose same-state interactions are null).
-  if (options.stop_when_silent) {
+  if (options_.stop_when_silent) {
     silence_checks += 1;
-    if (model.silent(population)) result.silent = true;
+    if (is_silent(population, kernel)) result.silent = true;
   }
 
-  while (!result.silent && result.interactions < options.max_interactions) {
+  while (!result.silent && result.interactions < options_.max_interactions) {
     const AgentPair pair = scheduler.next(population);
     CIRCLES_DCHECK(pair.initiator != pair.responder);
     CIRCLES_DCHECK(pair.initiator < population.size());
@@ -58,7 +51,7 @@ RunResult run_loop(const EngineOptions& options, const Protocol& protocol,
 
     const StateId before_i = population.state(pair.initiator);
     const StateId before_r = population.state(pair.responder);
-    const Transition tr = model.transition(before_i, before_r);
+    const Transition tr = kernel.transition(before_i, before_r);
     const bool changed = tr.initiator != before_i || tr.responder != before_r;
 
     if (changed) {
@@ -81,13 +74,13 @@ RunResult run_loop(const EngineOptions& options, const Protocol& protocol,
       result.state_changes += 1;
       result.last_change_step = result.interactions;
       change_free_streak = 0;
-      next_silence_check = options.initial_silence_streak;
+      next_silence_check = options_.initial_silence_streak;
     } else {
       change_free_streak += 1;
     }
     result.interactions += 1;
 
-    if (!options.stop_when_silent) continue;
+    if (!options_.stop_when_silent) continue;
 
     if (period > 0) {
       // Deterministic certificate: a change-free full period means every
@@ -95,7 +88,7 @@ RunResult run_loop(const EngineOptions& options, const Protocol& protocol,
       if (change_free_streak >= period) result.silent = true;
     } else if (change_free_streak >= next_silence_check) {
       silence_checks += 1;
-      if (model.silent(population)) {
+      if (is_silent(population, kernel)) {
         result.silent = true;
       } else {
         next_silence_check *= 2;
@@ -103,19 +96,19 @@ RunResult run_loop(const EngineOptions& options, const Protocol& protocol,
     }
   }
 
-  if (!result.silent && result.interactions >= options.max_interactions) {
+  if (!result.silent && result.interactions >= options_.max_interactions) {
     result.budget_exhausted = true;
     // The budget may have stopped us in a configuration that happens to be
     // silent; report it exactly.
     silence_checks += 1;
-    result.silent = model.silent(population);
+    result.silent = is_silent(population, kernel);
   }
 
   result.final_outputs = population.output_histogram(protocol);
   for (Monitor* monitor : monitors) monitor->on_finish(population);
 
-  if (options.metrics != nullptr) {
-    auto& m = *options.metrics;
+  if (options_.metrics != nullptr) {
+    auto& m = *options_.metrics;
     m.counter("engine.runs").add(1);
     m.counter("engine.interactions").add(result.interactions);
     m.counter("engine.state_changes").add(result.state_changes);
@@ -124,48 +117,12 @@ RunResult run_loop(const EngineOptions& options, const Protocol& protocol,
   return result;
 }
 
-struct KernelModel {
-  const kernel::CompiledProtocol& kernel;
-  Transition transition(StateId a, StateId b) const {
-    return kernel.transition(a, b);
-  }
-  bool silent(const Population& population) const {
-    return is_silent(population, kernel);
-  }
-};
-
-struct VirtualModel {
-  const Protocol& protocol;
-  Transition transition(StateId a, StateId b) const {
-    return protocol.transition(a, b);
-  }
-  bool silent(const Population& population) const {
-    return is_silent(population, protocol);
-  }
-};
-
-}  // namespace
-
-RunResult Engine::run(const kernel::CompiledProtocol& kernel,
-                      Population& population, Scheduler& scheduler,
-                      std::span<Monitor* const> monitors) {
-  return run_loop(options_, kernel.protocol(), KernelModel{kernel}, population,
-                  scheduler, monitors);
-}
-
 RunResult Engine::run(const Protocol& protocol, Population& population,
                       Scheduler& scheduler,
                       std::span<Monitor* const> monitors) {
   const kernel::CompiledProtocol kernel(protocol,
                                         kernel::CompileOptions::one_shot());
   return run(kernel, population, scheduler, monitors);
-}
-
-RunResult Engine::run_virtual(const Protocol& protocol, Population& population,
-                              Scheduler& scheduler,
-                              std::span<Monitor* const> monitors) {
-  return run_loop(options_, protocol, VirtualModel{protocol}, population,
-                  scheduler, monitors);
 }
 
 RunResult run_protocol(const Protocol& protocol,

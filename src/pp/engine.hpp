@@ -71,25 +71,18 @@ class Engine {
  public:
   explicit Engine(EngineOptions options = {}) : options_(options) {}
 
-  /// Runs until silence (if enabled) or budget exhaustion. Monitors are
-  /// optional and may be empty. Compiles a one-shot kernel::CompiledProtocol
-  /// internally, so the interaction loop makes no virtual transition()
-  /// calls; callers running many trials of one protocol should compile the
-  /// kernel once themselves and use the overload below.
-  RunResult run(const Protocol& protocol, Population& population,
-                Scheduler& scheduler, std::span<Monitor* const> monitors = {});
-
-  /// Same loop over a prebuilt kernel (the BatchRunner compiles one per
-  /// spec and shares it across trials and threads).
+  /// Runs until silence (if enabled) or budget exhaustion over a prebuilt
+  /// kernel (the BatchRunner compiles one per spec and shares it across
+  /// trials and threads). Monitors are optional and may be empty. Every
+  /// transition and silence check goes through the kernel; the engine makes
+  /// no virtual transition() calls.
   RunResult run(const kernel::CompiledProtocol& kernel, Population& population,
                 Scheduler& scheduler, std::span<Monitor* const> monitors = {});
 
-  /// The legacy loop paying one virtual transition() call per interaction.
-  /// Kept solely as the baseline the bench_throughput virtual-vs-compiled
-  /// section measures against; results are bitwise identical to run().
-  RunResult run_virtual(const Protocol& protocol, Population& population,
-                        Scheduler& scheduler,
-                        std::span<Monitor* const> monitors = {});
+  /// Convenience for one-off runs: compiles a one-shot kernel for
+  /// `protocol` and runs the overload above.
+  RunResult run(const Protocol& protocol, Population& population,
+                Scheduler& scheduler, std::span<Monitor* const> monitors = {});
 
   const EngineOptions& options() const { return options_; }
 

@@ -166,7 +166,110 @@ void aggregate(SpecResult& result, bool keep_trials) {
   }
 }
 
+/// Largest population each engine represents: the agent array indexes
+/// agents with a 32-bit pp::AgentId, and the dense engines' active-pair
+/// counts (up to n(n-1)) must fit in 64 bits. Fluid has no bound.
+constexpr std::uint64_t kAgentMaxN = (1ull << 32) - 1;
+constexpr std::uint64_t kDenseMaxN = 1ull << 32;
+
+/// Rejects a population the concrete `backend` cannot represent.
+void check_population_range(const RunSpec& spec, EngineKind backend) {
+  if (backend == EngineKind::kFluid) return;
+  const std::uint64_t limit =
+      backend == EngineKind::kAgentArray ? kAgentMaxN : kDenseMaxN;
+  if (spec.effective_n() <= limit) return;
+  throw std::invalid_argument(
+      "RunSpec '" + spec.to_string() + "' has n=" +
+      std::to_string(spec.effective_n()) + " agents, beyond backend=" +
+      sim::to_string(backend) + "'s range of n <= " + std::to_string(limit) +
+      "; use backend=fluid, or backend=auto to pick a backend per spec");
+}
+
 }  // namespace
+
+void validate_spec(const RunSpec& spec, const pp::Protocol& protocol) {
+  if (spec.trials == 0) {
+    throw std::invalid_argument("RunSpec '" + spec.to_string() +
+                                "' needs trials >= 1");
+  }
+  if (spec.effective_n() < 2) {
+    throw std::invalid_argument("RunSpec '" + spec.to_string() +
+                                "' needs a population of >= 2 agents");
+  }
+  if (spec.workload.family == WorkloadSpec::Family::kExplicit &&
+      spec.workload.counts.size() != protocol.num_colors()) {
+    throw std::invalid_argument(
+        "RunSpec '" + spec.to_string() + "' fixes " +
+        std::to_string(spec.workload.counts.size()) +
+        " per-color counts but protocol '" + spec.protocol + "' has k=" +
+        std::to_string(protocol.num_colors()) + " colors");
+  }
+  if (spec.workload.family == WorkloadSpec::Family::kExactTie &&
+      !analysis::exact_tie_feasible(spec.n, protocol.num_colors(),
+                                    spec.workload.tied_colors)) {
+    throw std::invalid_argument(
+        "RunSpec '" + spec.to_string() + "' asks for an exact tie of " +
+        std::to_string(spec.workload.tied_colors) + " colors among k=" +
+        std::to_string(protocol.num_colors()) + " at n=" +
+        std::to_string(spec.n) +
+        ", which cannot be built: a tie needs 2 <= t <= k and n >= t, and "
+        "the agents left over after the tied colors must fit strictly below "
+        "the tied count on the other colors");
+  }
+  if (spec.circles_stats &&
+      dynamic_cast<const core::CirclesProtocol*>(&protocol) == nullptr) {
+    throw std::invalid_argument("RunSpec '" + spec.to_string() +
+                                "' requests circles_stats for non-circles "
+                                "protocol '" + spec.protocol + "'");
+  }
+  for (const obs::ProbeSpec& probe_spec : spec.probes) {
+    // Probe/protocol mismatches (e.g. an energy probe on a weightless
+    // protocol) fail here, naming the spec, instead of inside a worker.
+    try {
+      (void)obs::make_probe(probe_spec, protocol);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("RunSpec '" + spec.to_string() +
+                                  "': " + e.what());
+    }
+  }
+  if (spec.chemical_time &&
+      (spec.circles_stats || spec.track_used_states ||
+       spec.reboot_faults > 0 || spec.grader || spec.scheduler_factory)) {
+    throw std::invalid_argument(
+        "RunSpec '" + spec.to_string() +
+        "' combines chemical_time with engine-only features "
+        "(circles_stats / track_used_states / reboot_faults / grader / "
+        "scheduler_factory)");
+  }
+  if ((spec.clusters != 0 || !spec.cluster_sizes.empty()) &&
+      spec.scheduler != pp::SchedulerKind::kClustered) {
+    throw std::invalid_argument(
+        "RunSpec '" + spec.to_string() +
+        "' sets clusters= but its scheduler is '" +
+        pp::to_string(spec.scheduler) +
+        "'; the cluster shape belongs to scheduler=clustered");
+  }
+  if ((spec.rtol != 0.0 || spec.atol != 0.0) &&
+      spec.backend != EngineKind::kFluid &&
+      spec.backend != EngineKind::kAuto) {
+    throw std::invalid_argument(
+        "RunSpec '" + spec.to_string() +
+        "' sets rtol/atol, which are fluid-integrator tolerances, on "
+        "backend=" + sim::to_string(spec.backend) +
+        "; use backend=fluid (or backend=auto) or drop the tolerances");
+  }
+  if (spec.rtol < 0.0 || spec.atol < 0.0) {
+    throw std::invalid_argument(
+        "RunSpec '" + spec.to_string() +
+        "' sets a negative fluid-integrator tolerance (rtol=" +
+        std::to_string(spec.rtol) + ", atol=" + std::to_string(spec.atol) +
+        "); tolerances must be positive (0 = engine default)");
+  }
+
+  if (spec.backend != EngineKind::kAuto) {
+    check_population_range(spec, spec.backend);
+  }
+}
 
 BatchRunner::BatchRunner(BatchOptions options, const ProtocolRegistry& registry)
     : options_(options), registry_(&registry) {}
@@ -188,6 +291,11 @@ TrialRecord BatchRunner::execute_trial(const pp::Protocol& protocol,
                     "specs are resolved by BatchRunner::run");
   TrialRecord rec;
   rec.seed = trial_seed;
+
+  // run() always passes the spec's shared kernel; direct callers (REPRO
+  // replays, tests) may leave it to this trial.
+  std::optional<kernel::CompiledProtocol> local_kernel;
+  if (kernel == nullptr) kernel = &local_kernel.emplace(protocol);
 
   // Trial wall clock: stamped on every return path via RAII, so latency
   // quantiles cover dense/fluid, chemical and agent trials alike.
@@ -269,7 +377,6 @@ TrialRecord BatchRunner::execute_trial(const pp::Protocol& protocol,
     options.scheduler = spec.scheduler;
     options.clustered = spec.clustered_options();
     options.kernel = kernel;
-    options.use_kernel = spec.use_kernel;
     options.recorder = recorder.has_value() ? &*recorder : nullptr;
     if (backend == EngineKind::kFluid) {
       options.rtol = spec.rtol;
@@ -296,18 +403,9 @@ TrialRecord BatchRunner::execute_trial(const pp::Protocol& protocol,
   const std::uint64_t derived_seed = rng.split()();
 
   if (spec.chemical_time) {
-    obs::Recorder* chem_recorder = recorder.has_value() ? &*recorder : nullptr;
-    crn::GillespieResult result;
-    if (kernel != nullptr) {
-      result = crn::run_gillespie(*kernel, colors, derived_seed,
-                                  engine_options, chem_recorder);
-    } else if (spec.use_kernel) {
-      result = crn::run_gillespie(protocol, colors, derived_seed,
-                                  engine_options, chem_recorder);
-    } else {
-      result = crn::run_gillespie_virtual(protocol, colors, derived_seed,
-                                          engine_options, chem_recorder);
-    }
+    const crn::GillespieResult result = crn::run_gillespie(
+        *kernel, colors, derived_seed, engine_options,
+        recorder.has_value() ? &*recorder : nullptr);
     rec.outcome = grade_run(result.run, rec.workload, expected);
     rec.stabilization_time = result.stabilization_time;
     rec.convergence_time = result.convergence_time;
@@ -346,21 +444,11 @@ TrialRecord BatchRunner::execute_trial(const pp::Protocol& protocol,
           : pp::make_scheduler(spec.scheduler, n, derived_seed, &protocol,
                                &clustered);
 
-  // One kernel for all engine invocations of this trial (the fault bursts
-  // below re-enter the engine): the spec's shared kernel when provided, a
-  // one-shot compile otherwise, or none at all on the legacy virtual path.
-  std::optional<kernel::CompiledProtocol> local_kernel;
-  const kernel::CompiledProtocol* trial_kernel = kernel;
-  if (spec.use_kernel && trial_kernel == nullptr) {
-    local_kernel.emplace(protocol, kernel::CompileOptions::one_shot());
-    trial_kernel = &*local_kernel;
-  }
-
   // The count pipeline rides the monitor list; probes wrapping legacy
   // monitors (Probe::as_monitor) see the raw event stream next to it.
   std::optional<obs::RecorderMonitor> recorder_monitor;
   if (recorder.has_value()) {
-    recorder_monitor.emplace(*recorder, trial_kernel);
+    recorder_monitor.emplace(*recorder, kernel);
     monitors.push_back(&*recorder_monitor);
     for (obs::Probe* probe : recorder->probes()) {
       if (pp::Monitor* monitor = probe->as_monitor()) {
@@ -371,12 +459,11 @@ TrialRecord BatchRunner::execute_trial(const pp::Protocol& protocol,
   const std::span<pp::Monitor* const> monitor_span(monitors.data(),
                                                    monitors.size());
 
+  // The fault bursts below re-enter the engine; every entry shares the
+  // trial's kernel.
   const auto run_engine = [&](const pp::EngineOptions& engine_options) {
-    pp::Engine engine(engine_options);
-    if (trial_kernel != nullptr) {
-      return engine.run(*trial_kernel, population, *scheduler, monitor_span);
-    }
-    return engine.run_virtual(protocol, population, *scheduler, monitor_span);
+    return pp::Engine(engine_options)
+        .run(*kernel, population, *scheduler, monitor_span);
   };
 
   // Transient-fault injection: run in bursts; after each burst reboot one
@@ -450,9 +537,8 @@ std::vector<SpecResult> BatchRunner::run(
   // and the immutable kernel is shared by every trial on every thread.
   std::vector<std::shared_ptr<const kernel::CompiledProtocol>> kernels(
       specs.size());
-  // Per-spec dense engines: built over the shared kernel (or the virtual
-  // path when the spec turns kernels off); DenseEngine::run is
-  // const/thread-safe.
+  // Per-spec dense engines, built over the shared kernel; DenseEngine::run
+  // is const/thread-safe.
   std::vector<std::unique_ptr<dense::DenseEngine>> dense_engines(specs.size());
   // Per-spec fluid engines, same sharing contract (the drift table is
   // compiled once); FluidEngine::run is const/thread-safe.
@@ -483,73 +569,8 @@ std::vector<SpecResult> BatchRunner::run(
 
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const RunSpec& spec = specs[i];
-    if (spec.trials == 0) {
-      throw std::invalid_argument("RunSpec '" + spec.to_string() +
-                                  "' needs trials >= 1");
-    }
-    if (spec.effective_n() < 2) {
-      throw std::invalid_argument("RunSpec '" + spec.to_string() +
-                                  "' needs a population of >= 2 agents");
-    }
     auto protocol = registry_->create(spec.protocol, spec.params);
-    if (spec.workload.family == WorkloadSpec::Family::kExplicit &&
-        spec.workload.counts.size() != protocol->num_colors()) {
-      throw std::invalid_argument(
-          "RunSpec '" + spec.to_string() + "' fixes " +
-          std::to_string(spec.workload.counts.size()) +
-          " per-color counts but protocol '" + spec.protocol + "' has k=" +
-          std::to_string(protocol->num_colors()) + " colors");
-    }
-    if (spec.circles_stats &&
-        dynamic_cast<const core::CirclesProtocol*>(protocol.get()) ==
-            nullptr) {
-      throw std::invalid_argument(
-          "circles_stats requested for non-circles protocol '" +
-          spec.protocol + "'");
-    }
-    for (const obs::ProbeSpec& probe_spec : spec.probes) {
-      // Probe/protocol mismatches (e.g. an energy probe on a weightless
-      // protocol) fail here, naming the spec, instead of inside a worker.
-      try {
-        (void)obs::make_probe(probe_spec, *protocol);
-      } catch (const std::invalid_argument& e) {
-        throw std::invalid_argument("RunSpec '" + spec.to_string() +
-                                    "': " + e.what());
-      }
-    }
-    if (spec.chemical_time &&
-        (spec.circles_stats || spec.track_used_states ||
-         spec.reboot_faults > 0 || spec.grader || spec.scheduler_factory)) {
-      throw std::invalid_argument(
-          "RunSpec '" + spec.to_string() +
-          "' combines chemical_time with engine-only features "
-          "(circles_stats / track_used_states / reboot_faults / grader / "
-          "scheduler_factory)");
-    }
-    if ((spec.clusters != 0 || !spec.cluster_sizes.empty()) &&
-        spec.scheduler != pp::SchedulerKind::kClustered) {
-      throw std::invalid_argument(
-          "RunSpec '" + spec.to_string() +
-          "' sets clusters= but its scheduler is '" +
-          pp::to_string(spec.scheduler) +
-          "'; the cluster shape belongs to scheduler=clustered");
-    }
-    if ((spec.rtol != 0.0 || spec.atol != 0.0) &&
-        spec.backend != EngineKind::kFluid &&
-        spec.backend != EngineKind::kAuto) {
-      throw std::invalid_argument(
-          "RunSpec '" + spec.to_string() +
-          "' sets rtol/atol, which are fluid-integrator tolerances, on "
-          "backend=" + sim::to_string(spec.backend) +
-          "; use backend=fluid (or backend=auto) or drop the tolerances");
-    }
-    if (spec.rtol < 0.0 || spec.atol < 0.0) {
-      throw std::invalid_argument(
-          "RunSpec '" + spec.to_string() +
-          "' sets a negative fluid-integrator tolerance (rtol=" +
-          std::to_string(spec.rtol) + ", atol=" + std::to_string(spec.atol) +
-          "); tolerances must be positive (0 = engine default)");
-    }
+    validate_spec(spec, *protocol);
 
     // Resolve the concrete backend. Auto dispatch: agent-only features or a
     // non-lumpable scheduler force the agent array; otherwise the
@@ -653,7 +674,7 @@ std::vector<SpecResult> BatchRunner::run(
     run_threads_resolved[i] =
         spec.run_threads != 0 ? spec.run_threads : inner_default;
     engine_options.run_threads = run_threads_resolved[i];
-    if (spec.use_kernel) {
+    {
       // The compile runs once per spec on this thread; its span lands in the
       // spec's own timeline so build time is visibly separate from trials.
       const trace::ScopedSpan compile_span(
@@ -670,12 +691,8 @@ std::vector<SpecResult> BatchRunner::run(
       if (spec.rtol > 0.0) fluid_options.rtol = spec.rtol;
       if (spec.atol > 0.0) fluid_options.atol = spec.atol;
       try {
-        fluid_engines[i] =
-            spec.use_kernel
-                ? std::make_unique<fluid::FluidEngine>(
-                      kernels[i], engine_options, fluid_options, *lumping)
-                : std::make_unique<fluid::FluidEngine>(
-                      *protocol, engine_options, fluid_options, *lumping);
+        fluid_engines[i] = std::make_unique<fluid::FluidEngine>(
+            kernels[i], engine_options, fluid_options, *lumping);
       } catch (const std::invalid_argument& e) {
         // The drift-table compile refuses protocols whose input-state
         // closure is too wide for the mean-field representation.
@@ -688,17 +705,17 @@ std::vector<SpecResult> BatchRunner::run(
         backends[i] = backend;
       }
     }
+    // Concrete specs were range-checked by validate_spec; auto ones are
+    // checked once their backend (and any fluid fallback) is final.
+    if (spec.backend == EngineKind::kAuto) {
+      check_population_range(spec, backend);
+    }
     if (backend != EngineKind::kAgentArray && backend != EngineKind::kFluid) {
       const dense::DenseMode mode = backend == EngineKind::kDenseBatched
                                         ? dense::DenseMode::kBatched
                                         : dense::DenseMode::kPerStep;
-      dense_engines[i] =
-          spec.use_kernel
-              ? std::make_unique<dense::DenseEngine>(kernels[i], engine_options,
-                                                     mode, *lumping)
-              : std::make_unique<dense::DenseEngine>(*protocol, engine_options,
-                                                     mode, /*use_kernel=*/false,
-                                                     *lumping);
+      dense_engines[i] = std::make_unique<dense::DenseEngine>(
+          kernels[i], engine_options, mode, *lumping);
     }
     protocols.push_back(std::move(protocol));
     spec_seeds[i] = spec_seed(spec, options_.base_seed, i);
@@ -871,12 +888,9 @@ std::vector<SpecResult> BatchRunner::run(
   phase_begin("batch.aggregate");
   const auto aggregate_start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (kernels[i] != nullptr) {
-      results[i].kernel_compiled = true;
-      // Snapshot after all trials: a sparse kernel's materialization
-      // counters have settled by now.
-      results[i].kernel_stats = kernels[i]->stats();
-    }
+    // Snapshot after all trials: a sparse kernel's materialization counters
+    // have settled by now.
+    results[i].kernel_stats = kernels[i]->stats();
   }
   for (SpecResult& result : results) aggregate(result, options_.keep_trials);
   const double aggregate_ms = elapsed_ms(aggregate_start);
@@ -914,9 +928,7 @@ std::vector<SpecResult> BatchRunner::run(
     result.manifest = base_manifest;
     result.manifest.spec = specs[i].to_string();
     result.manifest.backend = sim::to_string(result.backend_resolved);
-    if (result.kernel_compiled) {
-      result.manifest.kernel = kernel::to_string(result.kernel_stats.kind);
-    }
+    result.manifest.kernel = kernel::to_string(result.kernel_stats.kind);
     result.manifest.seed = spec_seeds[i];
     result.manifest.trials = specs[i].trials;
     result.manifest.threads = threads;
@@ -927,7 +939,7 @@ std::vector<SpecResult> BatchRunner::run(
         result.trial_ms.mean * static_cast<double>(result.trial_ms.count);
 
     metrics::MetricsRegistry* m = spec_metrics[i];
-    if (m != nullptr && result.kernel_compiled) {
+    if (m != nullptr) {
       const kernel::CompileStats& stats = result.kernel_stats;
       m->timer("kernel.build").record_ms(stats.build_ms);
       m->counter("kernel.entries").add(stats.entries);

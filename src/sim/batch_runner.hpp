@@ -77,11 +77,10 @@ struct SpecResult {
   /// (scheduler lumpability + n + state count decide — see EngineKind).
   EngineKind backend_resolved = EngineKind::kAgentArray;
 
-  /// Kernel compile stats for this spec's protocol (valid iff
-  /// kernel_compiled, i.e. spec.use_kernel). The kernel is compiled exactly
-  /// once per spec and shared by every trial on every thread; build time is
-  /// reported here so it is never attributed to simulation wall clock.
-  bool kernel_compiled = false;
+  /// Kernel compile stats for this spec's protocol. The kernel is compiled
+  /// exactly once per spec and shared by every trial on every thread; build
+  /// time is reported here so it is never attributed to simulation wall
+  /// clock.
   kernel::CompileStats kernel_stats;
 
   std::uint32_t trial_count = 0;
@@ -176,6 +175,16 @@ struct BatchOptions {
   double progress_interval_s = 2.0;
 };
 
+/// Rejects, with a std::invalid_argument naming the spec, a spec that no
+/// trial can run: no trials, fewer than two agents, explicit counts or
+/// circles_stats or probes that do not fit `protocol`, an exact tie that
+/// cannot be built, feature combinations no backend supports, misplaced
+/// fluid tolerances, or a population beyond a concrete backend's range.
+/// BatchRunner::run calls it for every spec before building anything (and
+/// range-checks backend=auto specs once resolved); single-trial replays
+/// (sweep --spec) call it before BatchRunner::execute_trial.
+void validate_spec(const RunSpec& spec, const pp::Protocol& protocol);
+
 class BatchRunner {
  public:
   explicit BatchRunner(BatchOptions options = {},
@@ -192,15 +201,15 @@ class BatchRunner {
   const BatchOptions& options() const { return options_; }
 
   /// Executes a single (spec, trial) job. Exposed for tests; `protocol`
-  /// must match spec.protocol/params. `kernel` is the spec's shared
-  /// compiled protocol (null: one-shot compile per trial, or the virtual
-  /// path when spec.use_kernel is off). `dense_engine` is an optional
-  /// per-spec engine for dense backends (built once by run() so the
-  /// transition table is shared across trials); when null, a dense trial
-  /// builds its own. `fluid_engine` plays the same per-spec role for the
-  /// fluid backend (shared drift table). `backend_resolved` is the concrete
-  /// backend to run (kAuto = "use spec.backend", which must then itself be
-  /// concrete — run() resolves auto specs before dispatching here).
+  /// must match spec.protocol/params and `spec` must pass validate_spec.
+  /// `kernel` is the spec's shared compiled protocol (null: the trial
+  /// compiles its own). `dense_engine` is an optional per-spec engine for
+  /// dense backends (built once by run() so the transition table is shared
+  /// across trials); when null, a dense trial builds its own.
+  /// `fluid_engine` plays the same per-spec role for the fluid backend
+  /// (shared drift table). `backend_resolved` is the concrete backend to
+  /// run (kAuto = "use spec.backend", which must then itself be concrete —
+  /// run() resolves auto specs before dispatching here).
   /// `metrics`, when non-null, receives the trial's engine counters (unless
   /// spec.engine.metrics already names a registry, which wins). `tracer`
   /// plays the same role for spans (spec.engine.tracer wins); this is the

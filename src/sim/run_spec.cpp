@@ -244,7 +244,6 @@ std::string RunSpec::to_string() const {
   if (engine.max_interactions != pp::EngineOptions{}.max_interactions) {
     out += " budget=" + std::to_string(engine.max_interactions);
   }
-  if (!use_kernel) out += " kernel=off";
   for (const obs::ProbeSpec& probe : probes) {
     out += " trace=" + probe.to_string();
   }
@@ -371,13 +370,6 @@ RunSpec RunSpec::parse(const std::string& text) {
                                       value + "'");
         }
         (key == "rtol" ? spec.rtol : spec.atol) = parsed;
-      } else if (key == "kernel") {
-        if (value != "on" && value != "off") {
-          throw std::invalid_argument(
-              "RunSpec parse: kernel must be 'on' or 'off', got '" + value +
-              "'");
-        }
-        spec.use_kernel = value == "on";
       } else if (key == "budget") {
         spec.engine.max_interactions = parse_unsigned(value);
         if (spec.engine.max_interactions == 0) {

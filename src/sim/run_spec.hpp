@@ -161,13 +161,6 @@ struct RunSpec {
   double rtol = 0.0;
   double atol = 0.0;
 
-  /// Compile the protocol into a kernel::CompiledProtocol once per spec and
-  /// share it across all trials and threads (compile stats land in the
-  /// SpecResult). Off = the legacy virtual-dispatch loops; results are
-  /// bitwise identical, only wall clock changes. Exists for the
-  /// bench_throughput virtual-vs-compiled comparison — leave on otherwise.
-  bool use_kernel = true;
-
   /// Custom correctness verdict (engine runs only): receives the final
   /// population and overrides the standard grading (e.g. per-agent checks).
   std::function<bool(const pp::Protocol& protocol,

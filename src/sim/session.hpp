@@ -97,10 +97,6 @@ class SessionBuilder {
     spec_.atol = atol;
     return *this;
   }
-  SessionBuilder& use_kernel(bool on = true) {
-    spec_.use_kernel = on;
-    return *this;
-  }
   SessionBuilder& trials(std::uint32_t trials) {
     spec_.trials = trials;
     return *this;

@@ -46,6 +46,19 @@ void grade_against(TrialOutcome& outcome, const analysis::Workload& workload,
                     outcome.consensus == target;
 }
 
+/// Kernel for a count-level trial that builds its own engine: the caller's
+/// prebuilt kernel, shared without ownership (it outlives the trial), or a
+/// fresh compile.
+std::shared_ptr<const kernel::CompiledProtocol> trial_kernel(
+    const pp::Protocol& protocol, const TrialOptions& options) {
+  if (options.kernel == nullptr) {
+    return std::make_shared<const kernel::CompiledProtocol>(protocol);
+  }
+  CIRCLES_CHECK_MSG(&options.kernel->protocol() == &protocol,
+                    "prebuilt kernel does not match the trial's protocol");
+  return {std::shared_ptr<const void>(), options.kernel};
+}
+
 }  // namespace
 
 TrialOutcome grade_run(const pp::RunResult& run,
@@ -83,8 +96,7 @@ TrialOutcome run_trial_keep_population(
   std::optional<obs::RecorderMonitor> recorder_monitor;
   std::vector<pp::Monitor*> all_monitors(monitors.begin(), monitors.end());
   if (options.recorder != nullptr) {
-    recorder_monitor.emplace(*options.recorder,
-                             options.use_kernel ? options.kernel : nullptr);
+    recorder_monitor.emplace(*options.recorder, options.kernel);
     all_monitors.push_back(&*recorder_monitor);
     for (obs::Probe* probe : options.recorder->probes()) {
       if (pp::Monitor* monitor = probe->as_monitor()) {
@@ -97,10 +109,7 @@ TrialOutcome run_trial_keep_population(
 
   pp::Engine engine(options.engine);
   TrialOutcome outcome;
-  if (!options.use_kernel) {
-    outcome.run =
-        engine.run_virtual(protocol, *population, *scheduler, monitors);
-  } else if (options.kernel != nullptr) {
+  if (options.kernel != nullptr) {
     CIRCLES_CHECK_MSG(&options.kernel->protocol() == &protocol,
                       "prebuilt kernel does not match the trial's protocol");
     outcome.run = engine.run(*options.kernel, *population, *scheduler, monitors);
@@ -146,22 +155,11 @@ TrialOutcome run_dense_trial(const pp::Protocol& protocol,
   const std::size_t want_urns = lumping.sizes.empty() ? 1 : lumping.num_urns();
   std::optional<dense::DenseEngine> local;
   if (engine == nullptr) {
-    if (options.use_kernel && options.kernel != nullptr) {
-      CIRCLES_CHECK_MSG(&options.kernel->protocol() == &protocol,
-                        "prebuilt kernel does not match the trial's protocol");
-      // Aliasing share: the caller guarantees the kernel outlives the trial.
-      local.emplace(std::shared_ptr<const kernel::CompiledProtocol>(
-                        std::shared_ptr<const void>(), options.kernel),
-                    options.engine, mode, std::move(lumping));
-    } else {
-      local.emplace(protocol, options.engine, mode, options.use_kernel,
-                    std::move(lumping));
-    }
-    engine = &*local;
+    engine = &local.emplace(trial_kernel(protocol, options), options.engine,
+                            mode, lumping);
   }
   CIRCLES_CHECK_MSG(
       engine->mode() == mode && &engine->protocol() == &protocol &&
-          (engine->compiled() != nullptr) == options.use_kernel &&
           engine->options().max_interactions ==
               options.engine.max_interactions &&
           engine->options().stop_when_silent ==
@@ -222,18 +220,8 @@ TrialOutcome run_fluid_trial(const pp::Protocol& protocol,
   if (options.atol > 0.0) fluid_options.atol = options.atol;
   std::optional<fluid::FluidEngine> local;
   if (engine == nullptr) {
-    if (options.use_kernel && options.kernel != nullptr) {
-      CIRCLES_CHECK_MSG(&options.kernel->protocol() == &protocol,
-                        "prebuilt kernel does not match the trial's protocol");
-      // Aliasing share: the caller guarantees the kernel outlives the trial.
-      local.emplace(std::shared_ptr<const kernel::CompiledProtocol>(
-                        std::shared_ptr<const void>(), options.kernel),
-                    options.engine, fluid_options, std::move(lumping));
-    } else {
-      local.emplace(protocol, options.engine, fluid_options,
-                    std::move(lumping));
-    }
-    engine = &*local;
+    engine = &local.emplace(trial_kernel(protocol, options), options.engine,
+                            fluid_options, lumping);
   }
   CIRCLES_CHECK_MSG(
       &engine->protocol() == &protocol &&

@@ -1,9 +1,8 @@
 // Single-trial execution: build population from workload, run, grade.
 //
-// This is the execution core of the circles::sim session API. The historical
-// entry points analysis::run_trial / analysis::run_circles_trial are thin
-// aliases over this layer, so all call sites — tests, examples, experiment
-// binaries and the BatchRunner — share one implementation.
+// This is the execution core of the circles::sim session API: tests,
+// examples, experiment binaries and the BatchRunner all share this one
+// implementation.
 #pragma once
 
 #include <cstdint>
@@ -52,12 +51,9 @@ struct TrialOptions {
   /// engine's lumping alike).
   pp::ClusteredOptions clustered;
   /// Prebuilt kernel for the trial's protocol (the BatchRunner compiles one
-  /// per spec and shares it across trials/threads). Null: a one-shot kernel
-  /// is compiled per trial.
+  /// per spec and shares it across trials/threads). Null: the trial
+  /// compiles its own.
   const kernel::CompiledProtocol* kernel = nullptr;
-  /// false = legacy virtual-dispatch interaction loop (the bench baseline);
-  /// bitwise-identical results, slower wall clock. Ignores `kernel`.
-  bool use_kernel = true;
   /// Fluid-backend integrator tolerances (run_fluid_trial only); 0 = the
   /// FluidOptions defaults.
   double rtol = 0.0;

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace circles::analysis {
 namespace {
@@ -103,6 +105,49 @@ TEST(ExactTieTest, TieOfTwoAgents) {
   util::Rng rng(5);
   const Workload w = exact_tie(rng, 2, 2, 2);
   EXPECT_EQ(w.counts, (std::vector<std::uint64_t>{1, 1}));
+}
+
+TEST(ExactTieTest, FeasibilityMatchesABruteForceSearch) {
+  // exact_tie_feasible(n, k, t) iff some count vector of k colors summing
+  // to n has exactly t colors at its (positive) maximum; when it holds,
+  // exact_tie builds one.
+  util::Rng rng(7);
+  for (std::uint64_t n = 0; n <= 12; ++n) {
+    for (std::uint32_t k = 1; k <= 4; ++k) {
+      for (std::uint32_t t = 0; t <= 5; ++t) {
+        bool exists = false;
+        std::vector<std::uint64_t> counts(k, 0);
+        const std::function<void(std::uint32_t, std::uint64_t)> search =
+            [&](std::uint32_t c, std::uint64_t left) {
+              if (exists) return;
+              if (c + 1 == k) {
+                counts[c] = left;
+                const std::uint64_t top =
+                    *std::max_element(counts.begin(), counts.end());
+                exists = top > 0 && static_cast<std::uint32_t>(std::count(
+                                        counts.begin(), counts.end(), top)) == t;
+                return;
+              }
+              for (std::uint64_t v = 0; v <= left; ++v) {
+                counts[c] = v;
+                search(c + 1, left - v);
+              }
+            };
+        search(0, n);
+        // A single winner (t = 1) is a vector but not a tie.
+        const bool expected = exists && t >= 2;
+        EXPECT_EQ(exact_tie_feasible(n, k, t), expected)
+            << "n=" << n << " k=" << k << " t=" << t;
+        if (expected) {
+          const Workload w = exact_tie(rng, n, k, t);
+          EXPECT_EQ(w.n(), n);
+          const std::uint64_t top =
+              *std::max_element(w.counts.begin(), w.counts.end());
+          EXPECT_EQ(std::count(w.counts.begin(), w.counts.end(), top), t);
+        }
+      }
+    }
+  }
 }
 
 TEST(CloseMarginTest, MarginIsMinimalFeasible) {

@@ -2,14 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/trial.hpp"
 #include "analysis/workload.hpp"
+#include "sim/trial.hpp"
 
 namespace circles::baselines {
 namespace {
 
-using analysis::TrialOptions;
 using analysis::Workload;
+using sim::TrialOptions;
 
 TEST(ApproxMajority3StateTest, StateMetadata) {
   ApproxMajority3State protocol;
@@ -63,7 +63,7 @@ TEST(ApproxMajority3StateTest, ConvergesToSomeConsensus) {
   for (int trial = 0; trial < 10; ++trial) {
     TrialOptions options;
     options.seed = rng();
-    const auto outcome = analysis::run_trial(protocol, w, options);
+    const auto outcome = sim::run_trial(protocol, w, options);
     EXPECT_TRUE(outcome.run.silent);
     ASSERT_TRUE(outcome.consensus.has_value());
   }
@@ -79,7 +79,7 @@ TEST(ApproxMajority3StateTest, LargeMarginAlmostAlwaysCorrect) {
   for (int trial = 0; trial < kTrials; ++trial) {
     TrialOptions options;
     options.seed = rng();
-    const auto outcome = analysis::run_trial(protocol, w, options);
+    const auto outcome = sim::run_trial(protocol, w, options);
     if (outcome.correct) ++correct;
   }
   // With margin 0.8 the failure probability is astronomically small.
@@ -99,7 +99,7 @@ TEST(ApproxMajority3StateTest, SmallMarginSometimesWrong) {
   for (int trial = 0; trial < kTrials; ++trial) {
     TrialOptions options;
     options.seed = rng();
-    const auto outcome = analysis::run_trial(protocol, w, options);
+    const auto outcome = sim::run_trial(protocol, w, options);
     ASSERT_TRUE(outcome.run.silent);
     ASSERT_TRUE(outcome.consensus.has_value());
     if (*outcome.consensus != 0) ++wrong;

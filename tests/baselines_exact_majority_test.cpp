@@ -2,14 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/trial.hpp"
 #include "analysis/workload.hpp"
+#include "sim/trial.hpp"
 
 namespace circles::baselines {
 namespace {
 
-using analysis::TrialOptions;
 using analysis::Workload;
+using sim::TrialOptions;
 
 TEST(ExactMajority4StateTest, StateMetadata) {
   ExactMajority4State protocol;
@@ -83,7 +83,7 @@ TEST(ExactMajority4StateTest, ExhaustiveMajoritiesAllSchedulers) {
         TrialOptions options;
         options.scheduler = kind;
         options.seed = n * 100 + zeros;
-        const auto outcome = analysis::run_trial(protocol, w, options);
+        const auto outcome = sim::run_trial(protocol, w, options);
         EXPECT_TRUE(outcome.correct)
             << "n=" << n << " zeros=" << zeros << " " << pp::to_string(kind);
       }
@@ -97,7 +97,7 @@ TEST(ExactMajority4StateTest, TieFreezesWithoutConsensus) {
   w.counts = {4, 4};
   TrialOptions options;
   options.seed = 5;
-  const auto outcome = analysis::run_trial(protocol, w, options);
+  const auto outcome = sim::run_trial(protocol, w, options);
   EXPECT_TRUE(outcome.run.silent);  // weak agents freeze silently
   EXPECT_FALSE(outcome.correct);
   EXPECT_FALSE(outcome.consensus.has_value());
@@ -109,7 +109,7 @@ TEST(ExactMajority4StateTest, LandslideConvergesFast) {
   w.counts = {50, 2};
   TrialOptions options;
   options.seed = 11;
-  const auto outcome = analysis::run_trial(protocol, w, options);
+  const auto outcome = sim::run_trial(protocol, w, options);
   EXPECT_TRUE(outcome.correct);
   EXPECT_EQ(outcome.consensus, std::optional<pp::OutputSymbol>(0));
 }

@@ -7,6 +7,7 @@
 #include "analysis/workload.hpp"
 #include "baselines/approx_majority_3state.hpp"
 #include "core/circles_protocol.hpp"
+#include "kernel/compiled_protocol.hpp"
 
 namespace circles::crn {
 namespace {
@@ -113,13 +114,14 @@ TEST(ExponentialClockMonitorTest, MeanInterArrivalMatchesRate) {
   pp::Population population(protocol, colors);
   auto scheduler =
       pp::make_scheduler(pp::SchedulerKind::kUniformRandom, n, rng());
-  ExponentialClockMonitor clock(rng());
+  const kernel::CompiledProtocol kernel(protocol);
+  ExponentialClockMonitor clock(rng(), kernel);
   pp::Monitor* monitors[] = {&clock};
   pp::EngineOptions options;
   options.max_interactions = 20000;
   options.stop_when_silent = false;
   pp::Engine engine(options);
-  engine.run(protocol, population, *scheduler,
+  engine.run(kernel, population, *scheduler,
              std::span<pp::Monitor* const>(monitors, 1));
   const double mean_gap = clock.now() / 20000.0;
   EXPECT_NEAR(mean_gap, 1.0 / 10.0, 0.01);

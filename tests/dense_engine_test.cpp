@@ -28,6 +28,16 @@ analysis::Workload workload_of(CountVector counts) {
   return w;
 }
 
+/// A kernel lowered with its dense table turned off: every pair goes through
+/// the hashed sparse cache, an independent path from the default dense
+/// table the protocol constructor compiles.
+std::shared_ptr<const kernel::CompiledProtocol> forced_sparse(
+    const pp::Protocol& protocol) {
+  kernel::CompileOptions options;
+  options.max_dense_entries = 0;
+  return std::make_shared<const kernel::CompiledProtocol>(protocol, options);
+}
+
 /// Exact silence on a count vector (the engine's active-pair criterion,
 /// recomputed independently).
 bool counts_silent(const pp::Protocol& protocol, const CountVector& counts) {
@@ -186,19 +196,18 @@ TEST(DenseEngineTest, DeterministicPerSeed) {
   }
 }
 
-TEST(DenseEngineTest, VirtualDispatchPathMatchesCompiledKernel) {
+TEST(DenseEngineTest, ForcedSparseKernelMatchesDenseTable) {
   const auto protocol = sim::ProtocolRegistry::global().create("circles",
                                                                {.k = 3});
-  DenseEngine compiled(*protocol, {}, DenseMode::kBatched);
-  DenseEngine virtual_path(*protocol, {}, DenseMode::kBatched,
-                           /*use_kernel=*/false);
-  EXPECT_NE(compiled.compiled(), nullptr);
-  EXPECT_EQ(virtual_path.compiled(), nullptr);
+  DenseEngine dense_table(*protocol, {}, DenseMode::kBatched);
+  DenseEngine sparse(forced_sparse(*protocol), {}, DenseMode::kBatched);
+  EXPECT_EQ(dense_table.compiled().kind(), kernel::TableKind::kDense);
+  EXPECT_EQ(sparse.compiled().kind(), kernel::TableKind::kSparse);
   DenseConfig a =
       DenseConfig::from_workload(*protocol, workload_of({12, 9, 6}));
   DenseConfig b = a;
-  const pp::RunResult ra = compiled.run(a, 321);
-  const pp::RunResult rb = virtual_path.run(b, 321);
+  const pp::RunResult ra = dense_table.run(a, 321);
+  const pp::RunResult rb = sparse.run(b, 321);
   EXPECT_EQ(a.counts, b.counts);
   EXPECT_EQ(ra.interactions, rb.interactions);
   EXPECT_EQ(ra.state_changes, rb.state_changes);
@@ -333,7 +342,7 @@ TEST(UrnEngineTest, ReachesSilenceExactlyAndConservesUrnSizes) {
                                                                {.k = 3});
   const auto lumping = urn_harness::dumbbell({60, 40}, 0.05);
   for (const DenseMode mode : {DenseMode::kPerStep, DenseMode::kBatched}) {
-    DenseEngine engine(*protocol, {}, mode, /*use_kernel=*/true, lumping);
+    DenseEngine engine(*protocol, {}, mode, lumping);
     util::Rng rng(3);
     UrnConfig config = UrnConfig::from_workload(
         *protocol, workload_of({50, 30, 20}), lumping.sizes, rng);
@@ -353,21 +362,21 @@ TEST(UrnEngineTest, DeterministicPerSeedAndAcrossKernelPaths) {
                                                                {.k = 3});
   const auto lumping = urn_harness::dumbbell({30, 20, 10}, 0.1);
   for (const DenseMode mode : {DenseMode::kPerStep, DenseMode::kBatched}) {
-    DenseEngine compiled(*protocol, {}, mode, /*use_kernel=*/true, lumping);
-    DenseEngine virtual_path(*protocol, {}, mode, /*use_kernel=*/false,
-                             lumping);
+    DenseEngine compiled(*protocol, {}, mode, lumping);
+    DenseEngine sparse(forced_sparse(*protocol), {}, mode, lumping);
     util::Rng rng(8);
     const UrnConfig initial = UrnConfig::from_workload(
         *protocol, workload_of({25, 20, 15}), lumping.sizes, rng);
     UrnConfig a = initial, b = initial, c = initial;
     const pp::RunResult ra = compiled.run(a, 41);
     const pp::RunResult rb = compiled.run(b, 41);
-    const pp::RunResult rc = virtual_path.run(c, 41);
+    const pp::RunResult rc = sparse.run(c, 41);
     EXPECT_EQ(a, b);
     EXPECT_EQ(ra.interactions, rb.interactions);
     EXPECT_EQ(ra.state_changes, rb.state_changes);
     EXPECT_EQ(ra.last_change_step, rb.last_change_step);
-    // Kernel on/off is bitwise identical, multi-urn included.
+    // Dense-table and forced-sparse kernels are bitwise identical,
+    // multi-urn included.
     EXPECT_EQ(a, c);
     EXPECT_EQ(ra.interactions, rc.interactions);
     EXPECT_EQ(ra.state_changes, rc.state_changes);
@@ -381,7 +390,7 @@ TEST(UrnEngineTest, BudgetExhaustionReportedExactly) {
   pp::EngineOptions options;
   options.max_interactions = 4000;
   for (const DenseMode mode : {DenseMode::kPerStep, DenseMode::kBatched}) {
-    DenseEngine engine(*protocol, options, mode, true, lumping);
+    DenseEngine engine(*protocol, options, mode, lumping);
     util::Rng rng(2);
     UrnConfig config = UrnConfig::from_workload(
         *protocol, workload_of({300, 200, 100}), lumping.sizes, rng);
@@ -396,7 +405,7 @@ TEST(UrnEngineTest, RejectsMismatchedConfigurations) {
   const auto protocol = sim::ProtocolRegistry::global().create("circles",
                                                                {.k = 2});
   const auto lumping = urn_harness::dumbbell({6, 4}, 0.2);
-  DenseEngine engine(*protocol, {}, DenseMode::kPerStep, true, lumping);
+  DenseEngine engine(*protocol, {}, DenseMode::kPerStep, lumping);
   // DenseConfig on a multi-urn engine.
   DenseConfig dense = DenseConfig::from_workload(*protocol, workload_of({6, 4}));
   EXPECT_DEATH((void)engine.run(dense, 1), "multi-urn");
@@ -493,7 +502,7 @@ UrnCounts urn_engine_final(const pp::Protocol& protocol,
       config.urns[u][protocol.input(c)] += initial_colors_by_urn[u][c];
     }
   }
-  DenseEngine engine(protocol, {}, mode, true, lumping);
+  DenseEngine engine(protocol, {}, mode, lumping);
   const pp::RunResult result = engine.run(config, seed);
   EXPECT_TRUE(result.silent);
   return config.urns;
@@ -675,7 +684,7 @@ TEST(UrnSnapshotTest, ProbesSeePerUrnCountsNextToTheAggregate) {
                                                                {.k = 3});
   const auto lumping = urn_harness::dumbbell({60, 40}, 0.05);
   for (const DenseMode mode : {DenseMode::kPerStep, DenseMode::kBatched}) {
-    DenseEngine engine(*protocol, {}, mode, true, lumping);
+    DenseEngine engine(*protocol, {}, mode, lumping);
     util::Rng rng(4);
     UrnConfig config = UrnConfig::from_workload(
         *protocol, workload_of({50, 30, 20}), lumping.sizes, rng);
@@ -1097,9 +1106,9 @@ TEST(ParallelRunTest, RunThreadsResolveAtConstruction) {
 }
 
 /// The tentpole guarantee: run_threads is a pure performance knob. Every
-/// cell of the (threads x urn structure x mode x kernel) matrix must leave
-/// counts, RNG consumption, and every RunResult field bitwise identical to
-/// the serial engine.
+/// cell of the (threads x urn structure x mode x kernel kind) matrix must
+/// leave counts, RNG consumption, and every RunResult field bitwise
+/// identical to the serial engine.
 TEST(ParallelRunTest, ThreadCountsAreBitwiseIdenticalToSerial) {
   const auto protocol = sim::ProtocolRegistry::global().create("circles",
                                                                {.k = 3});
@@ -1109,15 +1118,17 @@ TEST(ParallelRunTest, ThreadCountsAreBitwiseIdenticalToSerial) {
       urn_harness::dumbbell({40, 35, 25}, 0.05),
   };
   for (const DenseMode mode : {DenseMode::kPerStep, DenseMode::kBatched}) {
-    for (const bool use_kernel : {true, false}) {
+    for (const auto& compiled :
+         {std::make_shared<const kernel::CompiledProtocol>(*protocol),
+          forced_sparse(*protocol)}) {
       for (const pp::UrnLumping& lumping : lumpings) {
         SCOPED_TRACE(::testing::Message()
                      << "mode=" << (mode == DenseMode::kBatched ? "batched"
                                                                 : "per_step")
-                     << " kernel=" << use_kernel
+                     << " kernel=" << kernel::to_string(compiled->kind())
                      << " urns=" << std::max<std::size_t>(
                             lumping.sizes.size(), 1));
-        DenseEngine serial(*protocol, {}, mode, use_kernel, lumping);
+        DenseEngine serial(compiled, {}, mode, lumping);
         const std::uint64_t n =
             lumping.sizes.empty()
                 ? 100u
@@ -1134,7 +1145,7 @@ TEST(ParallelRunTest, ThreadCountsAreBitwiseIdenticalToSerial) {
         for (const std::uint32_t threads : {2u, 4u, 8u}) {
           pp::EngineOptions options;
           options.run_threads = threads;
-          DenseEngine parallel(*protocol, options, mode, use_kernel, lumping);
+          DenseEngine parallel(compiled, options, mode, lumping);
           UrnConfig config = baseline_config;
           const pp::RunResult result = parallel.run(config, 4242);
           EXPECT_EQ(config, serial_config) << "threads=" << threads;
@@ -1159,8 +1170,8 @@ TEST(ParallelRunTest, EightThreadHammerMatchesSerialAcrossSeeds) {
   const auto lumping = urn_harness::dumbbell({50, 30, 20}, 0.05);
   pp::EngineOptions options;
   options.run_threads = 8;
-  DenseEngine serial(*protocol, {}, DenseMode::kBatched, true, lumping);
-  DenseEngine parallel(*protocol, options, DenseMode::kBatched, true, lumping);
+  DenseEngine serial(*protocol, {}, DenseMode::kBatched, lumping);
+  DenseEngine parallel(*protocol, options, DenseMode::kBatched, lumping);
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     util::Rng rng(seed);
     UrnConfig a = UrnConfig::from_workload(

@@ -7,15 +7,15 @@
 #include <set>
 #include <vector>
 
-#include "analysis/trial.hpp"
 #include "analysis/workload.hpp"
 #include "pp/engine.hpp"
+#include "sim/trial.hpp"
 
 namespace circles::ext {
 namespace {
 
-using analysis::TrialOptions;
 using analysis::Workload;
+using sim::TrialOptions;
 
 TEST(OrderingProtocolTest, StateMetadata) {
   for (std::uint32_t k : {1u, 3u, 8u}) {

@@ -4,14 +4,14 @@
 
 #include <functional>
 
-#include "analysis/trial.hpp"
 #include "analysis/workload.hpp"
+#include "sim/trial.hpp"
 
 namespace circles::ext {
 namespace {
 
-using analysis::TrialOptions;
 using analysis::Workload;
+using sim::TrialOptions;
 
 TEST(TieAwarePairwiseTest, StateMetadata) {
   TieAwarePairwise report(3, TieSemantics::kReport);

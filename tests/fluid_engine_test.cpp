@@ -25,6 +25,15 @@ analysis::Workload workload_of(CountVector counts) {
   return w;
 }
 
+/// A kernel lowered with its dense table (and so its CSR adjacency) turned
+/// off: transitions come from the hashed sparse cache instead.
+std::shared_ptr<const kernel::CompiledProtocol> forced_sparse(
+    const pp::Protocol& protocol) {
+  kernel::CompileOptions options;
+  options.max_dense_entries = 0;
+  return std::make_shared<const kernel::CompiledProtocol>(protocol, options);
+}
+
 std::unique_ptr<pp::Protocol> make(const std::string& name, std::uint32_t k) {
   sim::ProtocolParams params;
   params.k = k;
@@ -38,7 +47,7 @@ TEST(DriftTableTest, ClosureCoversExactlyTheInputReachableStates) {
   // approx_majority_3state: inputs X, Y; blank B appears only through
   // transitions — all 3 states are input-reachable.
   const auto protocol = make("approx_majority_3state", 2);
-  const DriftTable table(*protocol, nullptr, 1 << 20);
+  const DriftTable table(kernel::CompiledProtocol(*protocol), 1 << 20);
   EXPECT_EQ(table.num_species(), protocol->num_states());
   // Species ascending, index_of is the inverse map.
   for (std::size_t i = 0; i < table.num_species(); ++i) {
@@ -50,7 +59,7 @@ TEST(DriftTableTest, ClosureCoversExactlyTheInputReachableStates) {
 
 TEST(DriftTableTest, TermsAreExactlyTheNonNullPairsOfTheClosure) {
   const auto protocol = make("circles", 3);
-  const DriftTable table(*protocol, nullptr, 1 << 24);
+  const DriftTable table(kernel::CompiledProtocol(*protocol), 1 << 24);
   // Every term must reproduce the protocol's transition, and every non-null
   // ordered pair of closure states must appear exactly once.
   std::size_t non_null = 0;
@@ -79,23 +88,29 @@ TEST(DriftTableTest, TermsAreExactlyTheNonNullPairsOfTheClosure) {
   }
 }
 
-TEST(DriftTableTest, KernelAndVirtualBuildsProduceIdenticalTables) {
+TEST(DriftTableTest, DenseAndSparseKernelBuildsProduceIdenticalTables) {
+  // The dense kernel's build walks its CSR adjacency; the forced-sparse one
+  // enumerates every closure pair through the hashed cache.
   const auto protocol = make("circles", 4);
-  const kernel::CompiledProtocol compiled(*protocol);
-  const DriftTable virt(*protocol, nullptr, 1 << 24);
-  const DriftTable kern(*protocol, &compiled, 1 << 24);
-  ASSERT_EQ(virt.num_species(), kern.num_species());
-  EXPECT_TRUE(std::equal(virt.species().begin(), virt.species().end(),
-                         kern.species().begin()));
-  ASSERT_EQ(virt.terms().size(), kern.terms().size());
-  EXPECT_TRUE(std::equal(virt.terms().begin(), virt.terms().end(),
-                         kern.terms().begin()));
+  const kernel::CompiledProtocol dense(*protocol);
+  ASSERT_TRUE(dense.has_adjacency());
+  const auto sparse_kernel = forced_sparse(*protocol);
+  ASSERT_FALSE(sparse_kernel->has_adjacency());
+  const DriftTable table(dense, 1 << 24);
+  const DriftTable sparse(*sparse_kernel, 1 << 24);
+  ASSERT_EQ(table.num_species(), sparse.num_species());
+  EXPECT_TRUE(std::equal(table.species().begin(), table.species().end(),
+                         sparse.species().begin()));
+  ASSERT_EQ(table.terms().size(), sparse.terms().size());
+  EXPECT_TRUE(std::equal(table.terms().begin(), table.terms().end(),
+                         sparse.terms().begin()));
 }
 
 TEST(DriftTableTest, PairBudgetThrowsWithActionableMessage) {
   const auto protocol = make("circles", 5);
   try {
-    const DriftTable table(*protocol, nullptr, /*max_pair_lookups=*/10);
+    const DriftTable table(kernel::CompiledProtocol(*protocol),
+                           /*max_pair_lookups=*/10);
     FAIL() << "expected the pair budget to throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("pair-enumeration budget"),
@@ -259,16 +274,16 @@ TEST(FluidEngineTest, CirclesMillionAgentsReachesSilentConsensus) {
 
 TEST(FluidEngineTest, TrajectoryIsBitwiseDeterministicAcrossBuildPaths) {
   const auto protocol = make("circles", 3);
-  const auto kernel = std::make_shared<const kernel::CompiledProtocol>(
-      *protocol);
-  const FluidEngine virt(*protocol);
-  const FluidEngine kern(kernel);
+  // The protocol constructor compiles a dense-table kernel; the other engine
+  // builds its drift table through a forced-sparse one.
+  const FluidEngine dense_table(*protocol);
+  const FluidEngine sparse(forced_sparse(*protocol));
   const analysis::Workload workload = workload_of({500000, 300000, 200000});
   dense::DenseConfig a = dense::DenseConfig::from_workload(*protocol, workload);
   dense::DenseConfig b = dense::DenseConfig::from_workload(*protocol, workload);
   // Different seeds on purpose: the ODE trajectory must not consume them.
-  const pp::RunResult ra = virt.run(a, /*seed=*/1);
-  const pp::RunResult rb = kern.run(b, /*seed=*/99);
+  const pp::RunResult ra = dense_table.run(a, /*seed=*/1);
+  const pp::RunResult rb = sparse.run(b, /*seed=*/99);
   EXPECT_EQ(ra.interactions, rb.interactions);
   EXPECT_EQ(ra.state_changes, rb.state_changes);
   EXPECT_EQ(ra.silent, rb.silent);
@@ -450,15 +465,23 @@ TEST(FluidTauTest, LeapMomentsTrackTheDrift) {
 TEST(FluidSimTest, RunFluidTrialGradesLikeTheDenseTrial) {
   const auto protocol = make("circles", 3);
   const analysis::Workload workload = workload_of({50000, 30000, 20000});
-  sim::TrialOptions options;
-  options.seed = 11;
-  const sim::TrialOutcome fluid =
-      sim::run_fluid_trial(*protocol, workload, options);
-  const sim::TrialOutcome dense =
-      sim::run_dense_trial(*protocol, workload, options, /*batched=*/true);
-  EXPECT_TRUE(fluid.correct);
-  EXPECT_TRUE(dense.correct);
-  EXPECT_EQ(fluid.consensus, dense.consensus);
+  // Both trials build their own engine; the clustered case checks that the
+  // engine they build carries the trial's urn structure.
+  for (const pp::SchedulerKind scheduler :
+       {pp::SchedulerKind::kUniformRandom, pp::SchedulerKind::kClustered}) {
+    SCOPED_TRACE(pp::to_string(scheduler));
+    sim::TrialOptions options;
+    options.seed = 11;
+    options.scheduler = scheduler;
+    options.clustered.bridge_probability = 0.1;
+    const sim::TrialOutcome fluid =
+        sim::run_fluid_trial(*protocol, workload, options);
+    const sim::TrialOutcome dense =
+        sim::run_dense_trial(*protocol, workload, options, /*batched=*/true);
+    EXPECT_TRUE(fluid.correct);
+    EXPECT_TRUE(dense.correct);
+    EXPECT_EQ(fluid.consensus, dense.consensus);
+  }
 }
 
 TEST(FluidSimTest, BatchRunnerRunsBackendFluidSpecs) {

@@ -2,7 +2,8 @@
 // registered protocol's compiled kernel must agree with the virtual
 // transition()/output() on all pairs (exhaustively for small state spaces,
 // by seeded sample for cubic ones), under both table kinds; and the engines
-// must produce bitwise-identical RunResults with kernels on vs off.
+// must produce bitwise-identical RunResults over dense-table and
+// forced-sparse kernels.
 #include "kernel/compiled_protocol.hpp"
 
 #include <gtest/gtest.h>
@@ -221,12 +222,35 @@ TEST(CompiledProtocolTest, ConfigSilentAgreesWithIsSilent) {
   }
 }
 
-/// Kernels on vs off must be invisible in the results: same seeds, same
-/// trajectories, same final configurations, on every backend.
+/// The forced-sparse lowering: every pair goes through the hashed cache, so
+/// it shares no table code with the default dense kernel.
+kernel::CompileOptions forced_sparse() {
+  kernel::CompileOptions options;
+  options.max_dense_entries = 0;
+  return options;
+}
+
+/// Every trial of `spec` (which pins its seed) replayed through
+/// BatchRunner::execute_trial over `kernel`, with the seeds run() uses.
+std::vector<sim::TrialRecord> run_trials_with(
+    const sim::RunSpec& spec, const kernel::CompiledProtocol& kernel) {
+  std::vector<sim::TrialRecord> records;
+  for (std::uint32_t t = 0; t < spec.trials; ++t) {
+    records.push_back(sim::BatchRunner::execute_trial(
+        kernel.protocol(), spec, sim::trial_seed(*spec.seed, t), &kernel));
+  }
+  return records;
+}
+
+/// The kernel's table kind must be invisible in the results. "On" is the
+/// BatchRunner's per-spec kernel (a dense table at these sizes); "off" is
+/// the forced-sparse kernel, which turns the dense table off. Same seeds,
+/// same trajectories, same final configurations, on every backend.
 TEST(KernelEndToEndTest, RunResultsBitwiseIdenticalWithKernelsOnAndOff) {
   for (const auto backend :
        {sim::EngineKind::kAgentArray, sim::EngineKind::kDense,
-        sim::EngineKind::kDenseBatched}) {
+        sim::EngineKind::kDenseBatched, sim::EngineKind::kFluid}) {
+    SCOPED_TRACE(sim::to_string(backend));
     sim::RunSpec spec;
     spec.protocol = "circles";
     spec.params.k = 3;
@@ -235,18 +259,20 @@ TEST(KernelEndToEndTest, RunResultsBitwiseIdenticalWithKernelsOnAndOff) {
     spec.seed = 99;
     spec.backend = backend;
 
-    spec.use_kernel = true;
     const auto on = sim::BatchRunner().run_one(spec);
-    spec.use_kernel = false;
-    const auto off = sim::BatchRunner().run_one(spec);
+    EXPECT_EQ(on.kernel_stats.kind, kernel::TableKind::kDense);
+    const auto protocol =
+        sim::ProtocolRegistry::global().create("circles", {.k = 3});
+    const kernel::CompiledProtocol sparse(*protocol, forced_sparse());
+    ASSERT_EQ(sparse.kind(), kernel::TableKind::kSparse);
+    const auto off = run_trials_with(spec, sparse);
 
-    EXPECT_TRUE(on.kernel_compiled);
-    EXPECT_FALSE(off.kernel_compiled);
-    ASSERT_EQ(on.trials.size(), off.trials.size());
-    for (std::size_t t = 0; t < on.trials.size(); ++t) {
+    ASSERT_EQ(on.trials.size(), off.size());
+    for (std::size_t t = 0; t < off.size(); ++t) {
       const auto& a = on.trials[t];
-      const auto& b = off.trials[t];
+      const auto& b = off[t];
       EXPECT_EQ(a.seed, b.seed);
+      EXPECT_EQ(a.workload.counts, b.workload.counts);
       EXPECT_EQ(a.outcome.run.interactions, b.outcome.run.interactions);
       EXPECT_EQ(a.outcome.run.state_changes, b.outcome.run.state_changes);
       EXPECT_EQ(a.outcome.run.last_change_step, b.outcome.run.last_change_step);
@@ -259,8 +285,9 @@ TEST(KernelEndToEndTest, RunResultsBitwiseIdenticalWithKernelsOnAndOff) {
 }
 
 TEST(KernelEndToEndTest, ChemicalTimeBitwiseIdenticalWithKernelsOnAndOff) {
-  // kernel=off on a chemical-time spec takes the fully-virtual Gillespie
-  // path; the clocks and the embedded discrete run must match exactly.
+  // Dense-table vs forced-sparse kernels on a chemical-time spec: the
+  // clocks (whose output-flip predicate is the kernel's per-pair flag) and
+  // the embedded discrete run must match exactly.
   sim::RunSpec spec;
   spec.protocol = "circles";
   spec.params.k = 3;
@@ -269,20 +296,20 @@ TEST(KernelEndToEndTest, ChemicalTimeBitwiseIdenticalWithKernelsOnAndOff) {
   spec.seed = 5;
   spec.chemical_time = true;
 
-  spec.use_kernel = true;
   const auto on = sim::BatchRunner().run_one(spec);
-  spec.use_kernel = false;
-  const auto off = sim::BatchRunner().run_one(spec);
+  const auto protocol =
+      sim::ProtocolRegistry::global().create("circles", {.k = 3});
+  const kernel::CompiledProtocol sparse(*protocol, forced_sparse());
+  const auto off = run_trials_with(spec, sparse);
 
-  ASSERT_EQ(on.trials.size(), off.trials.size());
-  for (std::size_t t = 0; t < on.trials.size(); ++t) {
+  ASSERT_EQ(on.trials.size(), off.size());
+  for (std::size_t t = 0; t < off.size(); ++t) {
     EXPECT_EQ(on.trials[t].outcome.run.interactions,
-              off.trials[t].outcome.run.interactions);
+              off[t].outcome.run.interactions);
     EXPECT_EQ(on.trials[t].outcome.run.final_outputs,
-              off.trials[t].outcome.run.final_outputs);
-    EXPECT_EQ(on.trials[t].stabilization_time,
-              off.trials[t].stabilization_time);
-    EXPECT_EQ(on.trials[t].convergence_time, off.trials[t].convergence_time);
+              off[t].outcome.run.final_outputs);
+    EXPECT_EQ(on.trials[t].stabilization_time, off[t].stabilization_time);
+    EXPECT_EQ(on.trials[t].convergence_time, off[t].convergence_time);
   }
 }
 
@@ -293,7 +320,6 @@ TEST(KernelEndToEndTest, BatchRunnerSurfacesCompileStats) {
   spec.n = 20;
   spec.trials = 2;
   const auto result = sim::BatchRunner().run_one(spec);
-  ASSERT_TRUE(result.kernel_compiled);
   EXPECT_EQ(result.kernel_stats.kind, kernel::TableKind::kDense);
   EXPECT_EQ(result.kernel_stats.states, 27u);
   EXPECT_EQ(result.kernel_stats.entries, 27u * 27u);
@@ -301,25 +327,25 @@ TEST(KernelEndToEndTest, BatchRunnerSurfacesCompileStats) {
   EXPECT_GE(result.kernel_stats.build_ms, 0.0);
 }
 
-TEST(KernelEndToEndTest, EngineRunMatchesRunVirtual) {
+TEST(KernelEndToEndTest, EngineRunMatchesAcrossTableKinds) {
   const auto protocol =
       sim::ProtocolRegistry::global().create("tie_report", {.k = 3});
   const std::vector<pp::ColorId> colors{0, 0, 1, 1, 2, 2, 0, 1};
 
-  const auto run_with = [&](bool use_kernel) {
+  const auto run_with = [&](const kernel::CompiledProtocol& kernel) {
     util::Rng rng(4242);
     pp::Population population(*protocol, colors);
     auto scheduler = pp::make_scheduler(
         pp::SchedulerKind::kUniformRandom,
         static_cast<std::uint32_t>(colors.size()), rng(), protocol.get());
-    pp::Engine engine;
-    return use_kernel
-               ? engine.run(*protocol, population, *scheduler)
-               : engine.run_virtual(*protocol, population, *scheduler);
+    return pp::Engine().run(kernel, population, *scheduler);
   };
 
-  const pp::RunResult with = run_with(true);
-  const pp::RunResult without = run_with(false);
+  const kernel::CompiledProtocol dense(*protocol);
+  const kernel::CompiledProtocol sparse(*protocol, forced_sparse());
+  ASSERT_EQ(dense.kind(), kernel::TableKind::kDense);
+  const pp::RunResult with = run_with(dense);
+  const pp::RunResult without = run_with(sparse);
   EXPECT_EQ(with.interactions, without.interactions);
   EXPECT_EQ(with.state_changes, without.state_changes);
   EXPECT_EQ(with.last_change_step, without.last_change_step);
@@ -327,24 +353,16 @@ TEST(KernelEndToEndTest, EngineRunMatchesRunVirtual) {
   EXPECT_EQ(with.final_outputs, without.final_outputs);
 }
 
-TEST(RunSpecKernelFieldTest, ToStringAndParseRoundTripKernelOff) {
-  sim::RunSpec spec;
-  spec.protocol = "circles";
-  spec.params.k = 4;
-  spec.n = 100;
-  spec.use_kernel = false;
-  const std::string text = spec.to_string();
-  EXPECT_NE(text.find("kernel=off"), std::string::npos);
-  const sim::RunSpec parsed = sim::RunSpec::parse(text);
-  EXPECT_FALSE(parsed.use_kernel);
-
-  spec.use_kernel = true;
-  const std::string on_text = spec.to_string();
-  EXPECT_EQ(on_text.find("kernel="), std::string::npos);
-  EXPECT_TRUE(sim::RunSpec::parse(on_text).use_kernel);
-  EXPECT_TRUE(sim::RunSpec::parse(on_text + " kernel=on").use_kernel);
-  EXPECT_THROW(sim::RunSpec::parse("circles(k=3) kernel=maybe"),
-               std::invalid_argument);
+TEST(RunSpecKernelFieldTest, KernelTokenIsAnUnknownField) {
+  // Every spec runs through the compiled kernel; there is no kernel= knob.
+  try {
+    (void)sim::RunSpec::parse("circles(k=3) n=100 kernel=off");
+    FAIL() << "expected kernel= to be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown field 'kernel'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

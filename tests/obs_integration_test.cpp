@@ -29,21 +29,27 @@ sim::RunSpec energy_spec(sim::EngineKind backend, std::uint32_t k,
 }
 
 TEST(ObsIntegrationTest, EnergyTraceBitwiseIdenticalWithKernelOnAndOff) {
-  // The engines produce bitwise-identical runs with the kernel on or off,
-  // and probes never touch the RNG streams — so the recorded trajectories
-  // must be byte-for-byte equal, on the agent AND both dense backends.
+  // The engines produce bitwise-identical runs with the kernel's dense
+  // table on (the BatchRunner's per-spec kernel) or off (a forced-sparse
+  // kernel), and probes never touch the RNG streams — so the recorded
+  // trajectories must be byte-for-byte equal, on the agent AND both dense
+  // backends.
+  const auto protocol =
+      sim::ProtocolRegistry::global().create("circles", {.k = 3});
+  kernel::CompileOptions sparse_options;
+  sparse_options.max_dense_entries = 0;
+  const kernel::CompiledProtocol sparse(*protocol, sparse_options);
   for (const sim::EngineKind backend :
        {sim::EngineKind::kAgentArray, sim::EngineKind::kDense,
         sim::EngineKind::kDenseBatched}) {
-    sim::RunSpec on = energy_spec(backend, 3, 80, 3, 11);
-    sim::RunSpec off = on;
-    off.use_kernel = false;
-    const auto result_on = sim::BatchRunner().run_one(on);
-    const auto result_off = sim::BatchRunner().run_one(off);
-    ASSERT_EQ(result_on.trials.size(), result_off.trials.size());
-    for (std::size_t t = 0; t < result_on.trials.size(); ++t) {
-      EXPECT_EQ(result_on.trials[t].traces.at(0),
-                result_off.trials[t].traces.at(0))
+    const sim::RunSpec spec = energy_spec(backend, 3, 80, 3, 11);
+    const auto result_on = sim::BatchRunner().run_one(spec);
+    ASSERT_EQ(result_on.kernel_stats.kind, kernel::TableKind::kDense);
+    ASSERT_EQ(result_on.trials.size(), spec.trials);
+    for (std::uint32_t t = 0; t < spec.trials; ++t) {
+      const sim::TrialRecord off = sim::BatchRunner::execute_trial(
+          *protocol, spec, sim::trial_seed(*spec.seed, t), &sparse);
+      EXPECT_EQ(result_on.trials[t].traces.at(0), off.traces.at(0))
           << sim::to_string(backend) << " trial " << t;
     }
   }

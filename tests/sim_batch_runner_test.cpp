@@ -212,6 +212,99 @@ TEST(BatchRunnerTest, ValidatesSpecsUpFront) {
   EXPECT_THROW(BatchRunner().run_one(chemical_combo), std::invalid_argument);
 }
 
+/// The std::invalid_argument message run_one throws for `spec`; fails the
+/// test when the spec is accepted.
+std::string rejection(const RunSpec& spec) {
+  try {
+    (void)BatchRunner().run_one(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "accepted: " << spec.to_string();
+  return {};
+}
+
+RunSpec circles_spec(std::uint32_t k, std::uint64_t n, EngineKind backend) {
+  RunSpec spec;
+  spec.protocol = "circles";
+  spec.params.k = k;
+  spec.n = n;
+  spec.trials = 1;
+  spec.backend = backend;
+  return spec;
+}
+
+TEST(BatchRunnerValidationTest, RejectsExactTiesThatCannotBeBuilt) {
+  struct Case {
+    std::uint32_t k;
+    std::uint64_t n;
+    std::uint32_t tied;
+  };
+  // More tied colors than k; fewer agents than tied colors; and a k-way tie
+  // whose n does not split evenly (no other color can take the leftover).
+  for (const Case c : {Case{3, 30, 5}, Case{4, 2, 3}, Case{2, 5, 2}}) {
+    for (const EngineKind backend :
+         {EngineKind::kAgentArray, EngineKind::kDenseBatched,
+          EngineKind::kAuto}) {
+      RunSpec spec = circles_spec(c.k, c.n, backend);
+      spec.workload = WorkloadSpec::exact_tie(c.tied);
+      const std::string message = rejection(spec);
+      EXPECT_NE(message.find(spec.to_string()), std::string::npos) << message;
+      EXPECT_NE(message.find("exact tie"), std::string::npos) << message;
+    }
+  }
+  // The feasible neighbours still run.
+  RunSpec feasible = circles_spec(3, 30, EngineKind::kAgentArray);
+  feasible.workload = WorkloadSpec::exact_tie(3);
+  EXPECT_EQ(BatchRunner().run_one(feasible).trial_count, 1u);
+  feasible = circles_spec(2, 6, EngineKind::kDense);
+  feasible.workload = WorkloadSpec::exact_tie(2);
+  EXPECT_EQ(BatchRunner().run_one(feasible).trial_count, 1u);
+}
+
+TEST(BatchRunnerValidationTest, RejectsPopulationsBeyondTheBackendRange) {
+  // Each spec fails before any per-agent or per-count allocation.
+  std::vector<RunSpec> specs = {
+      circles_spec(3, 5'000'000'000, EngineKind::kAgentArray),
+      circles_spec(3, (1ull << 32), EngineKind::kAgentArray),
+      circles_spec(3, (1ull << 32) + 1, EngineKind::kDense),
+      circles_spec(3, 5'000'000'000, EngineKind::kDenseBatched),
+  };
+  // backend=auto resolves a non-lumpable scheduler to the agent array.
+  specs.push_back(circles_spec(3, 5'000'000'000, EngineKind::kAuto));
+  specs.back().scheduler = pp::SchedulerKind::kRoundRobin;
+  for (const RunSpec& spec : specs) {
+    const std::string message = rejection(spec);
+    EXPECT_NE(message.find(spec.to_string()), std::string::npos) << message;
+    EXPECT_NE(message.find("backend=fluid"), std::string::npos) << message;
+    EXPECT_NE(message.find("backend=auto"), std::string::npos) << message;
+  }
+}
+
+TEST(BatchRunnerValidationTest, ReplayedSpecsGetTheSameChecks) {
+  // sweep --spec replays call validate_spec before execute_trial; each of
+  // these would otherwise die inside the trial.
+  for (const std::string text :
+       {"circles(k=3) n=1 backend=agent", "circles(k=3) n=30 workload=tie:5",
+        "circles(k=3) n=5000000000 backend=agent",
+        "circles(k=3) n=5000000000 backend=dense_batched"}) {
+    const RunSpec spec = RunSpec::parse(text);
+    const auto protocol =
+        ProtocolRegistry::global().create(spec.protocol, spec.params);
+    try {
+      validate_spec(spec, *protocol);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(spec.to_string()),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const RunSpec ok = RunSpec::parse("circles(k=3) n=30 backend=agent");
+  const auto protocol = ProtocolRegistry::global().create("circles", {.k = 3});
+  EXPECT_NO_THROW(validate_spec(ok, *protocol));
+}
+
 TEST(BatchRunnerTest, TieAwareGradingAcceptsTieSymbolConsensus) {
   RunSpec spec;
   spec.protocol = "tie_report";

@@ -1,16 +1,16 @@
-#include "analysis/trial.hpp"
+#include "sim/trial.hpp"
 
 #include <gtest/gtest.h>
 
 #include "baselines/exact_majority_4state.hpp"
 #include "core/circles_protocol.hpp"
 
-namespace circles::analysis {
+namespace circles::sim {
 namespace {
 
 TEST(RunTrialTest, GradesCorrectRun) {
   core::CirclesProtocol protocol(3);
-  Workload w;
+  analysis::Workload w;
   w.counts = {4, 2, 1};
   TrialOptions options;
   options.seed = 11;
@@ -23,7 +23,7 @@ TEST(RunTrialTest, GradesCorrectRun) {
 
 TEST(RunTrialTest, ExpectedSymbolOverride) {
   core::CirclesProtocol protocol(2);
-  Workload w;
+  analysis::Workload w;
   w.counts = {3, 1};
   TrialOptions options;
   options.seed = 2;
@@ -36,7 +36,7 @@ TEST(RunTrialTest, ExpectedSymbolOverride) {
 
 TEST(RunTrialTest, DeterministicUnderSeed) {
   core::CirclesProtocol protocol(4);
-  Workload w;
+  analysis::Workload w;
   w.counts = {4, 3, 2, 1};
   TrialOptions options;
   options.seed = 33;
@@ -48,7 +48,7 @@ TEST(RunTrialTest, DeterministicUnderSeed) {
 
 TEST(RunTrialTest, SchedulerSelectionApplies) {
   core::CirclesProtocol protocol(2);
-  Workload w;
+  analysis::Workload w;
   w.counts = {5, 3};
   TrialOptions options;
   options.scheduler = pp::SchedulerKind::kRoundRobin;
@@ -59,7 +59,7 @@ TEST(RunTrialTest, SchedulerSelectionApplies) {
 
 TEST(RunCirclesTrialTest, PopulatesInstrumentation) {
   core::CirclesProtocol protocol(4);
-  Workload w;
+  analysis::Workload w;
   w.counts = {4, 3, 2, 1};
   TrialOptions options;
   options.seed = 5;
@@ -73,7 +73,7 @@ TEST(RunCirclesTrialTest, PopulatesInstrumentation) {
 
 TEST(RunCirclesTrialTest, ExchangeCountBoundedByStateChanges) {
   core::CirclesProtocol protocol(3);
-  Workload w;
+  analysis::Workload w;
   w.counts = {5, 4, 3};
   TrialOptions options;
   options.seed = 6;
@@ -83,7 +83,7 @@ TEST(RunCirclesTrialTest, ExchangeCountBoundedByStateChanges) {
 
 TEST(RunTrialTest, WorksWithBaselineProtocols) {
   baselines::ExactMajority4State protocol;
-  Workload w;
+  analysis::Workload w;
   w.counts = {6, 3};
   TrialOptions options;
   options.seed = 7;
@@ -93,11 +93,11 @@ TEST(RunTrialTest, WorksWithBaselineProtocols) {
 
 TEST(RunTrialDeathTest, WorkloadProtocolColorMismatch) {
   core::CirclesProtocol protocol(3);
-  Workload w;
+  analysis::Workload w;
   w.counts = {1, 1};  // k = 2 workload against k = 3 protocol
   TrialOptions options;
   EXPECT_DEATH(run_trial(protocol, w, options), "does not match");
 }
 
 }  // namespace
-}  // namespace circles::analysis
+}  // namespace circles::sim
