@@ -83,13 +83,9 @@ int main(int argc, char** argv) try {
           "resolved one in); backend=auto would leave the engine choice to "
           "the batch runner");
     }
-    const auto protocol =
-        sim::ProtocolRegistry::global().create(spec.protocol, spec.params);
-    // The same per-spec checks the grid path runs, so a bad replay fails
-    // as a named error instead of inside the trial.
-    sim::validate_spec(spec, *protocol);
-    const sim::TrialRecord rec =
-        sim::BatchRunner::execute_trial(*protocol, spec, seed);
+    // Runs the same per-spec checks as the grid path, so a bad replay
+    // fails as a named error instead of inside the trial.
+    const sim::TrialRecord rec = sim::BatchRunner::execute_trial(spec, seed);
     bench::print_header("SWEEP REPRO",
                         "seed-exact single-trial replay of a REPRO line");
     std::printf("spec: %s\n", spec.to_string().c_str());

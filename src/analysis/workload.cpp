@@ -122,8 +122,14 @@ Workload exact_tie(util::Rng& rng, std::uint64_t n, std::uint32_t k,
   return w;
 }
 
+bool close_margin_feasible(std::uint64_t n, std::uint32_t k) {
+  return k >= 2 && n >= 3;
+}
+
 Workload close_margin(util::Rng& rng, std::uint64_t n, std::uint32_t k) {
-  CIRCLES_CHECK(k >= 2 && n >= 3);
+  CIRCLES_CHECK_MSG(close_margin_feasible(n, k),
+                    "cannot build a close-margin workload with these "
+                    "parameters");
   // Winner holds q+delta agents, runner-up holds q, the other k-2 colors
   // share the rest with counts <= q. delta = 1 when parity/feasibility
   // allows, else 2 (e.g. k = 2 with even n forces an even margin).

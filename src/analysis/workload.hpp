@@ -56,8 +56,14 @@ Workload exact_tie(util::Rng& rng, std::uint64_t n, std::uint32_t k,
 bool exact_tie_feasible(std::uint64_t n, std::uint32_t k,
                         std::uint32_t tied_colors);
 
-/// The hardest non-tie margin: winner beats the runner-up by exactly one.
+/// The hardest non-tie margin: winner beats the runner-up by exactly one
+/// (by two when k = 2 and n is even, where parity forbids one). Requires
+/// close_margin_feasible(n, k).
 Workload close_margin(util::Rng& rng, std::uint64_t n, std::uint32_t k);
+
+/// Whether close_margin can build its workload: a runner-up needs a second
+/// color (k >= 2), and a winner ahead of a non-empty runner-up needs n >= 3.
+bool close_margin_feasible(std::uint64_t n, std::uint32_t k);
 
 /// One dominant color holding ~share of the agents, rest uniform.
 Workload dominant(util::Rng& rng, std::uint64_t n, std::uint32_t k,

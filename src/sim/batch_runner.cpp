@@ -12,12 +12,15 @@
 #include "core/decomposition.hpp"
 #include "core/invariants.hpp"
 #include "crn/gillespie.hpp"
+#include "dense/dense_config.hpp"
 #include "dense/dense_engine.hpp"
+#include "dense/urn_config.hpp"
 #include "fluid/fluid_engine.hpp"
 #include "metrics/metrics.hpp"
 #include "obs/monitor_probe.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace circles::sim {
 
@@ -216,6 +219,15 @@ void validate_spec(const RunSpec& spec, const pp::Protocol& protocol) {
         "the agents left over after the tied colors must fit strictly below "
         "the tied count on the other colors");
   }
+  if (spec.workload.family == WorkloadSpec::Family::kCloseMargin &&
+      !analysis::close_margin_feasible(spec.n, protocol.num_colors())) {
+    throw std::invalid_argument(
+        "RunSpec '" + spec.to_string() + "' asks for a margin-1 workload "
+        "among k=" + std::to_string(protocol.num_colors()) + " colors at n=" +
+        std::to_string(spec.n) +
+        ", which cannot be built: a winner ahead of a runner-up needs k >= 2 "
+        "and n >= 3");
+  }
   if (spec.circles_stats &&
       dynamic_cast<const core::CirclesProtocol*>(&protocol) == nullptr) {
     throw std::invalid_argument("RunSpec '" + spec.to_string() +
@@ -271,31 +283,186 @@ void validate_spec(const RunSpec& spec, const pp::Protocol& protocol) {
   }
 }
 
-BatchRunner::BatchRunner(BatchOptions options, const ProtocolRegistry& registry)
-    : options_(options), registry_(&registry) {}
+namespace {
 
-TrialRecord BatchRunner::execute_trial(const pp::Protocol& protocol,
-                                       const RunSpec& spec,
-                                       std::uint64_t trial_seed,
-                                       const kernel::CompiledProtocol* kernel,
-                                       const dense::DenseEngine* dense_engine,
-                                       EngineKind backend_resolved,
-                                       const fluid::FluidEngine* fluid_engine,
-                                       metrics::MetricsRegistry* metrics,
-                                       trace::Tracer* tracer) {
-  const EngineKind backend = backend_resolved == EngineKind::kAuto
-                                 ? spec.backend
-                                 : backend_resolved;
-  CIRCLES_CHECK_MSG(backend != EngineKind::kAuto,
-                    "execute_trial needs a concrete backend; backend=auto "
-                    "specs are resolved by BatchRunner::run");
+/// One count-level trial on a prepared dense or fluid engine. Stream
+/// discipline: the engine runs on a seed split off the head of the trial
+/// stream (the agent path spends the head on the color shuffle, which
+/// counts have no use for); multi-urn trials then spend the continuing
+/// stream on the urn split — the count-level image of that shuffle. A fluid
+/// and a dense trial with equal seeds therefore start from identical
+/// configurations.
+template <class CountEngine>
+pp::RunResult run_counts(const CountEngine& engine,
+                         const pp::Protocol& protocol,
+                         const analysis::Workload& workload,
+                         std::uint64_t trial_seed, obs::Recorder* recorder) {
+  util::Rng rng(trial_seed);
+  const std::uint64_t engine_seed = rng.split()();
+  if (engine.lumping().num_urns() > 1) {
+    dense::UrnConfig config = dense::UrnConfig::from_workload(
+        protocol, workload, engine.lumping().sizes, rng);
+    return engine.run(config, engine_seed, recorder);
+  }
+  dense::DenseConfig config =
+      dense::DenseConfig::from_workload(protocol, workload);
+  return engine.run(config, engine_seed, recorder);
+}
+
+}  // namespace
+
+PreparedSpec::PreparedSpec(const RunSpec& spec,
+                           const ProtocolRegistry& registry,
+                           std::uint32_t inner_threads,
+                           metrics::MetricsRegistry* metrics,
+                           trace::Tracer* tracer,
+                           kernel::CompileOptions compile)
+    : spec_(spec), protocol_(registry.create(spec.protocol, spec.params)) {
+  validate_spec(spec, *protocol_);
+
+  // Resolve the concrete backend. Auto dispatch: agent-only features or a
+  // non-lumpable scheduler force the agent array; otherwise the
+  // population size and state count pick the count-level engine.
+  const bool agent_only_features =
+      spec.circles_stats || spec.track_used_states ||
+      spec.reboot_faults > 0 || static_cast<bool>(spec.grader) ||
+      static_cast<bool>(spec.scheduler_factory) || spec.chemical_time;
+  std::optional<pp::UrnLumping> lumping;
+  if (spec.backend != EngineKind::kAgentArray && !agent_only_features) {
+    try {
+      lumping = scheduler_lumping(spec, protocol_.get());
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("RunSpec '" + spec.to_string() +
+                                  "': " + e.what());
+    }
+  }
+  backend_ = spec.backend;
+  if (backend_ == EngineKind::kAuto) {
+    const std::uint64_t auto_n = spec.effective_n();
+    if (agent_only_features || !lumping.has_value() ||
+        protocol_->num_states() > auto_n || auto_n < kAutoDenseMinN) {
+      backend_ = EngineKind::kAgentArray;
+    } else if (auto_n >= kAutoFluidMinN) {
+      backend_ = EngineKind::kFluid;
+    } else if (auto_n >= kAutoBatchedMinN) {
+      backend_ = EngineKind::kDenseBatched;
+    } else {
+      backend_ = EngineKind::kDense;
+    }
+  }
+
+  if (backend_ != EngineKind::kAgentArray) {
+    // The dense backends have no agent array. Count-level probes
+    // (spec.probes) run on every backend; the checks below single out
+    // what genuinely cannot be expressed on counts, each with its own
+    // message so the fix is obvious.
+    if (spec.circles_stats || spec.track_used_states) {
+      throw std::invalid_argument(
+          "RunSpec '" + spec.to_string() +
+          "' requests pp::Monitor-based instrumentation (circles_stats / "
+          "track_used_states), which needs the agent backend's "
+          "per-interaction events; dense backends observe runs through "
+          "count-level snapshots — attach an obs::Probe via "
+          "RunSpec::probes (trace=...) instead");
+    }
+    if (spec.reboot_faults > 0 || spec.grader || spec.scheduler_factory) {
+      throw std::invalid_argument(
+          "RunSpec '" + spec.to_string() +
+          "' addresses individual agents (reboot_faults / grader / "
+          "scheduler_factory), which the dense count representation "
+          "cannot express; use backend=agent, or backend=auto to pick a "
+          "backend per spec");
+    }
+    if (spec.chemical_time) {
+      if (backend_ == EngineKind::kFluid) {
+        throw std::invalid_argument(
+            "RunSpec '" + spec.to_string() +
+            "' combines chemical_time with the fluid backend; the fluid "
+            "trajectory already advances the chemical clock (trace= "
+            "probes record the chemical_time column), but the Gillespie "
+            "stabilization/convergence statistics ride the agent engine's "
+            "event stream — use backend=agent for those");
+      }
+      throw std::invalid_argument(
+          "RunSpec '" + spec.to_string() +
+          "' combines chemical_time with a dense backend; the Gillespie "
+          "clock rides the agent engine's event stream — use "
+          "backend=agent (count probes still record chemical-time "
+          "cadence there)");
+    }
+    if (!lumping.has_value()) {
+      throw std::invalid_argument(
+          "RunSpec '" + spec.to_string() + "' requests backend=" +
+          sim::to_string(spec.backend) + " with scheduler '" +
+          pp::to_string(spec.scheduler) +
+          "', which has no exact count-level lumping "
+          "(count-simulable schedulers: uniform, clustered); use "
+          "backend=agent for this scheduler, or backend=auto to pick a "
+          "backend per spec");
+    }
+  }
+
+  // Options for every engine of this spec: the spec's, with the caller's
+  // registry and tracer injected (never overriding ones the spec names)
+  // and the inner width resolved.
+  engine_options_ = spec.engine;
+  if (engine_options_.metrics == nullptr) engine_options_.metrics = metrics;
+  if (engine_options_.tracer == nullptr) engine_options_.tracer = tracer;
+  engine_options_.run_threads =
+      spec.run_threads != 0 ? spec.run_threads : inner_threads;
+  {
+    // The compile runs once per spec on the preparing thread; its span
+    // lands in the spec's own timeline so build time is visibly separate
+    // from trials.
+    const trace::ScopedSpan compile_span(
+        trace::buffer(engine_options_.tracer), "kernel.compile");
+    // Sparse-cache hit counting costs one relaxed fetch_add per lookup on
+    // THE hot path of sparse kernels; only pay it when someone is looking.
+    compile.count_sparse_hits = engine_options_.metrics != nullptr;
+    kernel_ = std::make_shared<const kernel::CompiledProtocol>(*protocol_,
+                                                               compile);
+  }
+  if (backend_ == EngineKind::kFluid) {
+    fluid::FluidOptions fluid_options;
+    if (spec.rtol > 0.0) fluid_options.rtol = spec.rtol;
+    if (spec.atol > 0.0) fluid_options.atol = spec.atol;
+    try {
+      fluid_ = std::make_unique<fluid::FluidEngine>(kernel_, engine_options_,
+                                                    fluid_options, *lumping);
+    } catch (const std::invalid_argument& e) {
+      // The drift-table compile refuses protocols whose input-state
+      // closure is too wide for the mean-field representation.
+      if (spec.backend != EngineKind::kAuto) {
+        throw std::invalid_argument("RunSpec '" + spec.to_string() +
+                                    "': " + e.what());
+      }
+      // Auto picked fluid on size alone; fall back one tier.
+      backend_ = EngineKind::kDenseBatched;
+    }
+  }
+  // Concrete specs were range-checked by validate_spec; auto ones are
+  // checked once their backend (and any fluid fallback) is final.
+  if (spec.backend == EngineKind::kAuto) {
+    check_population_range(spec, backend_);
+  }
+  if (backend_ == EngineKind::kDense ||
+      backend_ == EngineKind::kDenseBatched) {
+    dense_ = std::make_unique<dense::DenseEngine>(
+        kernel_, engine_options_,
+        backend_ == EngineKind::kDenseBatched ? dense::DenseMode::kBatched
+                                              : dense::DenseMode::kPerStep,
+        *lumping);
+  }
+}
+
+PreparedSpec::PreparedSpec(PreparedSpec&&) noexcept = default;
+PreparedSpec::~PreparedSpec() = default;
+
+TrialRecord PreparedSpec::run_trial(std::uint64_t trial_seed) const {
+  const RunSpec& spec = spec_;
+  const pp::Protocol& protocol = *protocol_;
   TrialRecord rec;
   rec.seed = trial_seed;
-
-  // run() always passes the spec's shared kernel; direct callers (REPRO
-  // replays, tests) may leave it to this trial.
-  std::optional<kernel::CompiledProtocol> local_kernel;
-  if (kernel == nullptr) kernel = &local_kernel.emplace(protocol);
 
   // Trial wall clock: stamped on every return path via RAII, so latency
   // quantiles cover dense/fluid, chemical and agent trials alike.
@@ -306,22 +473,11 @@ TrialRecord BatchRunner::execute_trial(const pp::Protocol& protocol,
     ~WallClock() { rec.wall_ms = elapsed_ms(start); }
   } wall_clock{rec};
 
-  // Engine options actually used: the spec's, with the caller's registry
-  // injected unless the spec already routes to one. This copy never touches
-  // the fields the prebuilt-engine consistency checks compare.
-  pp::EngineOptions engine_options = spec.engine;
-  if (engine_options.metrics == nullptr) engine_options.metrics = metrics;
-  if (engine_options.tracer == nullptr) engine_options.tracer = tracer;
-
   // One span per trial, on whichever worker thread runs it; engines nest
   // their own spans inside. Registers the thread on first use so batch
   // workers get distinct named tracks in the exported timeline.
   const trace::ScopedSpan trial_span(
-      trace::buffer(engine_options.tracer, "trial-worker"), "batch.trial");
-  // An explicit per-spec inner width overrides the engine default; 0 keeps
-  // whatever the options carry (1 when locally built, or the budgeted width
-  // BatchRunner::run baked into a prebuilt dense engine).
-  if (spec.run_threads > 0) engine_options.run_threads = spec.run_threads;
+      trace::buffer(engine_options_.tracer, "trial-worker"), "batch.trial");
   util::Rng workload_rng(mix_seed(trial_seed, kWorkloadSalt));
   rec.workload =
       spec.workload.materialize(workload_rng, spec.n, protocol.num_colors());
@@ -342,7 +498,7 @@ TrialRecord BatchRunner::execute_trial(const pp::Protocol& protocol,
   if (!spec.probes.empty()) {
     obs::RecorderOptions recorder_options;
     recorder_options.interaction_horizon = spec.engine.max_interactions;
-    recorder_options.tracer = engine_options.tracer;
+    recorder_options.tracer = engine_options_.tracer;
     if (spec.chemical_time) {
       recorder_options.clock = obs::RecorderOptions::Clock::kChemical;
       recorder_options.chemical_horizon =
@@ -362,33 +518,24 @@ TrialRecord BatchRunner::execute_trial(const pp::Protocol& protocol,
       recorder->add(probe_objects.back().get(), probe_spec.grid);
     }
   }
+  obs::Recorder* const recorder_ptr =
+      recorder.has_value() ? &*recorder : nullptr;
   const auto collect_traces = [&]() {
-    if (!recorder.has_value()) return;
+    if (recorder_ptr == nullptr) return;
     rec.traces.reserve(probe_objects.size());
     for (const auto& probe : probe_objects) {
       rec.traces.push_back(probe->take_table());
     }
   };
 
-  if (backend != EngineKind::kAgentArray) {
-    TrialOptions options;
-    options.seed = trial_seed;
-    options.engine = engine_options;
-    options.scheduler = spec.scheduler;
-    options.clustered = spec.clustered_options();
-    options.kernel = kernel;
-    options.recorder = recorder.has_value() ? &*recorder : nullptr;
-    if (backend == EngineKind::kFluid) {
-      options.rtol = spec.rtol;
-      options.atol = spec.atol;
-      rec.outcome = run_fluid_trial(protocol, rec.workload, options, expected,
-                                    fluid_engine);
-    } else {
-      rec.outcome =
-          run_dense_trial(protocol, rec.workload, options,
-                          backend == EngineKind::kDenseBatched, expected,
-                          dense_engine);
-    }
+  if (backend_ != EngineKind::kAgentArray) {
+    const pp::RunResult run =
+        dense_ != nullptr
+            ? run_counts(*dense_, protocol, rec.workload, trial_seed,
+                         recorder_ptr)
+            : run_counts(*fluid_, protocol, rec.workload, trial_seed,
+                         recorder_ptr);
+    rec.outcome = grade_run(run, rec.workload, expected);
     collect_traces();
     return rec;
   }
@@ -404,8 +551,7 @@ TrialRecord BatchRunner::execute_trial(const pp::Protocol& protocol,
 
   if (spec.chemical_time) {
     const crn::GillespieResult result = crn::run_gillespie(
-        *kernel, colors, derived_seed, engine_options,
-        recorder.has_value() ? &*recorder : nullptr);
+        *kernel_, colors, derived_seed, engine_options_, recorder_ptr);
     rec.outcome = grade_run(result.run, rec.workload, expected);
     rec.stabilization_time = result.stabilization_time;
     rec.convergence_time = result.convergence_time;
@@ -447,8 +593,8 @@ TrialRecord BatchRunner::execute_trial(const pp::Protocol& protocol,
   // The count pipeline rides the monitor list; probes wrapping legacy
   // monitors (Probe::as_monitor) see the raw event stream next to it.
   std::optional<obs::RecorderMonitor> recorder_monitor;
-  if (recorder.has_value()) {
-    recorder_monitor.emplace(*recorder, kernel);
+  if (recorder_ptr != nullptr) {
+    recorder_monitor.emplace(*recorder, kernel_.get());
     monitors.push_back(&*recorder_monitor);
     for (obs::Probe* probe : recorder->probes()) {
       if (pp::Monitor* monitor = probe->as_monitor()) {
@@ -461,16 +607,16 @@ TrialRecord BatchRunner::execute_trial(const pp::Protocol& protocol,
 
   // The fault bursts below re-enter the engine; every entry shares the
   // trial's kernel.
-  const auto run_engine = [&](const pp::EngineOptions& engine_options) {
-    return pp::Engine(engine_options)
-        .run(*kernel, population, *scheduler, monitor_span);
+  const auto run_engine = [&](const pp::EngineOptions& options) {
+    return pp::Engine(options)
+        .run(*kernel_, population, *scheduler, monitor_span);
   };
 
   // Transient-fault injection: run in bursts; after each burst reboot one
   // random agent to its input state (it keeps its reading, loses its
   // working memory).
   for (std::uint32_t f = 0; f < spec.reboot_faults; ++f) {
-    pp::EngineOptions burst = engine_options;
+    pp::EngineOptions burst = engine_options_;
     burst.max_interactions =
         spec.fault_burst_min +
         (spec.fault_burst_span ? rng.uniform_below(spec.fault_burst_span) : 0);
@@ -480,7 +626,7 @@ TrialRecord BatchRunner::execute_trial(const pp::Protocol& protocol,
     population.set_state(victim, protocol.input(colors[victim]));
   }
 
-  const pp::RunResult run = run_engine(engine_options);
+  const pp::RunResult run = run_engine(engine_options_);
   rec.outcome = grade_run(run, rec.workload, expected);
   if (spec.grader) {
     rec.outcome.correct =
@@ -504,6 +650,15 @@ TrialRecord BatchRunner::execute_trial(const pp::Protocol& protocol,
   return rec;
 }
 
+BatchRunner::BatchRunner(BatchOptions options, const ProtocolRegistry& registry)
+    : options_(options), registry_(&registry) {}
+
+TrialRecord BatchRunner::execute_trial(const RunSpec& spec,
+                                       std::uint64_t trial_seed,
+                                       const ProtocolRegistry& registry) {
+  return PreparedSpec(spec, registry).run_trial(trial_seed);
+}
+
 std::vector<SpecResult> BatchRunner::run(
     std::span<const RunSpec> specs) const {
   const auto batch_start = std::chrono::steady_clock::now();
@@ -516,211 +671,59 @@ std::vector<SpecResult> BatchRunner::run(
   // spec of the batch; collected once, stamped with the batch start time.
   const metrics::RunManifest base_manifest = metrics::RunManifest::collect();
 
-  std::vector<SpecResult> results(specs.size());
-  std::vector<std::unique_ptr<pp::Protocol>> protocols;
-  protocols.reserve(specs.size());
-  // Telemetry registry per spec: the batch-wide one from BatchOptions,
-  // overridden by a private registry for specs that want their own sink
-  // file (spec.metrics_out). A spec.engine.metrics set by the caller always
-  // wins inside execute_trial.
-  std::vector<std::unique_ptr<metrics::MetricsRegistry>> owned_registries(
-      specs.size());
-  std::vector<metrics::MetricsRegistry*> spec_metrics(specs.size(),
-                                                      options_.metrics);
-  // Span tracer per spec, same override scheme: the batch-wide tracer from
-  // BatchOptions, or a private Tracer for specs with their own spans_out
-  // file (written as Chrome-trace JSON at the end of run()). A
-  // spec.engine.tracer set by the caller always wins inside execute_trial.
-  std::vector<std::unique_ptr<trace::Tracer>> owned_tracers(specs.size());
-  std::vector<trace::Tracer*> spec_tracers(specs.size(), options_.tracer);
-  // Per-spec compiled kernels: each spec's protocol is lowered exactly once
-  // and the immutable kernel is shared by every trial on every thread.
-  std::vector<std::shared_ptr<const kernel::CompiledProtocol>> kernels(
-      specs.size());
-  // Per-spec dense engines, built over the shared kernel; DenseEngine::run
-  // is const/thread-safe.
-  std::vector<std::unique_ptr<dense::DenseEngine>> dense_engines(specs.size());
-  // Per-spec fluid engines, same sharing contract (the drift table is
-  // compiled once); FluidEngine::run is const/thread-safe.
-  std::vector<std::unique_ptr<fluid::FluidEngine>> fluid_engines(specs.size());
-  std::vector<std::uint64_t> spec_seeds(specs.size());
-  // Concrete backend per spec: spec.backend, with kAuto resolved from the
-  // scheduler's lumpability, the population size and the state count.
-  std::vector<EngineKind> backends(specs.size(), EngineKind::kAgentArray);
-
-  // Outer/inner thread budget, resolved before the engines are built so the
-  // inner width can be baked into the per-spec dense engines. The outer
-  // across-trial pool takes the machine first (trials parallelize
-  // perfectly); only when there are fewer jobs than cores do the leftover
-  // cores move INSIDE the runs (dense multi-urn epoch stages). A spec with
-  // run_threads != 0 pins its own inner width instead. Results are bitwise
-  // identical under every split — this is purely a wall-clock decision.
+  // Outer/inner thread budget, resolved before the specs are prepared so
+  // the inner width can be baked into the per-spec dense engines. Trials
+  // and the dense engines' intra-run regions run on one pool, whose size
+  // (helpers + 1) caps the outer width. The outer across-trial width takes
+  // the machine first (trials parallelize perfectly); only when there are
+  // fewer jobs than cores do the leftover cores move INSIDE the runs (dense
+  // multi-urn epoch stages). A spec with run_threads != 0 pins its own
+  // inner width instead. Results are bitwise identical under every split —
+  // this is purely a wall-clock decision.
+  util::ThreadPool& pool = util::ThreadPool::shared();
+  const std::uint32_t cores = pool.helpers() + 1;
   std::size_t total_jobs = 0;
   for (const RunSpec& spec : specs) total_jobs += spec.trials;
-  std::uint32_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  std::uint32_t threads = options_.threads == 0 ? hw : options_.threads;
-  threads = static_cast<std::uint32_t>(std::min<std::size_t>(
-      threads, std::max<std::size_t>(total_jobs, 1)));
+  const std::uint32_t threads = static_cast<std::uint32_t>(
+      std::min<std::size_t>({options_.threads == 0 ? cores : options_.threads,
+                             cores, std::max<std::size_t>(total_jobs, 1)}));
   const std::uint32_t inner_default =
-      total_jobs >= hw ? 1
-                       : std::max<std::uint32_t>(1, hw / std::max(threads, 1u));
-  std::vector<std::uint32_t> run_threads_resolved(specs.size(), 1);
+      total_jobs >= cores ? 1 : std::max<std::uint32_t>(1, cores / threads);
 
+  // Telemetry registry and span tracer per spec: the batch-wide ones from
+  // BatchOptions, overridden by private ones for specs that want their own
+  // sink files (spec.metrics_out / spec.spans_out, written at the end of
+  // run()). A spec.engine.metrics/tracer set by the caller always wins
+  // inside the engines.
+  std::vector<std::unique_ptr<metrics::MetricsRegistry>> owned_registries(
+      specs.size());
+  std::vector<std::unique_ptr<trace::Tracer>> owned_tracers(specs.size());
+  const auto spec_metrics = [&](std::size_t i) {
+    return owned_registries[i] != nullptr ? owned_registries[i].get()
+                                          : options_.metrics;
+  };
+  const auto spec_tracer = [&](std::size_t i) {
+    return owned_tracers[i] != nullptr ? owned_tracers[i].get()
+                                       : options_.tracer;
+  };
+
+  std::vector<SpecResult> results(specs.size());
+  std::vector<PreparedSpec> prepared;
+  prepared.reserve(specs.size());
+  std::vector<std::uint64_t> spec_seeds(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const RunSpec& spec = specs[i];
-    auto protocol = registry_->create(spec.protocol, spec.params);
-    validate_spec(spec, *protocol);
-
-    // Resolve the concrete backend. Auto dispatch: agent-only features or a
-    // non-lumpable scheduler force the agent array; otherwise the
-    // population size and state count pick the count-level engine.
-    const bool agent_only_features =
-        spec.circles_stats || spec.track_used_states ||
-        spec.reboot_faults > 0 || static_cast<bool>(spec.grader) ||
-        static_cast<bool>(spec.scheduler_factory) || spec.chemical_time;
-    std::optional<pp::UrnLumping> lumping;
-    if (spec.backend != EngineKind::kAgentArray && !agent_only_features) {
-      try {
-        lumping = scheduler_lumping(spec, protocol.get());
-      } catch (const std::invalid_argument& e) {
-        throw std::invalid_argument("RunSpec '" + spec.to_string() +
-                                    "': " + e.what());
-      }
-    }
-    EngineKind backend = spec.backend;
-    if (backend == EngineKind::kAuto) {
-      const std::uint64_t auto_n = spec.effective_n();
-      if (agent_only_features || !lumping.has_value() ||
-          protocol->num_states() > auto_n || auto_n < kAutoDenseMinN) {
-        backend = EngineKind::kAgentArray;
-      } else if (auto_n >= kAutoFluidMinN) {
-        backend = EngineKind::kFluid;
-      } else if (auto_n >= kAutoBatchedMinN) {
-        backend = EngineKind::kDenseBatched;
-      } else {
-        backend = EngineKind::kDense;
-      }
-    }
-    backends[i] = backend;
-
-    if (backend != EngineKind::kAgentArray) {
-      // The dense backends have no agent array. Count-level probes
-      // (spec.probes) run on every backend; the checks below single out
-      // what genuinely cannot be expressed on counts, each with its own
-      // message so the fix is obvious.
-      if (spec.circles_stats || spec.track_used_states) {
-        throw std::invalid_argument(
-            "RunSpec '" + spec.to_string() +
-            "' requests pp::Monitor-based instrumentation (circles_stats / "
-            "track_used_states), which needs the agent backend's "
-            "per-interaction events; dense backends observe runs through "
-            "count-level snapshots — attach an obs::Probe via "
-            "RunSpec::probes (trace=...) instead");
-      }
-      if (spec.reboot_faults > 0 || spec.grader || spec.scheduler_factory) {
-        throw std::invalid_argument(
-            "RunSpec '" + spec.to_string() +
-            "' addresses individual agents (reboot_faults / grader / "
-            "scheduler_factory), which the dense count representation "
-            "cannot express; use backend=agent, or backend=auto to pick a "
-            "backend per spec");
-      }
-      if (spec.chemical_time) {
-        if (backend == EngineKind::kFluid) {
-          throw std::invalid_argument(
-              "RunSpec '" + spec.to_string() +
-              "' combines chemical_time with the fluid backend; the fluid "
-              "trajectory already advances the chemical clock (trace= "
-              "probes record the chemical_time column), but the Gillespie "
-              "stabilization/convergence statistics ride the agent engine's "
-              "event stream — use backend=agent for those");
-        }
-        throw std::invalid_argument(
-            "RunSpec '" + spec.to_string() +
-            "' combines chemical_time with a dense backend; the Gillespie "
-            "clock rides the agent engine's event stream — use "
-            "backend=agent (count probes still record chemical-time "
-            "cadence there)");
-      }
-      if (!lumping.has_value()) {
-        throw std::invalid_argument(
-            "RunSpec '" + spec.to_string() + "' requests backend=" +
-            sim::to_string(spec.backend) + " with scheduler '" +
-            pp::to_string(spec.scheduler) +
-            "', which has no exact count-level lumping "
-            "(count-simulable schedulers: uniform, clustered); use "
-            "backend=agent for this scheduler, or backend=auto to pick a "
-            "backend per spec");
-      }
-    }
     if (!spec.metrics_out.empty()) {
       owned_registries[i] = std::make_unique<metrics::MetricsRegistry>();
-      spec_metrics[i] = owned_registries[i].get();
     }
     if (!spec.spans_out.empty()) {
       owned_tracers[i] = std::make_unique<trace::Tracer>();
-      spec_tracers[i] = owned_tracers[i].get();
     }
-    // Engine options for the per-spec engines: the spec's, with this spec's
-    // registry and tracer injected (never overriding caller-provided ones).
-    pp::EngineOptions engine_options = spec.engine;
-    if (engine_options.metrics == nullptr) {
-      engine_options.metrics = spec_metrics[i];
-    }
-    if (engine_options.tracer == nullptr) {
-      engine_options.tracer = spec_tracers[i];
-    }
-    run_threads_resolved[i] =
-        spec.run_threads != 0 ? spec.run_threads : inner_default;
-    engine_options.run_threads = run_threads_resolved[i];
-    {
-      // The compile runs once per spec on this thread; its span lands in the
-      // spec's own timeline so build time is visibly separate from trials.
-      const trace::ScopedSpan compile_span(
-          trace::buffer(engine_options.tracer), "kernel.compile");
-      kernel::CompileOptions compile_options;
-      // Sparse-cache hit counting costs one relaxed fetch_add per lookup on
-      // THE hot path of sparse kernels; only pay it when someone is looking.
-      compile_options.count_sparse_hits = engine_options.metrics != nullptr;
-      kernels[i] = std::make_shared<const kernel::CompiledProtocol>(
-          *protocol, compile_options);
-    }
-    if (backend == EngineKind::kFluid) {
-      fluid::FluidOptions fluid_options;
-      if (spec.rtol > 0.0) fluid_options.rtol = spec.rtol;
-      if (spec.atol > 0.0) fluid_options.atol = spec.atol;
-      try {
-        fluid_engines[i] = std::make_unique<fluid::FluidEngine>(
-            kernels[i], engine_options, fluid_options, *lumping);
-      } catch (const std::invalid_argument& e) {
-        // The drift-table compile refuses protocols whose input-state
-        // closure is too wide for the mean-field representation.
-        if (spec.backend != EngineKind::kAuto) {
-          throw std::invalid_argument("RunSpec '" + spec.to_string() +
-                                      "': " + e.what());
-        }
-        // Auto picked fluid on size alone; fall back one tier.
-        backend = EngineKind::kDenseBatched;
-        backends[i] = backend;
-      }
-    }
-    // Concrete specs were range-checked by validate_spec; auto ones are
-    // checked once their backend (and any fluid fallback) is final.
-    if (spec.backend == EngineKind::kAuto) {
-      check_population_range(spec, backend);
-    }
-    if (backend != EngineKind::kAgentArray && backend != EngineKind::kFluid) {
-      const dense::DenseMode mode = backend == EngineKind::kDenseBatched
-                                        ? dense::DenseMode::kBatched
-                                        : dense::DenseMode::kPerStep;
-      dense_engines[i] = std::make_unique<dense::DenseEngine>(
-          kernels[i], engine_options, mode, *lumping);
-    }
-    protocols.push_back(std::move(protocol));
+    prepared.emplace_back(spec, *registry_, inner_default, spec_metrics(i),
+                          spec_tracer(i));
     spec_seeds[i] = spec_seed(spec, options_.base_seed, i);
     results[i].spec = spec;
-    results[i].backend_resolved = backend;
+    results[i].backend_resolved = prepared[i].backend();
     results[i].trials.resize(spec.trials);
   }
 
@@ -741,19 +744,14 @@ std::vector<SpecResult> BatchRunner::run(
   // the run/aggregate phase spans are emitted into each from this thread,
   // so every exported timeline carries the phase regions its trials nest
   // under.
-  std::vector<trace::Tracer*> phase_tracers;
-  for (trace::Tracer* tracer : spec_tracers) {
-    if (tracer != nullptr &&
-        std::find(phase_tracers.begin(), phase_tracers.end(), tracer) ==
-            phase_tracers.end()) {
-      phase_tracers.push_back(tracer);
-    }
+  std::vector<trace::Tracer*> phase_tracers{options_.tracer};
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    phase_tracers.push_back(spec_tracer(i));
   }
-  if (options_.tracer != nullptr &&
-      std::find(phase_tracers.begin(), phase_tracers.end(),
-                options_.tracer) == phase_tracers.end()) {
-    phase_tracers.push_back(options_.tracer);
-  }
+  std::sort(phase_tracers.begin(), phase_tracers.end());
+  phase_tracers.erase(std::unique(phase_tracers.begin(), phase_tracers.end()),
+                      phase_tracers.end());
+  std::erase(phase_tracers, nullptr);
   const auto phase_begin = [&](const char* name) {
     for (trace::Tracer* tracer : phase_tracers) {
       tracer->thread_buffer()->begin(name);
@@ -765,7 +763,6 @@ std::vector<SpecResult> BatchRunner::run(
     }
   };
 
-  std::atomic<std::size_t> cursor{0};
   std::atomic<bool> failed{false};
   std::exception_ptr error;
   std::mutex error_mutex;
@@ -783,56 +780,52 @@ std::vector<SpecResult> BatchRunner::run(
 
   const auto run_phase_start = std::chrono::steady_clock::now();
 
-  const auto worker = [&]() {
-    while (!failed.load(std::memory_order_relaxed)) {
-      const std::size_t index = cursor.fetch_add(1);
-      if (index >= jobs.size()) break;
-      const Job job = jobs[index];
-      trace::Tracer* tracer = spec_tracers[job.spec];
-      const std::uint64_t seed = trial_seed(spec_seeds[job.spec], job.trial);
-      // Flight-recorder dump on any failed trial when a tracer is attached
-      // (gating on the tracer keeps by-design-failing experiments quiet).
-      const auto dump = [&](const TrialRecord* rec, std::string reason = {}) {
-        if (tracer == nullptr) return;
-        trace::FailureContext ctx = failure_context(
-            specs[job.spec], backends[job.spec], job.trial, seed, rec);
-        if (!reason.empty()) ctx.reason = std::move(reason);
-        tracer->dump_failure(ctx, stderr);
-      };
-      try {
-        TrialRecord& rec = results[job.spec].trials[job.trial];
-        rec = execute_trial(*protocols[job.spec], specs[job.spec], seed,
-                            kernels[job.spec].get(),
-                            dense_engines[job.spec].get(), backends[job.spec],
-                            fluid_engines[job.spec].get(),
-                            spec_metrics[job.spec], tracer);
-        metrics::record_ms(spec_metrics[job.spec], "batch.trial", rec.wall_ms);
-        if (!rec.outcome.correct || rec.outcome.run.budget_exhausted) {
-          dump(&rec);
-        }
-        trials_done.fetch_add(1, std::memory_order_relaxed);
-        interactions_done.fetch_add(rec.outcome.run.interactions,
-                                    std::memory_order_relaxed);
-        if (spec_remaining[job.spec].fetch_sub(
-                1, std::memory_order_relaxed) == 1) {
-          specs_done.fetch_add(1, std::memory_order_relaxed);
-        }
-      } catch (const std::exception& e) {
-        dump(nullptr, std::string("worker exception: ") + e.what());
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-        failed = true;
-      } catch (...) {
-        dump(nullptr, "worker exception (unknown)");
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-        failed = true;
+  // One (spec, trial) job. Nothing may escape it: on a pool helper an
+  // exception would call std::terminate, so the first one is parked in
+  // `error` (rethrown on this thread once the pool drains) and the jobs
+  // not yet started are skipped.
+  const auto run_job = [&](std::size_t index) {
+    if (failed.load(std::memory_order_relaxed)) return;
+    const Job job = jobs[index];
+    trace::Tracer* tracer = spec_tracer(job.spec);
+    const std::uint64_t seed = trial_seed(spec_seeds[job.spec], job.trial);
+    // Flight-recorder dump on any failed trial when a tracer is attached
+    // (gating on the tracer keeps by-design-failing experiments quiet).
+    const auto dump = [&](const TrialRecord* rec, std::string reason = {}) {
+      if (tracer == nullptr) return;
+      trace::FailureContext ctx =
+          failure_context(specs[job.spec], prepared[job.spec].backend(),
+                          job.trial, seed, rec);
+      if (!reason.empty()) ctx.reason = std::move(reason);
+      tracer->dump_failure(ctx, stderr);
+    };
+    const auto fail = [&](std::string reason) {
+      dump(nullptr, std::move(reason));
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) error = std::current_exception();
+      failed = true;
+    };
+    try {
+      TrialRecord& rec = results[job.spec].trials[job.trial];
+      rec = prepared[job.spec].run_trial(seed);
+      metrics::record_ms(spec_metrics(job.spec), "batch.trial", rec.wall_ms);
+      if (!rec.outcome.correct || rec.outcome.run.budget_exhausted) {
+        dump(&rec);
       }
+      trials_done.fetch_add(1, std::memory_order_relaxed);
+      interactions_done.fetch_add(rec.outcome.run.interactions,
+                                  std::memory_order_relaxed);
+      if (spec_remaining[job.spec].fetch_sub(1, std::memory_order_relaxed) ==
+          1) {
+        specs_done.fetch_add(1, std::memory_order_relaxed);
+      }
+    } catch (const std::exception& e) {
+      fail(std::string("worker exception: ") + e.what());
+    } catch (...) {
+      fail("worker exception (unknown)");
     }
   };
 
-  // `threads` (the outer pool width) was resolved with the inner budget,
-  // before the engines were built.
   const auto snapshot_progress = [&]() {
     BatchProgress progress;
     progress.trials_done = trials_done.load(std::memory_order_relaxed);
@@ -864,14 +857,7 @@ std::vector<SpecResult> BatchRunner::run(
   }
 
   phase_begin("batch.run");
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::uint32_t i = 0; i < threads; ++i) pool.emplace_back(worker);
-    for (auto& thread : pool) thread.join();
-  }
+  pool.parallel_for(jobs.size(), threads, run_job);
   if (heartbeat.joinable()) {
     {
       std::lock_guard<std::mutex> lock(heartbeat_mutex);
@@ -890,7 +876,7 @@ std::vector<SpecResult> BatchRunner::run(
   for (std::size_t i = 0; i < specs.size(); ++i) {
     // Snapshot after all trials: a sparse kernel's materialization counters
     // have settled by now.
-    results[i].kernel_stats = kernels[i]->stats();
+    results[i].kernel_stats = prepared[i].kernel().stats();
   }
   for (SpecResult& result : results) aggregate(result, options_.keep_trials);
   const double aggregate_ms = elapsed_ms(aggregate_start);
@@ -932,13 +918,13 @@ std::vector<SpecResult> BatchRunner::run(
     result.manifest.seed = spec_seeds[i];
     result.manifest.trials = specs[i].trials;
     result.manifest.threads = threads;
-    result.manifest.run_threads = run_threads_resolved[i];
+    result.manifest.run_threads = prepared[i].engine_options().run_threads;
     result.manifest.utilization = utilization;
     result.manifest.finished_utc = finished;
     result.manifest.wall_ms =
         result.trial_ms.mean * static_cast<double>(result.trial_ms.count);
 
-    metrics::MetricsRegistry* m = spec_metrics[i];
+    metrics::MetricsRegistry* m = spec_metrics(i);
     if (m != nullptr) {
       const kernel::CompileStats& stats = result.kernel_stats;
       m->timer("kernel.build").record_ms(stats.build_ms);

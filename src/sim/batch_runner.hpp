@@ -1,14 +1,17 @@
-// BatchRunner: execute a vector of RunSpecs across a std::thread pool.
+// BatchRunner: execute a vector of RunSpecs on the shared util::ThreadPool.
 //
-// Every (spec, trial) pair is an independent job whose RNG stream is a pure
-// function of (spec seed, trial index) — see run_spec.hpp — so the results
-// are bitwise identical regardless of thread count or scheduling order.
-// Trials are executed work-stealing style over a flattened job list; the
-// per-spec aggregation runs sequentially afterwards, in trial order.
+// Each spec is prepared once (sim::PreparedSpec: checks, backend choice,
+// kernel, engine); every (spec, trial) pair is then an independent job whose
+// RNG stream is a pure function of (spec seed, trial index) — see
+// run_spec.hpp — so the results are bitwise identical regardless of thread
+// count or scheduling order. Trials are executed work-stealing style over a
+// flattened job list, in the same pool the dense engine's intra-run regions
+// use; the per-spec aggregation runs sequentially afterwards, in trial order.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -144,7 +147,9 @@ struct BatchProgress {
 };
 
 struct BatchOptions {
-  /// Worker threads; 0 = std::thread::hardware_concurrency().
+  /// Across-trial width; 0 = every core. Capped at the shared pool's
+  /// width (util::ThreadPool::shared().helpers() + 1) and at the job count;
+  /// the manifests and the batch.threads gauge record the width that ran.
   std::uint32_t threads = 0;
 
   /// Base seed feeding specs that do not fix their own seed.
@@ -177,13 +182,60 @@ struct BatchOptions {
 
 /// Rejects, with a std::invalid_argument naming the spec, a spec that no
 /// trial can run: no trials, fewer than two agents, explicit counts or
-/// circles_stats or probes that do not fit `protocol`, an exact tie that
-/// cannot be built, feature combinations no backend supports, misplaced
-/// fluid tolerances, or a population beyond a concrete backend's range.
-/// BatchRunner::run calls it for every spec before building anything (and
-/// range-checks backend=auto specs once resolved); single-trial replays
-/// (sweep --spec) call it before BatchRunner::execute_trial.
+/// circles_stats or probes that do not fit `protocol`, an exact tie or a
+/// margin-1 workload that cannot be built, feature combinations no backend
+/// supports, misplaced fluid tolerances, or a population beyond a concrete
+/// backend's range. PreparedSpec calls it before building anything (and
+/// range-checks backend=auto specs once resolved).
 void validate_spec(const RunSpec& spec, const pp::Protocol& protocol);
+
+/// One spec made ready to run: its protocol, compiled kernel, resolved
+/// backend, engine options and, on the count tiers, its one dense or fluid
+/// engine — built once and shared by every trial on every thread.
+/// Construction runs every per-spec check (validate_spec, backend feature
+/// checks, auto resolution with its fluid -> dense_batched fallback when
+/// the drift table refuses the protocol, the population range) and throws
+/// std::invalid_argument naming the spec. run_trial is const and
+/// thread-safe.
+class PreparedSpec {
+ public:
+  /// `inner_threads` is the dense engine's intra-run width when the spec
+  /// leaves run_threads at 0. `metrics` and `tracer` receive the engines'
+  /// counters and spans unless spec.engine already names its own. `compile`
+  /// lowers the kernel (its count_sparse_hits follows whether a registry
+  /// is attached); the kernel-equivalence tests force the sparse table
+  /// through it.
+  PreparedSpec(const RunSpec& spec, const ProtocolRegistry& registry,
+               std::uint32_t inner_threads = 1,
+               metrics::MetricsRegistry* metrics = nullptr,
+               trace::Tracer* tracer = nullptr,
+               kernel::CompileOptions compile = {});
+  PreparedSpec(PreparedSpec&&) noexcept;
+  ~PreparedSpec();
+
+  /// Runs one trial: the workload on its salted stream, then (count tiers)
+  /// the engine-seed split and the urn split of the trial stream, or
+  /// (agent array) the color shuffle and the scheduler split; the run; the
+  /// grade. `trial_seed` is sim::trial_seed(spec seed, trial index).
+  TrialRecord run_trial(std::uint64_t trial_seed) const;
+
+  const RunSpec& spec() const { return spec_; }
+  const kernel::CompiledProtocol& kernel() const { return *kernel_; }
+  /// The concrete backend the trials run on (never kAuto).
+  EngineKind backend() const { return backend_; }
+  /// The options every engine of this spec runs with (registry and tracer
+  /// injected, run_threads resolved).
+  const pp::EngineOptions& engine_options() const { return engine_options_; }
+
+ private:
+  RunSpec spec_;
+  std::unique_ptr<pp::Protocol> protocol_;
+  std::shared_ptr<const kernel::CompiledProtocol> kernel_;
+  EngineKind backend_ = EngineKind::kAgentArray;
+  pp::EngineOptions engine_options_;
+  std::unique_ptr<dense::DenseEngine> dense_;
+  std::unique_ptr<fluid::FluidEngine> fluid_;
+};
 
 class BatchRunner {
  public:
@@ -200,29 +252,13 @@ class BatchRunner {
 
   const BatchOptions& options() const { return options_; }
 
-  /// Executes a single (spec, trial) job. Exposed for tests; `protocol`
-  /// must match spec.protocol/params and `spec` must pass validate_spec.
-  /// `kernel` is the spec's shared compiled protocol (null: the trial
-  /// compiles its own). `dense_engine` is an optional per-spec engine for
-  /// dense backends (built once by run() so the transition table is shared
-  /// across trials); when null, a dense trial builds its own.
-  /// `fluid_engine` plays the same per-spec role for the fluid backend
-  /// (shared drift table). `backend_resolved` is the concrete backend to
-  /// run (kAuto = "use spec.backend", which must then itself be concrete —
-  /// run() resolves auto specs before dispatching here).
-  /// `metrics`, when non-null, receives the trial's engine counters (unless
-  /// spec.engine.metrics already names a registry, which wins). `tracer`
-  /// plays the same role for spans (spec.engine.tracer wins); this is the
+  /// Prepares `spec` alone and runs its trial with seed `trial_seed`: the
   /// entry point REPRO lines replay through (sweep --spec/--trial-seed).
+  /// Same checks and results as that trial inside run() (inner width 1;
+  /// results never depend on the width).
   static TrialRecord execute_trial(
-      const pp::Protocol& protocol, const RunSpec& spec,
-      std::uint64_t trial_seed,
-      const kernel::CompiledProtocol* kernel = nullptr,
-      const dense::DenseEngine* dense_engine = nullptr,
-      EngineKind backend_resolved = EngineKind::kAuto,
-      const fluid::FluidEngine* fluid_engine = nullptr,
-      metrics::MetricsRegistry* metrics = nullptr,
-      trace::Tracer* tracer = nullptr);
+      const RunSpec& spec, std::uint64_t trial_seed,
+      const ProtocolRegistry& registry = ProtocolRegistry::global());
 
  private:
   BatchOptions options_;

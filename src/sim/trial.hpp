@@ -1,8 +1,7 @@
-// Single-trial execution: build population from workload, run, grade.
-//
-// This is the execution core of the circles::sim session API: tests,
-// examples, experiment binaries and the BatchRunner all share this one
-// implementation.
+// Single agent-array trials over a caller-held Workload: build the
+// population, run, grade. Tests and examples drive protocols through these
+// directly; RunSpec trials on every backend run through sim::PreparedSpec
+// (batch_runner.hpp), which grades with the same grade_run.
 #pragma once
 
 #include <cstdint>
@@ -15,18 +14,6 @@
 #include "core/circles_protocol.hpp"
 #include "pp/engine.hpp"
 #include "pp/scheduler.hpp"
-
-namespace circles::dense {
-class DenseEngine;
-}
-
-namespace circles::fluid {
-class FluidEngine;
-}
-
-namespace circles::kernel {
-class CompiledProtocol;
-}
 
 namespace circles::obs {
 class Recorder;
@@ -47,22 +34,13 @@ struct TrialOptions {
   /// When set, overrides `scheduler`.
   SchedulerFactory scheduler_factory;
   /// Clustered-scheduler shape, consumed only when `scheduler` is
-  /// kClustered (by the agent engine's scheduler and by the dense urn
-  /// engine's lumping alike).
+  /// kClustered.
   pp::ClusteredOptions clustered;
-  /// Prebuilt kernel for the trial's protocol (the BatchRunner compiles one
-  /// per spec and shares it across trials/threads). Null: the trial
-  /// compiles its own.
-  const kernel::CompiledProtocol* kernel = nullptr;
-  /// Fluid-backend integrator tolerances (run_fluid_trial only); 0 = the
-  /// FluidOptions defaults.
-  double rtol = 0.0;
-  double atol = 0.0;
   /// Count-level observation (obs::): when set, the trial attaches an
-  /// obs::RecorderMonitor on the agent backend (plus any probe's
-  /// as_monitor() escape hatch) or hands the recorder to the dense engine,
-  /// so one probe pipeline observes every backend. Never perturbs the
-  /// trial's RNG streams — results are bitwise identical with or without.
+  /// obs::RecorderMonitor (plus any probe's as_monitor() escape hatch), so
+  /// the same probe pipeline the count tiers feed observes agent runs too.
+  /// Never perturbs the trial's RNG streams — results are bitwise identical
+  /// with or without.
   obs::Recorder* recorder = nullptr;
 };
 
@@ -103,38 +81,6 @@ TrialOutcome run_trial_keep_population(
 TrialOutcome grade_run(const pp::RunResult& run,
                        const analysis::Workload& workload,
                        std::optional<pp::OutputSymbol> expected_symbol = {});
-
-/// Count-based trial: builds a dense configuration from the workload (no
-/// agent array, so n is bounded by memory for counts, not agents), runs the
-/// dense engine under the options' scheduler semantics, and grades the
-/// outcome exactly like run_trial. Lumpable schedulers only: uniform runs
-/// on a single count vector, clustered partitions the workload into urns
-/// (per options.clustered) and simulates the exact lumped block chain.
-/// `batched` selects DenseMode::kBatched. Rejects options carrying
-/// agent-level features (non-lumpable scheduler or a scheduler_factory).
-/// `engine`, when non-null, must be a DenseEngine built from
-/// (protocol, options.engine, batched) with the matching lumping — the
-/// BatchRunner passes one per spec so the transition table is not rebuilt
-/// per trial.
-TrialOutcome run_dense_trial(const pp::Protocol& protocol,
-                             const analysis::Workload& workload,
-                             const TrialOptions& options, bool batched,
-                             std::optional<pp::OutputSymbol> expected_symbol = {},
-                             const dense::DenseEngine* engine = nullptr);
-
-/// Mean-field trial: builds the same workload configuration run_dense_trial
-/// would (identical RNG consumption, so the two backends see identical
-/// per-trial workloads and urn splits), integrates it with the
-/// fluid::FluidEngine and grades the outcome the same way. Same scheduler
-/// restrictions as the dense trials (lumpable only). `engine`, when
-/// non-null, must be a FluidEngine built from (protocol, options.engine,
-/// tolerances) with the matching lumping — the BatchRunner passes one per
-/// spec so the drift table is not recompiled per trial.
-TrialOutcome run_fluid_trial(const pp::Protocol& protocol,
-                             const analysis::Workload& workload,
-                             const TrialOptions& options,
-                             std::optional<pp::OutputSymbol> expected_symbol = {},
-                             const fluid::FluidEngine* engine = nullptr);
 
 /// Circles-specific trial with the paper's instrumentation attached:
 /// exchange counting, invariant checking and the Lemma 3.6 decomposition

@@ -10,6 +10,22 @@ namespace {
 bool starts_with(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
 }
+
+/// std::stoll/std::stod over the whole of `raw`: trailing characters
+/// ("5x", or "1e11" read as an integer) are an error, not a silent prefix.
+std::int64_t parse_int(const std::string& raw) {
+  std::size_t used = 0;
+  const std::int64_t value = std::stoll(raw, &used);
+  if (used != raw.size()) throw std::invalid_argument(raw);
+  return value;
+}
+
+double parse_double(const std::string& raw) {
+  std::size_t used = 0;
+  const double value = std::stod(raw, &used);
+  if (used != raw.size()) throw std::invalid_argument(raw);
+  return value;
+}
 }  // namespace
 
 Cli::Cli(int argc, char** argv) : program_(argc > 0 ? argv[0] : "prog") {
@@ -52,7 +68,7 @@ std::int64_t Cli::int_flag(const std::string& name, std::int64_t def,
   std::string raw;
   if (!lookup(name, &raw)) return def;
   try {
-    return std::stoll(raw);
+    return parse_int(raw);
   } catch (const std::exception&) {
     std::fprintf(stderr, "flag --%s expects an integer, got '%s'\n",
                  name.c_str(), raw.c_str());
@@ -66,7 +82,7 @@ double Cli::double_flag(const std::string& name, double def,
   std::string raw;
   if (!lookup(name, &raw)) return def;
   try {
-    return std::stod(raw);
+    return parse_double(raw);
   } catch (const std::exception&) {
     std::fprintf(stderr, "flag --%s expects a number, got '%s'\n", name.c_str(),
                  raw.c_str());
@@ -116,7 +132,7 @@ std::vector<std::int64_t> Cli::int_list_flag(const std::string& name,
   std::vector<std::int64_t> values;
   for (const auto& part : split_commas(raw)) {
     try {
-      values.push_back(std::stoll(part));
+      values.push_back(parse_int(part));
     } catch (const std::exception&) {
       std::fprintf(stderr,
                    "flag --%s expects comma-separated integers, got '%s'\n",
@@ -141,9 +157,7 @@ std::vector<double> Cli::double_list_flag(const std::string& name,
   std::vector<double> values;
   for (const auto& part : split_commas(raw)) {
     try {
-      std::size_t used = 0;
-      values.push_back(std::stod(part, &used));
-      if (used != part.size()) throw std::invalid_argument(part);
+      values.push_back(parse_double(part));
     } catch (const std::exception&) {
       std::fprintf(stderr,
                    "flag --%s expects comma-separated numbers, got '%s'\n",

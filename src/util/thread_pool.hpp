@@ -1,10 +1,11 @@
-// A persistent worker pool for intra-run parallelism.
+// The process's one worker pool: BatchRunner's across-trial jobs and the
+// dense engine's intra-run regions both run here.
 //
-// BatchRunner's across-trial pool spawns threads per batch, which is fine at
-// batch granularity; the dense engine's batched epochs need something much
-// cheaper — a few parallel regions per epoch, thousands of epochs per run —
-// so the workers here are created once and parked on a condition variable
-// between regions. parallel_for(count, fn) runs fn(0..count-1) with the
+// The dense engine's batched epochs need cheap regions — a few per epoch,
+// thousands of epochs per run — so the workers are created once and parked
+// on a condition variable between regions. A trial running on a helper may
+// open its own regions (nesting): the helper participates in them like any
+// caller. parallel_for(count, fn) runs fn(0..count-1) with the
 // calling thread participating; the division of indices across threads is
 // racy ON PURPOSE (work stealing via one fetch_add), which is only sound
 // because every caller in this codebase writes task-indexed disjoint state
@@ -13,9 +14,10 @@
 // worker count, including zero.
 //
 // Concurrent parallel_for calls from different threads are safe (the
-// BatchRunner's trial workers may each drive their own intra-run regions);
-// regions are served newest-first, which keeps a small batch's regions from
-// interleaving pathologically.
+// BatchRunner's trials may each drive their own intra-run regions); regions
+// are served newest-first, which keeps a small batch's regions from
+// interleaving pathologically. fn must not throw: on a helper thread an
+// escaping exception calls std::terminate.
 #pragma once
 
 #include <atomic>

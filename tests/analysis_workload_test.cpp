@@ -166,6 +166,27 @@ TEST(CloseMarginTest, MarginIsMinimalFeasible) {
   }
 }
 
+TEST(CloseMarginDeathTest, FeasibilityMatchesTheBuilder) {
+  // close_margin_feasible(n, k) iff close_margin builds a workload: every
+  // feasible (n, k) yields a non-tied workload of n agents with margin 1
+  // (2 where k = 2 and n is even), and every infeasible one dies.
+  util::Rng rng(11);
+  for (std::uint32_t k = 1; k <= 6; ++k) {
+    for (std::uint64_t n = 0; n <= 40; ++n) {
+      if (close_margin_feasible(n, k)) {
+        const Workload w = close_margin(rng, n, k);
+        EXPECT_EQ(w.n(), n) << "n=" << n << " k=" << k;
+        EXPECT_FALSE(w.tied()) << "n=" << n << " k=" << k;
+        EXPECT_EQ(w.margin(), k == 2 && n % 2 == 0 ? 2u : 1u)
+            << "n=" << n << " k=" << k;
+      } else {
+        EXPECT_DEATH((void)close_margin(rng, n, k), "close-margin")
+            << "n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
 TEST(CloseMarginTest, EvenTwoColorForcesMarginTwo) {
   util::Rng rng(7);
   const Workload w = close_margin(rng, 10, 2);

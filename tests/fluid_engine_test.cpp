@@ -462,25 +462,26 @@ TEST(FluidTauTest, LeapMomentsTrackTheDrift) {
 // ---------------------------------------------------------------------------
 // sim-layer integration
 
-TEST(FluidSimTest, RunFluidTrialGradesLikeTheDenseTrial) {
-  const auto protocol = make("circles", 3);
-  const analysis::Workload workload = workload_of({50000, 30000, 20000});
-  // Both trials build their own engine; the clustered case checks that the
-  // engine they build carries the trial's urn structure.
+TEST(FluidSimTest, FluidTrialGradesLikeTheDenseBatchedTrial) {
+  // The same trial seed on both backends starts from the same
+  // configuration (same workload, same urn split); the clustered case
+  // checks that the prepared engines carry the spec's urn structure.
   for (const pp::SchedulerKind scheduler :
        {pp::SchedulerKind::kUniformRandom, pp::SchedulerKind::kClustered}) {
     SCOPED_TRACE(pp::to_string(scheduler));
-    sim::TrialOptions options;
-    options.seed = 11;
-    options.scheduler = scheduler;
-    options.clustered.bridge_probability = 0.1;
-    const sim::TrialOutcome fluid =
-        sim::run_fluid_trial(*protocol, workload, options);
-    const sim::TrialOutcome dense =
-        sim::run_dense_trial(*protocol, workload, options, /*batched=*/true);
-    EXPECT_TRUE(fluid.correct);
-    EXPECT_TRUE(dense.correct);
-    EXPECT_EQ(fluid.consensus, dense.consensus);
+    sim::RunSpec spec;
+    spec.protocol = "circles";
+    spec.params.k = 3;
+    spec.workload = sim::WorkloadSpec::explicit_counts({50000, 30000, 20000});
+    spec.scheduler = scheduler;
+    spec.bridge = 0.1;
+    spec.backend = sim::EngineKind::kFluid;
+    const sim::TrialRecord fluid = sim::BatchRunner::execute_trial(spec, 11);
+    spec.backend = sim::EngineKind::kDenseBatched;
+    const sim::TrialRecord dense = sim::BatchRunner::execute_trial(spec, 11);
+    EXPECT_TRUE(fluid.outcome.correct);
+    EXPECT_TRUE(dense.outcome.correct);
+    EXPECT_EQ(fluid.outcome.consensus, dense.outcome.consensus);
   }
 }
 

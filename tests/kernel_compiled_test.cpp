@@ -230,14 +230,21 @@ kernel::CompileOptions forced_sparse() {
   return options;
 }
 
-/// Every trial of `spec` (which pins its seed) replayed through
-/// BatchRunner::execute_trial over `kernel`, with the seeds run() uses.
+/// `spec` prepared as the BatchRunner prepares it, but on the forced-sparse
+/// kernel.
+sim::PreparedSpec prepare_sparse(const sim::RunSpec& spec) {
+  return sim::PreparedSpec(spec, sim::ProtocolRegistry::global(), 1, nullptr,
+                           nullptr, forced_sparse());
+}
+
+/// Every trial of the prepared spec (which pins its seed), with the seeds
+/// run() uses.
 std::vector<sim::TrialRecord> run_trials_with(
-    const sim::RunSpec& spec, const kernel::CompiledProtocol& kernel) {
+    const sim::PreparedSpec& prepared) {
   std::vector<sim::TrialRecord> records;
-  for (std::uint32_t t = 0; t < spec.trials; ++t) {
-    records.push_back(sim::BatchRunner::execute_trial(
-        kernel.protocol(), spec, sim::trial_seed(*spec.seed, t), &kernel));
+  for (std::uint32_t t = 0; t < prepared.spec().trials; ++t) {
+    records.push_back(
+        prepared.run_trial(sim::trial_seed(*prepared.spec().seed, t)));
   }
   return records;
 }
@@ -261,11 +268,9 @@ TEST(KernelEndToEndTest, RunResultsBitwiseIdenticalWithKernelsOnAndOff) {
 
     const auto on = sim::BatchRunner().run_one(spec);
     EXPECT_EQ(on.kernel_stats.kind, kernel::TableKind::kDense);
-    const auto protocol =
-        sim::ProtocolRegistry::global().create("circles", {.k = 3});
-    const kernel::CompiledProtocol sparse(*protocol, forced_sparse());
-    ASSERT_EQ(sparse.kind(), kernel::TableKind::kSparse);
-    const auto off = run_trials_with(spec, sparse);
+    const sim::PreparedSpec sparse = prepare_sparse(spec);
+    ASSERT_EQ(sparse.kernel().kind(), kernel::TableKind::kSparse);
+    const auto off = run_trials_with(sparse);
 
     ASSERT_EQ(on.trials.size(), off.size());
     for (std::size_t t = 0; t < off.size(); ++t) {
@@ -297,10 +302,7 @@ TEST(KernelEndToEndTest, ChemicalTimeBitwiseIdenticalWithKernelsOnAndOff) {
   spec.chemical_time = true;
 
   const auto on = sim::BatchRunner().run_one(spec);
-  const auto protocol =
-      sim::ProtocolRegistry::global().create("circles", {.k = 3});
-  const kernel::CompiledProtocol sparse(*protocol, forced_sparse());
-  const auto off = run_trials_with(spec, sparse);
+  const auto off = run_trials_with(prepare_sparse(spec));
 
   ASSERT_EQ(on.trials.size(), off.size());
   for (std::size_t t = 0; t < off.size(); ++t) {

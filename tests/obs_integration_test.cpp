@@ -34,11 +34,8 @@ TEST(ObsIntegrationTest, EnergyTraceBitwiseIdenticalWithKernelOnAndOff) {
   // kernel), and probes never touch the RNG streams — so the recorded
   // trajectories must be byte-for-byte equal, on the agent AND both dense
   // backends.
-  const auto protocol =
-      sim::ProtocolRegistry::global().create("circles", {.k = 3});
   kernel::CompileOptions sparse_options;
   sparse_options.max_dense_entries = 0;
-  const kernel::CompiledProtocol sparse(*protocol, sparse_options);
   for (const sim::EngineKind backend :
        {sim::EngineKind::kAgentArray, sim::EngineKind::kDense,
         sim::EngineKind::kDenseBatched}) {
@@ -46,9 +43,12 @@ TEST(ObsIntegrationTest, EnergyTraceBitwiseIdenticalWithKernelOnAndOff) {
     const auto result_on = sim::BatchRunner().run_one(spec);
     ASSERT_EQ(result_on.kernel_stats.kind, kernel::TableKind::kDense);
     ASSERT_EQ(result_on.trials.size(), spec.trials);
+    const sim::PreparedSpec sparse(spec, sim::ProtocolRegistry::global(), 1,
+                                   nullptr, nullptr, sparse_options);
+    ASSERT_EQ(sparse.kernel().kind(), kernel::TableKind::kSparse);
     for (std::uint32_t t = 0; t < spec.trials; ++t) {
-      const sim::TrialRecord off = sim::BatchRunner::execute_trial(
-          *protocol, spec, sim::trial_seed(*spec.seed, t), &sparse);
+      const sim::TrialRecord off =
+          sparse.run_trial(sim::trial_seed(*spec.seed, t));
       EXPECT_EQ(result_on.trials[t].traces.at(0), off.traces.at(0))
           << sim::to_string(backend) << " trial " << t;
     }

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 
+#include "metrics/metrics.hpp"
 #include "sim/session.hpp"
+#include "trace/trace.hpp"
 
 namespace circles::sim {
 namespace {
@@ -74,6 +78,90 @@ TEST(BatchRunnerTest, ResultsAreThreadCountInvariant) {
     SCOPED_TRACE(i);
     expect_identical(single[i], pooled[i]);
   }
+}
+
+TEST(BatchRunnerTest, NestedPoolRegionsMatchTheSerialRun) {
+  // Outer trials and the dense engine's intra-run epoch regions share one
+  // pool: clustered multi-urn dense_batched trials at outer width 4, each
+  // fanning its epochs out at inner width 2 or 4, must reproduce the fully
+  // serial batch bit for bit.
+  std::vector<RunSpec> specs;
+  for (const char* text :
+       {"circles(k=3) n=1000 workload=zipf:1.2 scheduler=clustered "
+        "clusters=4 bridge=0.05 trials=2 backend=dense_batched",
+        "circles(k=4) n=800 workload=unique scheduler=clustered clusters=3 "
+        "trials=2 backend=dense_batched"}) {
+    specs.push_back(RunSpec::parse(text));
+  }
+  metrics::MetricsRegistry registry;
+  const auto run_at = [&](std::uint32_t outer, std::uint32_t inner) {
+    std::vector<RunSpec> sized = specs;
+    for (RunSpec& spec : sized) spec.run_threads = inner;
+    return BatchRunner(
+               {.threads = outer, .base_seed = 21, .metrics = &registry})
+        .run(sized);
+  };
+  const auto serial = run_at(1, 1);
+  EXPECT_EQ(registry.counter("dense.parallel_epochs").value(), 0u);
+  for (const std::uint32_t inner : {2u, 4u}) {
+    SCOPED_TRACE(inner);
+    const auto nested = run_at(4, inner);
+    // The inner regions really ran (the epochs took the pooled path).
+    EXPECT_GT(registry.counter("dense.parallel_epochs").value(), 0u);
+    ASSERT_EQ(nested.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_EQ(nested[i].manifest.run_threads, inner);
+      expect_identical(serial[i], nested[i]);
+      for (std::size_t t = 0; t < serial[i].trials.size(); ++t) {
+        EXPECT_EQ(serial[i].trials[t].outcome.run.final_outputs,
+                  nested[i].trials[t].outcome.run.final_outputs);
+        EXPECT_EQ(serial[i].trials[t].outcome.run.last_change_step,
+                  nested[i].trials[t].outcome.run.last_change_step);
+      }
+    }
+  }
+}
+
+TEST(BatchRunnerTest, PooledTrialExceptionIsRethrownWithOneRepro) {
+  // A grader that throws on its third call: the job catches it on whichever
+  // pool thread ran it (an exception escaping a pool helper would call
+  // std::terminate), dumps one REPRO line, skips the jobs not yet started,
+  // and run() rethrows it on the caller.
+  std::atomic<int> calls{0};
+  RunSpec spec;
+  spec.protocol = "circles";
+  spec.params.k = 3;
+  spec.n = 40;
+  spec.trials = 8;
+  spec.grader = [&](const pp::Protocol&, const analysis::Workload&,
+                    std::span<const pp::ColorId>, const pp::Population&,
+                    const pp::RunResult&) {
+    if (calls.fetch_add(1) == 2) {
+      throw std::runtime_error("grader failed on purpose");
+    }
+    return true;
+  };
+  trace::Tracer tracer;
+  const BatchRunner runner({.threads = 4, .tracer = &tracer});
+  std::string what;
+  testing::internal::CaptureStderr();
+  try {
+    (void)runner.run_one(spec);
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(what, "grader failed on purpose");
+  std::istringstream lines(err);
+  int repro_lines = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("REPRO:", 0) == 0) ++repro_lines;
+  }
+  EXPECT_EQ(repro_lines, 1) << err;
+  EXPECT_NE(err.find("worker exception: grader failed on purpose"),
+            std::string::npos)
+      << err;
 }
 
 TEST(BatchRunnerTest, TrialSeedsAreIndependentStreams) {
@@ -262,6 +350,26 @@ TEST(BatchRunnerValidationTest, RejectsExactTiesThatCannotBeBuilt) {
   EXPECT_EQ(BatchRunner().run_one(feasible).trial_count, 1u);
 }
 
+TEST(BatchRunnerValidationTest, RejectsMarginOneWorkloadsThatCannotBeBuilt) {
+  // One color has no runner-up; two agents cannot put a winner ahead of a
+  // non-empty runner-up.
+  for (const auto [k, n] : {std::pair<std::uint32_t, std::uint64_t>{1, 30},
+                            std::pair<std::uint32_t, std::uint64_t>{3, 2}}) {
+    for (const EngineKind backend :
+         {EngineKind::kAgentArray, EngineKind::kDenseBatched,
+          EngineKind::kAuto}) {
+      RunSpec spec = circles_spec(k, n, backend);
+      spec.workload = WorkloadSpec::close_margin();
+      const std::string message = rejection(spec);
+      EXPECT_NE(message.find(spec.to_string()), std::string::npos) << message;
+      EXPECT_NE(message.find("margin-1"), std::string::npos) << message;
+    }
+  }
+  RunSpec feasible = circles_spec(2, 3, EngineKind::kAgentArray);
+  feasible.workload = WorkloadSpec::close_margin();
+  EXPECT_EQ(BatchRunner().run_one(feasible).trial_count, 1u);
+}
+
 TEST(BatchRunnerValidationTest, RejectsPopulationsBeyondTheBackendRange) {
   // Each spec fails before any per-agent or per-count allocation.
   std::vector<RunSpec> specs = {
@@ -282,8 +390,9 @@ TEST(BatchRunnerValidationTest, RejectsPopulationsBeyondTheBackendRange) {
 }
 
 TEST(BatchRunnerValidationTest, ReplayedSpecsGetTheSameChecks) {
-  // sweep --spec replays call validate_spec before execute_trial; each of
-  // these would otherwise die inside the trial.
+  // sweep --spec replays run execute_trial, which prepares the spec and so
+  // runs validate_spec first; each of these would otherwise die inside the
+  // trial.
   for (const std::string text :
        {"circles(k=3) n=1 backend=agent", "circles(k=3) n=30 workload=tie:5",
         "circles(k=3) n=5000000000 backend=agent",

@@ -334,10 +334,8 @@ TEST(TraceBatchTest, FailingTrialDumpsReproLineThatReplaysIdentically) {
   EXPECT_TRUE(parsed.metrics_out.empty());
 
   // Seed-exact standalone replay: identical failure, identical counts.
-  const auto protocol =
-      sim::ProtocolRegistry::global().create(parsed.protocol, parsed.params);
   const sim::TrialRecord replay =
-      sim::BatchRunner::execute_trial(*protocol, parsed, repro_seed);
+      sim::BatchRunner::execute_trial(parsed, repro_seed);
   EXPECT_EQ(replay.outcome.run.budget_exhausted,
             rec.outcome.run.budget_exhausted);
   EXPECT_EQ(replay.outcome.correct, rec.outcome.correct);

@@ -1,7 +1,8 @@
-// util::Cli list-flag parsing, focused on double_list_flag (probe grids,
-// --sample-points=0.1,0.5,0.9).
+// util::Cli flag parsing: double_list_flag (probe grids,
+// --sample-points=0.1,0.5,0.9) and the numeric flags' whole-value rule.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -74,6 +75,54 @@ TEST(CliDoubleListFlagDeathTest, TrailingGarbageExits) {
         (void)cli.double_list_flag("points", "", "help");
       },
       testing::ExitedWithCode(2), "expects comma-separated numbers");
+}
+
+TEST(CliNumericFlagTest, WholeValuesParse) {
+  Cli cli = make_cli({"--trials=5", "--n=10,-3", "--rate=2.5e-1"});
+  EXPECT_EQ(cli.int_flag("trials", 1, "help"), 5);
+  EXPECT_EQ(cli.int_list_flag("n", "1", "help"),
+            (std::vector<std::int64_t>{10, -3}));
+  EXPECT_DOUBLE_EQ(cli.double_flag("rate", 0.0, "help"), 0.25);
+  cli.finish();
+}
+
+TEST(CliNumericFlagDeathTest, IntFlagRejectsTrailingCharacters) {
+  EXPECT_EXIT(
+      {
+        Cli cli = make_cli({"--trials=5x"});
+        (void)cli.int_flag("trials", 1, "help");
+      },
+      testing::ExitedWithCode(2), "flag --trials expects an integer, got '5x'");
+}
+
+TEST(CliNumericFlagDeathTest, IntFlagRejectsExponentNotation) {
+  // "1e11" used to parse as 1 (the prefix), silently starving every trial.
+  EXPECT_EXIT(
+      {
+        Cli cli = make_cli({"--budget=1e11"});
+        (void)cli.int_flag("budget", 0, "help");
+      },
+      testing::ExitedWithCode(2),
+      "flag --budget expects an integer, got '1e11'");
+}
+
+TEST(CliNumericFlagDeathTest, IntListFlagRejectsTrailingCharacters) {
+  EXPECT_EXIT(
+      {
+        Cli cli = make_cli({"--n=100,2e3"});
+        (void)cli.int_list_flag("n", "1", "help");
+      },
+      testing::ExitedWithCode(2),
+      "flag --n expects comma-separated integers, got '100,2e3'");
+}
+
+TEST(CliNumericFlagDeathTest, DoubleFlagRejectsTrailingCharacters) {
+  EXPECT_EXIT(
+      {
+        Cli cli = make_cli({"--rate=0.5s"});
+        (void)cli.double_flag("rate", 0.0, "help");
+      },
+      testing::ExitedWithCode(2), "flag --rate expects a number, got '0.5s'");
 }
 
 }  // namespace
