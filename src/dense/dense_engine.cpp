@@ -107,13 +107,34 @@ struct DenseEngine::Sim {
   // Number of ordered agent pairs per block whose interaction would change
   // a state; live_active sums the blocks with positive rate. live_active is
   // zero iff the configuration is silent under the lumped scheduler (the
-  // exact certificate).
+  // exact certificate). With A the kernel's non-null indicator,
+  //   active[(u, v)] = sum_s c_u[s] * resp_mass[s, v] - [u == v] sum_s
+  //                    A[s][s] c_u[s],
+  // kept exact by add_count() one count delta at a time (uint64 arithmetic
+  // wraps mod 2^64, and the true values fit).
   std::span<std::uint64_t> active;
-  // row_sums[b * num_states + s]: block b's active-pair mass with initiator
-  // state s, refreshed together with active[b]; pick_active_pair skips
-  // whole rows through it instead of rewalking every (s, t) product.
-  std::span<std::uint64_t> row_sums;
   std::uint64_t live_active = 0;
+  // Per-(state, urn) partner masses, state-major (index s * num_urns + u):
+  // resp_mass[s, v] = sum_{t : A[s][t]} c_v[t] is the responder mass urn v
+  // offers initiator state s; init_mass[t, u] = sum_{s : A[s][t]} c_u[s] is
+  // the initiator mass urn u offers responder state t. Live for reached
+  // states only.
+  std::span<std::uint64_t> resp_mass;
+  std::span<std::uint64_t> init_mass;
+  // The states that have held agents in some urn this run, and their
+  // non-null partners among them: responders[s] lists t with A[s][t],
+  // initiators[t] lists s with A[s][t]. A state joins in reach(), so the
+  // lists cost nonnull lookups over the reached set only, whatever the
+  // kernel's table kind.
+  std::vector<pp::StateId> reached;
+  std::span<std::uint8_t> in_reached;
+  std::span<std::uint8_t> self_active;  // A[s][s], for reached s
+  std::vector<std::vector<pp::StateId>> responders;
+  std::vector<std::vector<pp::StateId>> initiators;
+  // Epoch count deltas, staged per (urn, state) and applied once by
+  // flush_staged() (two's complement; `staged_list` may repeat an index).
+  std::span<std::uint64_t> staged;
+  std::vector<std::size_t> staged_list;
 
   // This run's span buffer (the run thread's; null = tracing off). Workers
   // resolve their own buffers through engine.options_.tracer inside
@@ -162,7 +183,13 @@ struct DenseEngine::Sim {
     const std::span<std::uint64_t> used_flat =
         arena.alloc<std::uint64_t>(num_urns * states);
     active = arena.alloc<std::uint64_t>(num_blocks);
-    row_sums = arena.alloc<std::uint64_t>(num_blocks * states);
+    resp_mass = arena.alloc<std::uint64_t>(states * num_urns);
+    init_mass = arena.alloc<std::uint64_t>(states * num_urns);
+    in_reached = arena.alloc<std::uint8_t>(states);
+    self_active = arena.alloc<std::uint8_t>(states);
+    responders.resize(states);
+    initiators.resize(states);
+    staged = arena.alloc<std::uint64_t>(num_urns * states);
 
     urns.resize(num_urns);
     for (std::size_t u = 0; u < num_urns; ++u) {
@@ -172,13 +199,17 @@ struct DenseEngine::Sim {
       urn.counts = counts_flat.subspan(u * states, states);
       urn.in_present = in_present_flat.subspan(u * states, states);
       urn.used = used_flat.subspan(u * states, states);
-      std::copy(urn.out.begin(), urn.out.end(), urn.counts.begin());
-      for (std::size_t s = 0; s < urn.counts.size(); ++s) {
-        urn.n += urn.counts[s];
-        if (urn.counts[s] > 0) {
-          urn.present.push_back(static_cast<pp::StateId>(s));
-          urn.in_present[s] = 1;
-        }
+    }
+    // The working counts start at zero and every initial count enters as a
+    // delta, so the active-pair bookkeeping has exactly one update path.
+    for (std::size_t u = 0; u < num_urns; ++u) {
+      Urn& urn = urns[u];
+      for (std::size_t s = 0; s < states; ++s) {
+        const std::uint64_t c = urn.out[s];
+        if (c == 0) continue;
+        urn.n += c;
+        note_state(urn, static_cast<pp::StateId>(s));
+        add_count(u, static_cast<pp::StateId>(s), c);
       }
       n += urn.n;
       urn_sizes.push_back(urn.n);
@@ -209,7 +240,7 @@ struct DenseEngine::Sim {
         }
       }
     }
-    refresh_active();
+    check_active();
   }
 
   /// Copies the working counts back into the caller's storage. run_impl
@@ -298,71 +329,125 @@ struct DenseEngine::Sim {
     urn.present.resize(w);
   }
 
-  /// Recomputes block (u, v)'s active-pair count, filling its row_sums rows
-  /// as a side effect. The factored form c_i[s] * sum_t c_r[t] (minus the
-  /// diagonal's own-agent correction) runs one multiply per initiator row
-  /// and leaves the inner loop a pure vectorizable count gather; uint64
-  /// arithmetic is exact mod 2^64 and the true value fits, so the sum
-  /// matches the historical per-(s, t) product walk bit for bit.
-  std::uint64_t block_active(std::size_t u, std::size_t v) {
-    const Urn& urn_i = urns[u];
-    const Urn& urn_r = urns[v];
-    const bool diag = u == v;
-    std::uint64_t* rows = row_sums.data() + (u * num_urns + v) * engine.num_states_;
-    std::uint64_t sum = 0;
-    const kernel::CompiledProtocol& k = *engine.kernel_;
-    if (k.has_adjacency()) {
-      // The kernel's active-responder index skips null pairs wholesale.
-      for (const pp::StateId s : urn_i.present) {
-        std::uint64_t acc = 0;
-        for (const pp::StateId t : k.active_responders(s)) {
-          acc += urn_r.counts[t];
-        }
-        std::uint64_t row = urn_i.counts[s] * acc;
-        // On diagonal blocks an agent cannot meet itself: one unit of
-        // responder mass per initiator agent disappears iff (s, s) is
-        // non-null (then and only then did the walk above count it).
-        if (diag && engine.nonnull(s, s)) row -= urn_i.counts[s];
-        rows[s] = row;
-        sum += row;
-      }
-    } else {
-      for (const pp::StateId s : urn_i.present) {
-        std::uint64_t acc = 0;
-        for (const pp::StateId t : urn_r.present) {
-          if (!engine.nonnull(s, t)) continue;
-          acc += urn_r.counts[t];
-        }
-        std::uint64_t row = urn_i.counts[s] * acc;
-        // diag implies urn_r == urn_i, so s is in urn_r.present and the
-        // walk counted (s, s) iff it is non-null.
-        if (diag && engine.nonnull(s, s)) row -= urn_i.counts[s];
-        rows[s] = row;
-        sum += row;
-      }
-    }
-    return sum;
+  /// Adds active-pair mass d to block b (and to live_active if b is live).
+  void bump(std::size_t b, std::uint64_t d) {
+    active[b] += d;
+    if (rates[b] > 0.0) live_active += d;
   }
 
-  void refresh_active() {
-    std::size_t total_present = 0;
-    for (Urn& urn : urns) {
-      compact(urn);
-      total_present += urn.present.size();
+  /// Admits state x to the reached set: links it into the partner lists
+  /// and fills its masses. x holds no agents in any urn yet, so no other
+  /// state's mass moves.
+  void reach(pp::StateId x) {
+    in_reached[x] = 1;
+    self_active[x] = engine.nonnull(x, x) ? 1 : 0;
+    reached.push_back(x);
+    for (const pp::StateId p : reached) {
+      if (engine.nonnull(x, p)) {
+        responders[x].push_back(p);
+        if (p != x) initiators[p].push_back(x);
+      }
+      if (engine.nonnull(p, x)) {
+        initiators[x].push_back(p);
+        if (p != x) responders[p].push_back(x);
+      }
     }
-    // Pool the per-block recomputes only when the O(present^2) work
-    // plausibly beats the dispatch overhead. The gate reads deterministic
-    // state only, and the per-block sums are identical either way.
-    const bool pooled = pool_threads > 1 && num_urns > 1 &&
-                        total_present * total_present >= 4096;
-    run_tasks(num_urns * num_urns, pooled, "dense.stage.active",
-              [this](std::size_t b) {
-                active[b] = block_active(b / num_urns, b % num_urns);
-              });
-    live_active = 0;
+    for (std::size_t v = 0; v < num_urns; ++v) {
+      std::uint64_t r = 0;
+      for (const pp::StateId t : responders[x]) r += urns[v].counts[t];
+      std::uint64_t q = 0;
+      for (const pp::StateId p : initiators[x]) q += urns[v].counts[p];
+      resp_mass[x * num_urns + v] = r;
+      init_mass[x * num_urns + v] = q;
+    }
+  }
+
+  /// Moves c_w[x] by delta (two's complement for removals) and every
+  /// active-pair count and partner mass with it, in O(U + deg(x)):
+  ///   1. blocks (u, w) gain delta * init_mass[x, u] (x as responder);
+  ///   2. initiators s of x gain delta responder mass in urn w;
+  ///   3. blocks (w, v) gain delta * resp_mass[x, v] (x as initiator; for
+  ///      v = w this reads the mass step 2 just updated, which supplies
+  ///      the delta^2 term of the diagonal block);
+  ///   4. responders t of x gain delta initiator mass in urn w;
+  ///   5. the own-agent pair leaves block (w, w) if (x, x) is non-null.
+  void add_count(std::size_t w, pp::StateId x, std::uint64_t delta) {
+    if (!in_reached[x]) reach(x);
+    const std::size_t u_count = num_urns;
+    const std::uint64_t* q = init_mass.data() + x * u_count;
+    for (std::size_t u = 0; u < u_count; ++u) {
+      bump(u * u_count + w, delta * q[u]);
+    }
+    for (const pp::StateId s : initiators[x]) {
+      resp_mass[s * u_count + w] += delta;
+    }
+    const std::uint64_t* r = resp_mass.data() + x * u_count;
+    for (std::size_t v = 0; v < u_count; ++v) {
+      bump(w * u_count + v, delta * r[v]);
+    }
+    for (const pp::StateId t : responders[x]) {
+      init_mass[t * u_count + w] += delta;
+    }
+    if (self_active[x]) bump(w * u_count + w, 0 - delta);
+    urns[w].counts[x] += delta;
+  }
+
+  /// Stages an epoch count delta; flush_staged() applies the net per
+  /// (urn, state), so a state that many groups touch costs one update.
+  void stage(std::size_t u, pp::StateId x, std::uint64_t delta) {
+    const std::size_t i = u * engine.num_states_ + x;
+    if (staged[i] == 0) staged_list.push_back(i);
+    staged[i] += delta;
+  }
+
+  void flush_staged() {
+    const std::size_t states = engine.num_states_;
+    for (const std::size_t i : staged_list) {
+      const std::uint64_t delta = staged[i];
+      if (delta == 0) continue;  // cancelled, or an index listed twice
+      staged[i] = 0;
+      add_count(i / states, static_cast<pp::StateId>(i % states), delta);
+    }
+    staged_list.clear();
+  }
+
+  /// Debug cross-check: every block's incremental active count equals a
+  /// from-scratch recount over the present lists, and live_active their
+  /// live sum. Compiled out under NDEBUG.
+  void check_active() const {
+#ifndef NDEBUG
+    std::uint64_t live = 0;
     for (std::size_t b = 0; b < num_urns * num_urns; ++b) {
-      if (rates[b] > 0.0) live_active += active[b];
+      const Urn& urn_i = urns[b / num_urns];
+      const Urn& urn_r = urns[b % num_urns];
+      const bool diag = b / num_urns == b % num_urns;
+      std::uint64_t sum = 0;
+      for (const pp::StateId s : urn_i.present) {
+        for (const pp::StateId t : urn_r.present) {
+          if (!engine.nonnull(s, t)) continue;
+          sum += urn_i.counts[s] * (urn_r.counts[t] - (diag && s == t ? 1 : 0));
+        }
+      }
+      CIRCLES_DCHECK(active[b] == sum);
+      if (rates[b] > 0.0) live += sum;
     }
+    CIRCLES_DCHECK(live == live_active);
+#endif
+  }
+
+  /// Closes a single state change in blocks (bu, bv): compacts the two
+  /// urns it touched (every other urn is already compact) and cross-checks
+  /// the bookkeeping.
+  void settle(std::size_t bu, std::size_t bv) {
+    compact(urns[bu]);
+    if (bv != bu) compact(urns[bv]);
+    check_active();
+  }
+
+  /// Closes a productive epoch, which may have touched every urn.
+  void settle_all() {
+    for (Urn& urn : urns) compact(urn);
+    check_active();
   }
 
   /// Weighted draw of a state from an urn's counts; `exclude` (a StateId,
@@ -381,12 +466,18 @@ struct DenseEngine::Sim {
     return urn.present.back();
   }
 
+  /// Applies one non-null transition of the (si, sr) pair in block
+  /// (bu, bv); the caller settles the two urns afterwards.
   void apply(std::size_t bu, std::size_t bv, pp::StateId si, pp::StateId sr,
              const pp::Transition& tr) {
-    urns[bu].counts[si] -= 1;
-    urns[bv].counts[sr] -= 1;
-    urns[bu].counts[tr.initiator] += 1;
-    urns[bv].counts[tr.responder] += 1;
+    if (tr.initiator != si) {
+      add_count(bu, si, 0 - std::uint64_t{1});
+      add_count(bu, tr.initiator, 1);
+    }
+    if (tr.responder != sr) {
+      add_count(bv, sr, 0 - std::uint64_t{1});
+      add_count(bv, tr.responder, 1);
+    }
     note_state(urns[bu], tr.initiator);
     note_state(urns[bv], tr.responder);
     apply_agg(si, sr, tr, 1);
@@ -425,21 +516,21 @@ struct DenseEngine::Sim {
   }
 
   /// Draw the ordered active state pair within block (bu, bv), conditioned
-  /// on being active (weights c_u[s] * (c_v[t] - [diag][s == t])). Every
-  /// call happens right after a refresh_active(), so row_sums is current:
-  /// whole initiator rows are skipped in O(1) and only the selected row
-  /// rewalks its responders — the same pair the historical full (s, t)
-  /// walk landed on, because each row's mass equals its walked prefix.
+  /// on being active (weights c_u[s] * (c_v[t] - [diag][s == t])). Each
+  /// initiator row's mass is c_u[s] * resp_mass[s, v], less the own-agent
+  /// pair on diagonal blocks, so whole rows are skipped in O(1) and only
+  /// the selected row rewalks its responders — the same pair a full (s, t)
+  /// walk lands on, because each row's mass equals its walked prefix.
   void pick_active_pair(std::size_t bu, std::size_t bv, pp::StateId& si,
                         pp::StateId& sr) {
     const Urn& urn_i = urns[bu];
     const Urn& urn_r = urns[bv];
     const bool diag = bu == bv;
-    const std::uint64_t* rows =
-        row_sums.data() + (bu * num_urns + bv) * engine.num_states_;
     std::uint64_t r = rng.uniform_below(active[bu * num_urns + bv]);
     for (const pp::StateId s : urn_i.present) {
-      const std::uint64_t row = rows[s];
+      const std::uint64_t c = urn_i.counts[s];
+      std::uint64_t row = c * resp_mass[s * num_urns + bv];
+      if (diag && self_active[s]) row -= c;
       if (r >= row) {
         r -= row;
         continue;
@@ -455,7 +546,7 @@ struct DenseEngine::Sim {
         }
         r -= w;
       }
-      break;  // unreachable: the row walk covers exactly rows[s] mass
+      break;  // unreachable: the row walk covers exactly the row's mass
     }
     CIRCLES_CHECK_MSG(false, "active-pair draw walked past the count");
   }
@@ -694,7 +785,7 @@ void DenseEngine::run_per_step(Sim& sim, pp::RunResult& result,
       sim.apply(bu, bv, si, sr, tr);
       result.state_changes += 1;
       result.last_change_step = result.interactions;
-      sim.refresh_active();
+      sim.settle(bu, bv);
     }
     result.interactions += 1;
     if (options_.stop_when_silent && sim.live_active == 0) {
@@ -800,11 +891,14 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
         options_.max_interactions - result.interactions;
 
     // Sparse-activity fast-forward: an epoch costs a fixed O(present^2)
-    // regardless of how many of its interactions change state, while the
-    // geometric path pays O(present^2) per *change* (the null run in
-    // between is one log). Below ~3 expected changes per epoch the
-    // geometric path wins; it is an exact sampler either way, so the
-    // threshold is purely a performance knob.
+    // deal and pairing regardless of how many of its interactions change
+    // state, while the geometric path pays O(U^2 + present + deg) per
+    // *change* (block and pair draws plus the delta update; the null run in
+    // between is one log). The ~3 expected changes per epoch crossover was
+    // tuned when every change rebuilt all U^2 blocks' active counts, so it
+    // likely sits low now; moving it changes which sampler consumes the
+    // stream, so retuning it is a separate, non-bitwise change. Either path
+    // is an exact sampler: the threshold is purely a performance knob.
     double p_change = 0.0;
     for (std::size_t b = 0; b < num_blocks; ++b) {
       if (sim.rates[b] <= 0.0) continue;
@@ -851,7 +945,7 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       mark.exact = true;
       mark.index = result.interactions;
       result.interactions += 1;
-      sim.refresh_active();
+      sim.settle(bu, bv);
       if (options_.stop_when_silent && sim.live_active == 0) {
         result.silent = true;
       }
@@ -1076,28 +1170,32 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     // Apply the recorded groups in ascending (block, group) order — the
     // exact mutation order of the historical interleaved loop, and the only
     // stage that touches counts, presence, the used masses, or the
-    // aggregate view.
+    // aggregate view. Every group marks its participants used; null groups
+    // move no count. The count deltas are netted per (urn, state) and
+    // applied once, before the collision draw reads the counts.
     std::uint64_t epoch_productive = 0;
     for (std::size_t b = 0; b < num_blocks; ++b) {
       if (block_len[b] == 0) continue;
-      Sim::Urn& urn_i = sim.urns[b / u_count];
-      Sim::Urn& urn_r = sim.urns[b % u_count];
+      const std::size_t bu = b / u_count;
+      const std::size_t bv = b % u_count;
+      Sim::Urn& urn_i = sim.urns[bu];
+      Sim::Urn& urn_r = sim.urns[bv];
       for (const PairGroup& g : groups[b]) {
-        urn_i.counts[g.s] -= g.m;
-        urn_r.counts[g.t] -= g.m;
-        urn_i.counts[g.tr.initiator] += g.m;
-        urn_r.counts[g.tr.responder] += g.m;
-        sim.note_state(urn_i, g.tr.initiator);
-        sim.note_state(urn_r, g.tr.responder);
         sim.touch_used(urn_i, g.tr.initiator, g.m);
         sim.touch_used(urn_r, g.tr.responder, g.m);
+        if (g.tr.initiator == g.s && g.tr.responder == g.t) continue;
+        sim.stage(bu, g.s, 0 - g.m);
+        sim.stage(bv, g.t, 0 - g.m);
+        sim.stage(bu, g.tr.initiator, g.m);
+        sim.stage(bv, g.tr.responder, g.m);
+        sim.note_state(urn_i, g.tr.initiator);
+        sim.note_state(urn_r, g.tr.responder);
         sim.apply_agg(g.s, g.t, g.tr, g.m);
-        if (g.tr.initiator != g.s || g.tr.responder != g.t) {
-          block_productive[b] += g.m;
-        }
+        block_productive[b] += g.m;
       }
       epoch_productive += block_productive[b];
     }
+    sim.flush_staged();
 
     const std::uint64_t epoch_start = result.interactions;
     result.interactions += len;
@@ -1177,8 +1275,8 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     }
 
     // A change-free epoch leaves the configuration — and therefore the
-    // active-pair counts — untouched.
-    if (epoch_productive > 0) sim.refresh_active();
+    // present lists — untouched.
+    if (epoch_productive > 0) sim.settle_all();
     if (options_.stop_when_silent && sim.live_active == 0) {
       result.silent = true;
     }

@@ -18,9 +18,10 @@
 //    exactly as the lumped scheduler would: initiator weighted by the
 //    initiator urn's counts, responder by the responder urn's counts (with
 //    the initiator removed on intra blocks). A null interaction costs
-//    O(present states) and a state change O(U^2 * present^2) (the per-block
-//    active-pair counts are recomputed), all independent of n. This is the
-//    reference semantics used by the cross-validation tests.
+//    O(present states) and a state change O(U + deg + present), where deg
+//    is a touched state's non-null partner count: the per-block active-pair
+//    counts move by exact integer deltas. All of it is independent of n.
+//    This is the reference semantics used by the cross-validation tests.
 //
 //  * kBatched — the sqrt(n) batching of Berenbrink et al. (arXiv:1805.05157,
 //    "Simulating Population Protocols in Sub-Constant Time per
@@ -37,8 +38,9 @@
 //    geometric fast-forward: the number of null interactions before the next
 //    state change is Geometric(p) with p = sum_b rate_b * active_b /
 //    pairs_b, so null-dominated phases — the dominant regime of slow-mixing
-//    clustered runs — cost O(U^2 * present^2) per state change instead of
-//    O(1) per interaction.
+//    clustered runs — cost O(U^2 + present + deg) per state change (the
+//    block draw, the pair draw and the delta update) instead of O(1) per
+//    interaction.
 //
 // Both modes sample the same lumped Markov chain as pp::Engine under the
 // corresponding scheduler (agents within an urn are anonymous, so the
@@ -60,9 +62,9 @@
 // deals and per-block contingency pairing write task-indexed disjoint
 // state, and the recorded transition groups are applied serially in
 // ascending (block, group) order. EngineOptions::run_threads > 1 fans the
-// stages (and the per-block active-pair refresh) out across
-// util::ThreadPool::shared(); results are bitwise identical for every
-// thread count, including 1. Single-urn runs and per-step mode never pool.
+// stages out across util::ThreadPool::shared(); results are bitwise
+// identical for every thread count, including 1. Single-urn runs and
+// per-step mode never pool.
 #pragma once
 
 #include <cstdint>

@@ -6,10 +6,12 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <sstream>
 #include <vector>
 
 #include "dense/dense_config.hpp"
 #include "dense/urn_config.hpp"
+#include "metrics/metrics.hpp"
 #include "obs/probe.hpp"
 #include "obs/recorder.hpp"
 #include "pp/schedulers/clustered.hpp"
@@ -418,6 +420,160 @@ TEST(UrnEngineTest, RejectsMismatchedConfigurations) {
   UrnConfig swapped = UrnConfig::from_workload(*protocol, workload_of({6, 4}),
                                                {{4, 6}}, rng);
   EXPECT_DEATH((void)engine.run(swapped, 1), "lumping");
+}
+
+// --- active-pair bookkeeping golden ----------------------------------------
+
+/// Pins every observable of a run — the result fields, the engine's work
+/// counters and the final per-urn counts (nonzero entries as urn:state=count)
+/// — recorded from the engine that rebuilt every block's active-pair count
+/// from scratch after each state change. The incremental bookkeeping that
+/// replaced the rebuild must keep every draw, so each summary is unchanged.
+/// Unlike the kernel-path identity tests, both sides of this comparison do
+/// not share the active-pair code.
+TEST(DenseGoldenTest, ActivePairBookkeepingKeepsEveryDraw) {
+  struct Case {
+    const char* name;
+    const char* protocol;
+    std::uint32_t k;
+    CountVector colors;
+    std::vector<std::uint64_t> sizes;  // empty: one urn, DenseConfig path
+    double bridge;
+    DenseMode mode;
+    bool sparse;  // forced-sparse kernel (max_dense_entries = 0)
+    std::uint64_t budget;
+    std::uint64_t seed;
+    const char* golden;
+  };
+  const std::vector<Case> cases{
+      {"single-urn batched margin-1", "circles", 3, {3001, 3000, 1500}, {}, 0.0,
+       DenseMode::kBatched, false, 500'000'000, 17,
+       "interactions=284956589 state_changes=55681 "
+       "last_change_step=284956588 silent=1 epochs=2288 "
+       "mvhg_draws=4576 ff_jumps=36436 ff_interactions=284793421 "
+       "counts=0:0=1 0:3=3000 0:9=1500 0:15=1500 0:18=1500 "},
+      {"8-urn clustered batched", "circles", 3, {1900, 1300, 800},
+       {500, 500, 500, 500, 500, 500, 500, 500}, 0.02, DenseMode::kBatched,
+       false, 500'000'000, 23,
+       "interactions=131785 state_changes=8068 "
+       "last_change_step=131784 silent=1 epochs=715 mvhg_draws=11960 "
+       "ff_jumps=1346 ff_interactions=101574 counts=0:0=73 0:3=170 "
+       "0:9=79 0:15=92 0:18=86 1:0=88 1:3=159 1:9=59 1:15=97 1:18=97 "
+       "2:0=75 2:3=169 2:9=72 2:15=92 2:18=92 3:0=95 3:3=148 3:9=45 "
+       "3:15=104 3:18=108 4:0=59 4:3=170 4:9=62 4:15=103 4:18=106 "
+       "5:0=66 5:3=174 5:9=95 5:15=83 5:18=82 6:0=88 6:3=147 6:9=35 "
+       "6:15=115 6:18=115 7:0=56 7:3=163 7:9=53 7:15=114 7:18=114 "},
+      {"8-urn clustered batched, budget cut", "circles", 3, {260, 200, 180},
+       {80, 80, 80, 80, 80, 80, 80, 80}, 0.01, DenseMode::kBatched, false,
+       6'000, 29,
+       "interactions=6000 state_changes=1324 last_change_step=5987 "
+       "silent=0 epochs=153 mvhg_draws=2010 ff_jumps=435 "
+       "ff_interactions=3106 counts=0:0=3 0:3=8 0:4=12 0:5=4 0:6=1 "
+       "0:9=1 0:10=2 0:13=3 0:15=8 0:16=8 0:17=5 0:18=8 0:19=8 0:20=7 "
+       "0:26=2 1:0=2 1:3=8 1:4=11 1:5=3 1:8=2 1:10=2 1:13=1 1:15=8 "
+       "1:16=10 1:17=7 1:18=9 1:19=7 1:20=6 1:23=4 2:0=21 2:3=12 "
+       "2:5=1 2:6=9 2:15=13 2:18=23 2:20=1 3:0=10 3:3=17 3:4=4 3:5=1 "
+       "3:6=3 3:10=2 3:13=2 3:15=15 3:16=3 3:17=1 3:18=16 3:19=2 "
+       "3:20=3 3:26=1 4:0=3 4:3=10 4:4=16 4:9=1 4:10=6 4:13=6 4:15=6 "
+       "4:16=12 4:17=1 4:18=7 4:19=11 4:20=1 5:0=3 5:3=9 5:4=7 5:5=8 "
+       "5:10=2 5:13=3 5:15=7 5:16=10 5:17=7 5:18=7 5:19=7 5:20=7 "
+       "5:22=1 5:23=1 5:26=1 6:0=11 6:3=20 6:4=2 6:5=1 6:6=4 6:9=8 "
+       "6:10=1 6:15=13 6:16=1 6:18=16 6:19=1 6:20=2 7:0=8 7:3=18 "
+       "7:4=2 7:5=4 7:6=2 7:9=5 7:13=1 7:15=13 7:16=3 7:17=3 7:18=14 "
+       "7:19=3 7:20=3 7:26=1 "},
+      {"3-urn per-step", "circles", 3, {110, 90, 70}, {120, 90, 60}, 0.1,
+       DenseMode::kPerStep, false, 500'000'000, 31,
+       "interactions=30864 state_changes=849 last_change_step=30863 "
+       "silent=1 epochs=0 mvhg_draws=0 ff_jumps=0 ff_interactions=0 "
+       "counts=0:0=5 0:3=44 0:9=18 0:15=29 0:18=24 1:0=1 1:3=32 1:9=2 "
+       "1:15=30 1:18=25 2:0=14 2:3=14 2:15=11 2:18=21 "},
+      {"single-urn per-step", "circles", 4, {90, 80, 70, 60}, {}, 0.0,
+       DenseMode::kPerStep, false, 500'000'000, 37,
+       "interactions=43270 state_changes=1043 last_change_step=43269 "
+       "silent=1 epochs=0 mvhg_draws=0 ff_jumps=0 ff_interactions=0 "
+       "counts=0:0=10 0:4=80 0:16=10 0:24=70 0:32=10 0:44=60 0:48=60 "},
+      {"4-urn batched, forced-sparse kernel", "circles", 4, {700, 600, 500, 400},
+       {800, 600, 500, 300}, 0.05, DenseMode::kBatched, true, 500'000'000,
+       41,
+       "interactions=639178 state_changes=7696 "
+       "last_change_step=639177 silent=1 epochs=570 mvhg_draws=6032 "
+       "ff_jumps=3468 ff_interactions=618761 counts=0:0=30 0:4=232 "
+       "0:16=72 0:24=164 0:32=10 0:44=141 0:48=151 1:0=24 1:4=162 "
+       "1:16=22 1:24=145 1:32=24 1:44=112 1:48=111 2:0=27 2:4=130 "
+       "2:16=6 2:24=125 2:32=39 2:44=88 2:48=85 3:0=19 3:4=76 3:24=66 "
+       "3:32=27 3:44=59 3:48=53 "},
+      // Protocols whose same-state pairs can be non-null, so the diagonal
+      // blocks' own-agent correction is exercised.
+      {"unordered_circles single-urn batched", "unordered_circles", 3,
+       {120, 100, 80}, {}, 0.0, DenseMode::kBatched, false, 500'000'000, 43,
+       "interactions=369716 state_changes=13821 "
+       "last_change_step=369715 silent=1 epochs=475 mvhg_draws=950 "
+       "ff_jumps=11282 ff_interactions=352893 counts=0:4=119 0:31=1 "
+       "0:64=75 0:67=22 0:70=2 0:91=1 0:127=79 0:154=1 "},
+      {"unordered_circles 4-urn batched", "unordered_circles", 3,
+       {120, 100, 80}, {100, 80, 70, 50}, 0.05, DenseMode::kBatched, false,
+       500'000'000, 47,
+       "interactions=3083581 state_changes=38898 "
+       "last_change_step=3083580 silent=1 epochs=523 mvhg_draws=4210 "
+       "ff_jumps=36247 ff_interactions=3041284 counts=0:16=43 0:73=26 "
+       "0:79=1 0:112=2 0:115=28 1:16=30 1:73=21 1:79=5 1:115=23 "
+       "1:142=1 2:16=28 2:73=26 2:79=6 2:112=1 2:115=9 3:16=18 3:43=1 "
+       "3:73=14 3:100=1 3:112=1 3:115=15 "},
+      {"ordering 3-urn per-step", "ordering", 3, {40, 30, 20}, {40, 30, 20},
+       0.1, DenseMode::kPerStep, false, 500'000'000, 53,
+       "interactions=133995 state_changes=568 last_change_step=133994 "
+       "silent=1 epochs=0 mvhg_draws=0 ff_jumps=0 ff_interactions=0 "
+       "counts=0:0=17 0:7=12 0:14=10 0:17=1 1:0=13 1:3=1 1:7=10 "
+       "1:14=6 2:0=9 2:7=7 2:10=1 2:14=3 "},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto protocol =
+        sim::ProtocolRegistry::global().create(c.protocol, {.k = c.k});
+    metrics::MetricsRegistry registry;
+    pp::EngineOptions options;
+    options.max_interactions = c.budget;
+    options.metrics = &registry;
+    const auto kernel =
+        c.sparse ? forced_sparse(*protocol)
+                 : std::make_shared<const kernel::CompiledProtocol>(*protocol);
+    pp::RunResult result;
+    std::vector<CountVector> final_urns;
+    if (c.sizes.empty()) {
+      DenseEngine engine(kernel, options, c.mode);
+      DenseConfig config =
+          DenseConfig::from_workload(*protocol, workload_of(c.colors));
+      result = engine.run(config, c.seed);
+      final_urns.push_back(config.counts);
+    } else {
+      const auto lumping = urn_harness::dumbbell(c.sizes, c.bridge);
+      DenseEngine engine(kernel, options, c.mode, lumping);
+      util::Rng rng(c.seed);
+      UrnConfig config = UrnConfig::from_workload(
+          *protocol, workload_of(c.colors), lumping.sizes, rng);
+      result = engine.run(config, c.seed);
+      final_urns = config.urns;
+    }
+    std::ostringstream summary;
+    summary << "interactions=" << result.interactions
+            << " state_changes=" << result.state_changes
+            << " last_change_step=" << result.last_change_step
+            << " silent=" << result.silent
+            << " epochs=" << registry.counter("dense.epochs").value()
+            << " mvhg_draws=" << registry.counter("dense.mvhg_draws").value()
+            << " ff_jumps="
+            << registry.counter("dense.fast_forward_jumps").value()
+            << " ff_interactions="
+            << registry.counter("dense.fast_forward_interactions").value()
+            << " counts=";
+    for (std::size_t u = 0; u < final_urns.size(); ++u) {
+      for (std::size_t s = 0; s < final_urns[u].size(); ++s) {
+        if (final_urns[u][s] == 0) continue;
+        summary << u << ':' << s << '=' << final_urns[u][s] << ' ';
+      }
+    }
+    EXPECT_EQ(summary.str(), c.golden);
+  }
 }
 
 // --- multi-urn cross-backend equivalence -----------------------------------
