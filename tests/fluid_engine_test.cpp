@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <vector>
 
 #include "dense/dense_config.hpp"
 #include "dense/urn_config.hpp"
 #include "kernel/compiled_protocol.hpp"
+#include "metrics/metrics.hpp"
 #include "obs/probes.hpp"
 #include "obs/recorder.hpp"
 #include "pp/schedulers/clustered.hpp"
@@ -122,24 +124,42 @@ TEST(DriftTableTest, PairBudgetThrowsWithActionableMessage) {
 // ---------------------------------------------------------------------------
 // Drift vs the exact one-step expectation
 
-// Brute-force E[d fractions / dt] of the mean-field model: ordered pairs
-// sampled with replacement, probability x_a * x_b.
+// Brute-force E[d fractions / dt] of the mean-field model, one (u, v) block
+// at a time: ordered pairs sampled with replacement, initiator from urn u and
+// responder from urn v with probability rate(u, v) * x^u_a * x^v_b, and urn
+// u's count deltas scaled by n / n_u. `x` is row-major num_urns x species.
 std::vector<double> brute_force_drift(const pp::Protocol& protocol,
                                       const DriftTable& table,
+                                      const pp::UrnLumping& lumping,
                                       const std::vector<double>& x) {
+  const std::size_t m = table.num_species();
+  const std::size_t urns = lumping.num_urns();
   std::vector<double> drift(x.size(), 0.0);
-  for (std::size_t i = 0; i < table.num_species(); ++i) {
-    for (std::size_t j = 0; j < table.num_species(); ++j) {
-      const pp::StateId a = table.species()[i];
-      const pp::StateId b = table.species()[j];
-      const pp::Transition out = protocol.transition(a, b);
-      if (out.initiator == a && out.responder == b) continue;
-      const double w = x[i] * x[j];
-      drift[i] -= w;
-      drift[j] -= w;
-      drift[static_cast<std::size_t>(table.index_of(out.initiator))] += w;
-      drift[static_cast<std::size_t>(table.index_of(out.responder))] += w;
+  for (std::size_t u = 0; u < urns; ++u) {
+    for (std::size_t v = 0; v < urns; ++v) {
+      const double r = lumping.rate(u, v);
+      if (r <= 0.0) continue;
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < m; ++j) {
+          const pp::StateId a = table.species()[i];
+          const pp::StateId b = table.species()[j];
+          const pp::Transition out = protocol.transition(a, b);
+          if (out.initiator == a && out.responder == b) continue;
+          const double w = r * x[u * m + i] * x[v * m + j];
+          drift[u * m + i] -= w;
+          drift[v * m + j] -= w;
+          drift[u * m + static_cast<std::size_t>(
+                             table.index_of(out.initiator))] += w;
+          drift[v * m + static_cast<std::size_t>(
+                             table.index_of(out.responder))] += w;
+        }
+      }
     }
+  }
+  const double n = static_cast<double>(lumping.n());
+  for (std::size_t u = 0; u < urns; ++u) {
+    const double scale = n / static_cast<double>(lumping.sizes[u]);
+    for (std::size_t i = 0; i < m; ++i) drift[u * m + i] *= scale;
   }
   return drift;
 }
@@ -161,8 +181,8 @@ TEST(FluidDriftTest, MatchesBruteForceMeanFieldExpectation) {
     for (double& v : x) v /= sum;
     std::vector<double> dxdt(m);
     engine.eval_drift(x, dxdt);
-    const std::vector<double> expected =
-        brute_force_drift(*protocol, engine.drift(), x);
+    const std::vector<double> expected = brute_force_drift(
+        *protocol, engine.drift(), pp::UrnLumping::uniform(1), x);
     for (std::size_t i = 0; i < m; ++i) {
       EXPECT_NEAR(dxdt[i], expected[i], 1e-12) << name << " species " << i;
     }
@@ -170,6 +190,67 @@ TEST(FluidDriftTest, MatchesBruteForceMeanFieldExpectation) {
     double total = 0.0;
     for (const double v : dxdt) total += v;
     EXPECT_NEAR(total, 0.0, 1e-12);
+  }
+}
+
+TEST(FluidDriftTest, MultiUrnBlocksMatchBruteForceAtDeadAndNegativeEntries) {
+  // With more than one urn the initiator and responder deltas land in
+  // different rows of dxdt (u != v) or the same row (u == v), and each urn
+  // rescales by n / n_u. Besides a generic interior point, check one where
+  // whole initiator rows are exactly zero (the evaluation skips them) and a
+  // few entries are slightly negative: Runge-Kutta stage vectors are not
+  // clamped, so a negative fraction must still contribute its terms.
+  pp::ClusteredOptions clustered;
+  clustered.sizes = {500, 300, 200};
+  clustered.bridge_probability = 0.1;
+  pp::UrnLumping with_gap = pp::clustered_lumping(1000, clustered);
+  // One ordered cross block never scheduled; its mass moves onto urn 0.
+  with_gap.rates[0 * 3 + 0] += with_gap.rates[0 * 3 + 2];
+  with_gap.rates[0 * 3 + 2] = 0.0;
+  const pp::UrnLumping lumpings[] = {pp::clustered_lumping(1000, clustered),
+                                     with_gap};
+  const std::pair<const char*, std::uint32_t> cases[] = {
+      {"approx_majority_3state", 2}, {"circles", 3}};
+  for (const auto& [name, k] : cases) {
+    for (const pp::UrnLumping& lumping : lumpings) {
+      const auto protocol = make(name, k);
+      const FluidEngine engine(*protocol, {}, {}, lumping);
+      const std::size_t m = engine.drift().num_species();
+      const std::size_t dim = lumping.num_urns() * m;
+      std::vector<double> interior(dim);
+      for (std::size_t i = 0; i < dim; ++i) {
+        interior[i] =
+            (1.0 + std::fmod(0.61803398875 * static_cast<double>(i + 1), 1.0)) /
+            static_cast<double>(m);
+      }
+      std::vector<double> sparse = interior;
+      for (std::size_t i = 0; i < dim; ++i) {
+        if (i % 3 == 0) sparse[i] = 0.0;
+        if (i % 7 == 1) sparse[i] = -1e-7 * static_cast<double>(i % 5 + 1);
+      }
+      // The species 0 and the last species are dead in every urn.
+      for (std::size_t u = 0; u < lumping.num_urns(); ++u) {
+        sparse[u * m] = 0.0;
+        sparse[u * m + m - 1] = 0.0;
+      }
+      for (const std::vector<double>& x : {interior, sparse}) {
+        std::vector<double> dxdt(dim);
+        engine.eval_drift(x, dxdt);
+        const std::vector<double> expected =
+            brute_force_drift(*protocol, engine.drift(), lumping, x);
+        for (std::size_t i = 0; i < dim; ++i) {
+          EXPECT_NEAR(dxdt[i], expected[i], 1e-12)
+              << name << " urn " << i / m << " species " << i % m;
+        }
+        // Every term moves one agent within the initiator's urn and one
+        // within the responder's, so each urn's mass is conserved.
+        for (std::size_t u = 0; u < lumping.num_urns(); ++u) {
+          double total = 0.0;
+          for (std::size_t i = 0; i < m; ++i) total += dxdt[u * m + i];
+          EXPECT_NEAR(total, 0.0, 1e-12) << name << " urn " << u;
+        }
+      }
+    }
   }
 }
 
@@ -456,6 +537,85 @@ TEST(FluidTauTest, LeapMomentsTrackTheDrift) {
     // mean; 4 sigma with sqrt(1e5/32) ~ 56.
     EXPECT_NEAR(mean[s], static_cast<double>(ode_config.counts[s]), 250.0)
         << "state " << s;
+  }
+}
+
+TEST(FluidTauTest, SeededRunsKeepEveryDraw) {
+  // Goldens recorded before the drift loops walked the term table by
+  // initiator row. Skipping a row whose initiator count is 0 only drops
+  // reactions with zero pairs, which never drew, so the RNG stream and every
+  // count must stay bitwise identical.
+  struct Case {
+    const char* name;
+    const char* protocol;
+    std::uint32_t k;
+    CountVector colors;
+    std::uint32_t clusters;  // 1: single uniform urn, DenseConfig path
+    std::uint64_t seed;
+    const char* golden;
+  };
+  const std::vector<Case> cases{
+      {"approx_majority_3state single-urn", "approx_majority_3state", 2,
+       {7000, 3000}, 1, 42,
+       "interactions=117518 state_changes=16578 silent=1 tau_leaps=453 "
+       "tau_redraws=1 counts=0:0=10000 "},
+      {"approx_majority_3state 2-urn clustered", "approx_majority_3state", 2,
+       {6000, 4000}, 2, 43,
+       "interactions=124447 state_changes=28154 silent=1 tau_leaps=557 "
+       "tau_redraws=0 counts=0:0=5000 1:0=5000 "},
+      {"circles k=3 single-urn", "circles", 3, {6000, 2500, 1500}, 1, 44,
+       "interactions=521950 state_changes=12409 silent=1 tau_leaps=3965 "
+       "tau_redraws=2 counts=0:0=3500 0:3=2500 0:9=1000 0:15=1500 "
+       "0:18=1500 "},
+      {"circles k=3 2-urn clustered", "circles", 3, {5000, 3000, 2000}, 2, 45,
+       "interactions=380550 state_changes=17899 silent=1 tau_leaps=5812 "
+       "tau_redraws=2 counts=0:0=990 0:3=1494 0:9=481 0:15=1017 0:18=1018 "
+       "1:0=1010 1:3=1506 1:9=519 1:15=983 1:18=982 "},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto protocol = make(c.protocol, c.k);
+    metrics::MetricsRegistry registry;
+    pp::EngineOptions options;
+    options.metrics = &registry;
+    FluidOptions tau;
+    tau.tau_leaping = true;
+    const analysis::Workload workload = workload_of(c.colors);
+    pp::RunResult result;
+    std::vector<CountVector> final_urns;
+    if (c.clusters == 1) {
+      const FluidEngine engine(*protocol, options, tau);
+      dense::DenseConfig config =
+          dense::DenseConfig::from_workload(*protocol, workload);
+      result = engine.run(config, c.seed);
+      final_urns.push_back(config.counts);
+    } else {
+      pp::ClusteredOptions clustered;
+      clustered.num_clusters = c.clusters;
+      clustered.bridge_probability = 0.05;
+      const pp::UrnLumping lumping =
+          pp::clustered_lumping(workload.n(), clustered);
+      const FluidEngine engine(*protocol, options, tau, lumping);
+      util::Rng rng(c.seed);
+      dense::UrnConfig config = dense::UrnConfig::from_workload(
+          *protocol, workload, lumping.sizes, rng);
+      result = engine.run(config, c.seed);
+      final_urns = config.urns;
+    }
+    std::ostringstream summary;
+    summary << "interactions=" << result.interactions
+            << " state_changes=" << result.state_changes
+            << " silent=" << result.silent
+            << " tau_leaps=" << registry.counter("fluid.tau_leaps").value()
+            << " tau_redraws=" << registry.counter("fluid.tau_redraws").value()
+            << " counts=";
+    for (std::size_t u = 0; u < final_urns.size(); ++u) {
+      for (std::size_t s = 0; s < final_urns[u].size(); ++s) {
+        if (final_urns[u][s] == 0) continue;
+        summary << u << ':' << s << '=' << final_urns[u][s] << ' ';
+      }
+    }
+    EXPECT_EQ(summary.str(), c.golden);
   }
 }
 
