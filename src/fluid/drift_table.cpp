@@ -79,9 +79,10 @@ DriftTable::DriftTable(const kernel::CompiledProtocol& kernel,
     }
   }
 
-  // Canonicalize: species ascending by StateId, terms sorted by (a, b). The
-  // drift evaluation sums terms in list order, so this fixes the
-  // floating-point summation order — trajectories are bitwise identical
+  // Canonicalize: species ascending by StateId, terms sorted by (a, b), and
+  // row offsets over that order. The drift evaluation walks initiator rows
+  // in species order and each row's terms in responder order, so this fixes
+  // the floating-point summation order — trajectories are bitwise identical
   // whichever build path (CSR adjacency or per-pair kernel lookups)
   // discovered the closure.
   std::vector<std::uint32_t> remap(species_.size());
@@ -105,6 +106,11 @@ DriftTable::DriftTable(const kernel::CompiledProtocol& kernel,
             [](const DriftTerm& lhs, const DriftTerm& rhs) {
               return lhs.a != rhs.a ? lhs.a < rhs.a : lhs.b < rhs.b;
             });
+  row_offsets_.assign(species_.size() + 1, 0);
+  for (const DriftTerm& term : terms_) ++row_offsets_[term.a + 1];
+  for (std::size_t a = 0; a < species_.size(); ++a) {
+    row_offsets_[a + 1] += row_offsets_[a];
+  }
 }
 
 }  // namespace circles::fluid

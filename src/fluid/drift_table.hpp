@@ -62,8 +62,16 @@ class DriftTable {
   std::int32_t index_of(pp::StateId state) const { return index_[state]; }
 
   /// Non-null reactions, sorted by (a, b); there is at most one term per
-  /// ordered pair.
+  /// ordered pair. The drift evaluation walks them row by row (all terms of
+  /// one initiator a, responders ascending, then the next a), which fixes
+  /// its floating-point summation order.
   std::span<const DriftTerm> terms() const { return terms_; }
+
+  /// CSR offsets of the initiator rows, num_species() + 1 entries: the terms
+  /// with initiator a are terms()[row_offsets()[a], row_offsets()[a + 1]),
+  /// empty for a species with no non-null pair as initiator. Loops that
+  /// walk rows skip every term of an initiator that holds no mass.
+  std::span<const std::uint32_t> row_offsets() const { return row_offsets_; }
 
   /// Transition lookups spent compiling (closure enumeration cost).
   std::uint64_t pair_lookups() const { return pair_lookups_; }
@@ -72,6 +80,7 @@ class DriftTable {
   std::vector<pp::StateId> species_;
   std::vector<std::int32_t> index_;  // sized num_states, -1 outside closure
   std::vector<DriftTerm> terms_;
+  std::vector<std::uint32_t> row_offsets_;  // num_species + 1
   std::uint64_t pair_lookups_ = 0;
 };
 

@@ -100,6 +100,7 @@ double FluidEngine::drift_and_rate(std::span<const double> x,
   std::fill(dxdt.begin(), dxdt.end(), 0.0);
   double weight = 0.0;  // probability one interaction is non-null
   const std::span<const DriftTerm> terms = drift_.terms();
+  const std::span<const std::uint32_t> rows = drift_.row_offsets();
   for (std::size_t u = 0; u < U; ++u) {
     for (std::size_t v = 0; v < U; ++v) {
       const double r = rates_[u * U + v];
@@ -108,14 +109,24 @@ double FluidEngine::drift_and_rate(std::span<const double> x,
       const double* xv = x.data() + v * m;
       double* du = dxdt.data() + u * m;
       double* dv = dxdt.data() + v * m;
-      for (const DriftTerm& term : terms) {
-        const double w = r * xu[term.a] * xv[term.b];
-        if (w == 0.0) continue;
-        weight += w;
-        du[term.a] -= w;
-        dv[term.b] -= w;
-        du[term.a2] += w;
-        dv[term.b2] += w;
+      // One initiator row at a time: its loss accumulates in a register and
+      // lands in du[a] once, so consecutive terms do not wait on each
+      // other's store to du[a]. A row whose initiator holds no mass
+      // contributes nothing and is skipped whole.
+      for (std::size_t a = 0; a < m; ++a) {
+        const double ra = r * xu[a];
+        if (ra == 0.0) continue;
+        double row = 0.0;
+        for (std::uint32_t t = rows[a]; t < rows[a + 1]; ++t) {
+          const DriftTerm& term = terms[t];
+          const double w = ra * xv[term.b];
+          row += w;
+          dv[term.b] -= w;
+          du[term.a2] += w;
+          dv[term.b2] += w;
+        }
+        du[a] -= row;
+        weight += row;
       }
     }
   }
@@ -171,7 +182,7 @@ struct FluidEngine::Sim {
   }
 
   /// Rounds fractions to integer counts, preserving each urn's total.
-  void round_counts(std::span<const DriftTerm>) {
+  void round_counts() {
     for (std::size_t u = 0; u < U; ++u) {
       const double nu = urn_n[u];
       std::uint64_t sum = 0;
@@ -212,18 +223,22 @@ namespace {
 /// Exact silence of integer compact counts: no positive-rate block holds an
 /// ordered pair with a non-null transition.
 bool counts_silent(const std::vector<std::uint64_t>& c, std::size_t U,
-                   std::size_t m, const std::vector<double>& rates,
-                   std::span<const DriftTerm> terms) {
+                   const std::vector<double>& rates, const DriftTable& drift) {
+  const std::size_t m = drift.num_species();
+  const std::span<const DriftTerm> terms = drift.terms();
+  const std::span<const std::uint32_t> rows = drift.row_offsets();
   for (std::size_t u = 0; u < U; ++u) {
     for (std::size_t v = 0; v < U; ++v) {
       if (rates[u * U + v] <= 0.0) continue;
-      for (const DriftTerm& term : terms) {
-        const std::uint64_t ca = c[u * m + term.a];
+      for (std::size_t a = 0; a < m; ++a) {
+        const std::uint64_t ca = c[u * m + a];
         if (ca == 0) continue;
-        const std::uint64_t cb = c[v * m + term.b];
-        if (cb == 0) continue;
-        if (u == v && term.a == term.b && ca < 2) continue;
-        return false;
+        for (std::uint32_t t = rows[a]; t < rows[a + 1]; ++t) {
+          const std::size_t b = terms[t].b;
+          if (c[v * m + b] == 0) continue;
+          if (u == v && a == b && ca < 2) continue;
+          return false;
+        }
       }
     }
   }
@@ -295,7 +310,7 @@ void FluidEngine::run_ode(Sim& sim) const {
 
       bool projected = false;
       if (sim.recorder != nullptr) {
-        sim.round_counts(drift_.terms());
+        sim.round_counts();
         sim.publish_counts(drift_.species());
         projected = true;
         sim.recorder->advance(
@@ -304,8 +319,8 @@ void FluidEngine::run_ode(Sim& sim) const {
             sim.urn_spans);
       }
       if (engine_.stop_when_silent && inf_norm(k1) < sim.drift_tol) {
-        if (!projected) sim.round_counts(drift_.terms());
-        if (counts_silent(sim.c, sim.U, sim.m, rates_, drift_.terms())) {
+        if (!projected) sim.round_counts();
+        if (counts_silent(sim.c, sim.U, rates_, drift_)) {
           sim.silent = true;
           return;
         }
@@ -333,13 +348,15 @@ void FluidEngine::run_tau(Sim& sim, std::uint64_t seed) const {
   util::Rng rng(seed);
   const std::size_t dim = sim.U * sim.m;
   const std::span<const DriftTerm> terms = drift_.terms();
+  const std::span<const std::uint32_t> rows = drift_.row_offsets();
   std::vector<double> mu(dim), var(dim);
   std::vector<std::int64_t> delta(dim);
   std::uint64_t steps = 0;
 
-  // Visits every (positive-rate block, term) reaction in a fixed order —
-  // the order the RNG stream is consumed in, hence part of the determinism
-  // contract.
+  // Visits every (positive-rate block, term) reaction with at least one
+  // pair in a fixed order — the order the RNG stream is consumed in, hence
+  // part of the determinism contract. A row whose initiator count is 0 is
+  // skipped whole: each of its reactions has zero pairs.
   const auto for_each_reaction = [&](auto&& body) {
     for (std::size_t u = 0; u < sim.U; ++u) {
       for (std::size_t v = 0; v < sim.U; ++v) {
@@ -349,13 +366,17 @@ void FluidEngine::run_tau(Sim& sim, std::uint64_t seed) const {
             u == v ? sim.urn_n[u] * (sim.urn_n[u] - 1.0)
                    : sim.urn_n[u] * sim.urn_n[v];
         const double base = sim.n * r / cap;
-        for (const DriftTerm& term : terms) {
-          const double ca = static_cast<double>(sim.c[u * sim.m + term.a]);
-          const double cb = static_cast<double>(sim.c[v * sim.m + term.b]);
-          const double pairs =
-              u == v && term.a == term.b ? ca * (ca - 1.0) : ca * cb;
-          if (pairs <= 0.0) continue;
-          body(u, v, term, base * pairs);
+        for (std::size_t a = 0; a < sim.m; ++a) {
+          const double ca = static_cast<double>(sim.c[u * sim.m + a]);
+          if (ca == 0.0) continue;
+          for (std::uint32_t t = rows[a]; t < rows[a + 1]; ++t) {
+            const DriftTerm& term = terms[t];
+            const double cb = static_cast<double>(sim.c[v * sim.m + term.b]);
+            const double pairs =
+                u == v && term.a == term.b ? ca * (ca - 1.0) : ca * cb;
+            if (pairs <= 0.0) continue;
+            body(u, v, term, base * pairs);
+          }
         }
       }
     }
@@ -552,7 +573,7 @@ pp::RunResult FluidEngine::run_counts(
       }
     }
     run_ode(sim);
-    sim.round_counts(drift_.terms());
+    sim.round_counts();
   }
   sim.publish_counts(drift_.species());
 
@@ -560,7 +581,7 @@ pp::RunResult FluidEngine::run_counts(
   // (the tau path's zero-propensity exit and the ODE path's converged
   // rounding both satisfy it; runs under stop_when_silent=false get graded
   // here too).
-  sim.silent = counts_silent(sim.c, sim.U, sim.m, rates_, drift_.terms());
+  sim.silent = counts_silent(sim.c, sim.U, rates_, drift_);
 
   // Write the final configuration back.
   for (std::size_t u = 0; u < sim.U; ++u) {

@@ -88,6 +88,17 @@ TEST(DriftTableTest, TermsAreExactlyTheNonNullPairsOfTheClosure) {
     const DriftTerm& q = table.terms()[i];
     EXPECT_TRUE(p.a < q.a || (p.a == q.a && p.b < q.b));
   }
+  // Row offsets delimit exactly the terms of each initiator.
+  const auto rows = table.row_offsets();
+  ASSERT_EQ(rows.size(), table.num_species() + 1);
+  EXPECT_EQ(rows.front(), 0u);
+  EXPECT_EQ(rows.back(), table.terms().size());
+  for (std::size_t a = 0; a < table.num_species(); ++a) {
+    ASSERT_LE(rows[a], rows[a + 1]);
+    for (std::uint32_t t = rows[a]; t < rows[a + 1]; ++t) {
+      EXPECT_EQ(table.terms()[t].a, a);
+    }
+  }
 }
 
 TEST(DriftTableTest, DenseAndSparseKernelBuildsProduceIdenticalTables) {
@@ -106,6 +117,10 @@ TEST(DriftTableTest, DenseAndSparseKernelBuildsProduceIdenticalTables) {
   ASSERT_EQ(table.terms().size(), sparse.terms().size());
   EXPECT_TRUE(std::equal(table.terms().begin(), table.terms().end(),
                          sparse.terms().begin()));
+  EXPECT_TRUE(std::equal(table.row_offsets().begin(),
+                         table.row_offsets().end(),
+                         sparse.row_offsets().begin(),
+                         sparse.row_offsets().end()));
 }
 
 TEST(DriftTableTest, PairBudgetThrowsWithActionableMessage) {
