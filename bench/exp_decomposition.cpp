@@ -56,7 +56,9 @@ int main(int argc, char** argv) {
   for (const sim::SpecResult& r : results) {
     std::uint32_t matches = 0;
     for (const auto& rec : r.trials) {
-      matches += (rec.decomposition_matches && rec.outcome.run.silent) ? 1 : 0;
+      const bool matched =
+          rec.circles.decomposition_matches && rec.outcome.run.silent;
+      matches += matched ? 1 : 0;
     }
     mismatches += r.trial_count - matches;
     table.add_row({pp::to_string(r.spec.scheduler),

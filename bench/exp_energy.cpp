@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   std::uint64_t total_exchanges = 0;
   for (const sim::SpecResult& r : audit) {
     std::uint64_t exchanges = 0;
-    for (const auto& rec : r.trials) exchanges += rec.ket_exchanges;
+    for (const auto& rec : r.trials) exchanges += rec.circles.ket_exchanges;
     total_violations += r.potential_descent_violations;
     total_increases += r.scalar_energy_increases;
     total_exchanges += exchanges;

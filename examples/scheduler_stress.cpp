@@ -38,15 +38,15 @@ int main() {
   bool all_ok = true;
   for (const sim::SpecResult& r : results) {
     const auto& rec = r.trials.front();
-    all_ok = all_ok && r.all_correct() && rec.decomposition_matches;
+    all_ok = all_ok && r.all_correct() && rec.circles.decomposition_matches;
     table.add_row(
         {pp::to_string(r.spec.scheduler),
          rec.outcome.consensus.has_value()
              ? "c" + std::to_string(*rec.outcome.consensus)
              : "<none>",
          util::Table::num(rec.outcome.run.interactions),
-         util::Table::num(rec.ket_exchanges),
-         rec.decomposition_matches ? "exact" : "MISMATCH"});
+         util::Table::num(rec.circles.ket_exchanges),
+         rec.circles.decomposition_matches ? "exact" : "MISMATCH"});
   }
   table.print("one election, five schedulers");
   std::printf("\nThe adversarial scheduler prefers null interactions and only "

@@ -50,7 +50,7 @@ int main() {
                        : "two-room",
                    r.all_correct() ? "yes" : "NO",
                    util::Table::num(rec.outcome.run.interactions),
-                   util::Table::num(rec.ket_exchanges)});
+                   util::Table::num(rec.circles.ket_exchanges)});
     if (!r.all_correct()) return 1;
   }
   table.print("sensor-network plurality consensus");

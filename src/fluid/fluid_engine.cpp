@@ -22,40 +22,14 @@ double inf_norm(std::span<const double> v) {
   return norm;
 }
 
-/// Span decimation for the integrator loops (same policy as the dense
-/// engine): full instants for the first kTraceFullSteps accepted steps /
-/// leaps, then one per kTraceStride. Rejections and redraws are rare enough
-/// to emit unconditionally.
+/// Span decimation for the integrator loop (same policy as the dense
+/// engine): full instants for the first kTraceFullSteps accepted steps,
+/// then one per kTraceStride. Rejections are rare enough to emit
+/// unconditionally.
 constexpr std::uint64_t kTraceFullSteps = 512;
 constexpr std::uint64_t kTraceStride = 256;
 
 }  // namespace
-
-std::uint64_t poisson(util::Rng& rng, double mean) {
-  if (!(mean > 0.0)) return 0;
-  if (mean < 32.0) {
-    // Knuth inversion: multiply uniforms until the product drops under
-    // exp(-mean). Expected draws = mean + 1, bounded by the branch above.
-    const double limit = std::exp(-mean);
-    std::uint64_t k = 0;
-    double p = 1.0;
-    do {
-      ++k;
-      p *= rng.uniform01();
-    } while (p > limit);
-    return k - 1;
-  }
-  // Matched-moment normal approximation with continuity correction; the
-  // relative error is O(1/sqrt(mean)), below tau-leaping's own bias at the
-  // means where this branch runs.
-  double u1 = rng.uniform01();
-  const double u2 = rng.uniform01();
-  if (u1 < 1e-300) u1 = 1e-300;
-  const double z = std::sqrt(-2.0 * std::log(u1)) *
-                   std::cos(6.283185307179586476925286766559 * u2);
-  const double v = std::floor(mean + std::sqrt(mean) * z + 0.5);
-  return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v);
-}
 
 FluidEngine::FluidEngine(const pp::Protocol& protocol, pp::EngineOptions engine,
                          FluidOptions options, pp::UrnLumping lumping)
@@ -145,7 +119,7 @@ void FluidEngine::eval_drift(std::span<const double> x,
   (void)drift_and_rate(x, dxdt);
 }
 
-/// Integration state shared by the ODE and tau paths.
+/// Integration state of one run.
 struct FluidEngine::Sim {
   std::size_t U = 1;
   std::size_t m = 0;
@@ -153,13 +127,13 @@ struct FluidEngine::Sim {
   std::vector<double> urn_n;        // per-urn sizes
   std::vector<std::uint64_t> sizes; // same, integer (ProbeContext::urn_sizes)
 
-  std::vector<double> x;        // fractions, U x m (ODE path)
-  std::vector<std::uint64_t> c; // counts, U x m (projection / tau path)
+  std::vector<double> x;        // fractions, U x m
+  std::vector<std::uint64_t> c; // counts, U x m (x rounded after a step)
 
   double t = 0.0;
   double horizon = 0.0;
   double drift_tol = 0.0;
-  double changes = 0.0;  // expected (ODE) / exact (tau) state changes
+  double changes = 0.0;  // expected state changes
   bool silent = false;
   bool budget = false;
 
@@ -172,8 +146,6 @@ struct FluidEngine::Sim {
   // Telemetry scratch, flushed into EngineOptions::metrics by run_counts.
   std::uint64_t m_ode_accepted = 0;  // BS3(2) steps accepted
   std::uint64_t m_ode_rejected = 0;  // steps whose error estimate failed
-  std::uint64_t m_tau_leaps = 0;     // tau leaps applied
-  std::uint64_t m_tau_redraws = 0;   // negative-count rejections (tau halved)
 
   std::uint64_t interactions_at(double time, std::uint64_t cap) const {
     const double v = std::min(time, horizon) * n;
@@ -344,152 +316,8 @@ void FluidEngine::run_ode(Sim& sim) const {
   }
 }
 
-void FluidEngine::run_tau(Sim& sim, std::uint64_t seed) const {
-  util::Rng rng(seed);
-  const std::size_t dim = sim.U * sim.m;
-  const std::span<const DriftTerm> terms = drift_.terms();
-  const std::span<const std::uint32_t> rows = drift_.row_offsets();
-  std::vector<double> mu(dim), var(dim);
-  std::vector<std::int64_t> delta(dim);
-  std::uint64_t steps = 0;
-
-  // Visits every (positive-rate block, term) reaction with at least one
-  // pair in a fixed order — the order the RNG stream is consumed in, hence
-  // part of the determinism contract. A row whose initiator count is 0 is
-  // skipped whole: each of its reactions has zero pairs.
-  const auto for_each_reaction = [&](auto&& body) {
-    for (std::size_t u = 0; u < sim.U; ++u) {
-      for (std::size_t v = 0; v < sim.U; ++v) {
-        const double r = rates_[u * sim.U + v];
-        if (r <= 0.0) continue;
-        const double cap =
-            u == v ? sim.urn_n[u] * (sim.urn_n[u] - 1.0)
-                   : sim.urn_n[u] * sim.urn_n[v];
-        const double base = sim.n * r / cap;
-        for (std::size_t a = 0; a < sim.m; ++a) {
-          const double ca = static_cast<double>(sim.c[u * sim.m + a]);
-          if (ca == 0.0) continue;
-          for (std::uint32_t t = rows[a]; t < rows[a + 1]; ++t) {
-            const DriftTerm& term = terms[t];
-            const double cb = static_cast<double>(sim.c[v * sim.m + term.b]);
-            const double pairs =
-                u == v && term.a == term.b ? ca * (ca - 1.0) : ca * cb;
-            if (pairs <= 0.0) continue;
-            body(u, v, term, base * pairs);
-          }
-        }
-      }
-    }
-  };
-
-  while (sim.t < sim.horizon) {
-    if (++steps > options_.max_steps) {
-      sim.budget = true;
-      return;
-    }
-
-    double total = 0.0;
-    std::fill(mu.begin(), mu.end(), 0.0);
-    std::fill(var.begin(), var.end(), 0.0);
-    for_each_reaction([&](std::size_t u, std::size_t v, const DriftTerm& term,
-                          double lam) {
-      total += lam;
-      if (term.a2 != term.a) {
-        mu[u * sim.m + term.a] -= lam;
-        mu[u * sim.m + term.a2] += lam;
-        var[u * sim.m + term.a] += lam;
-        var[u * sim.m + term.a2] += lam;
-      }
-      if (term.b2 != term.b) {
-        mu[v * sim.m + term.b] -= lam;
-        mu[v * sim.m + term.b2] += lam;
-        var[v * sim.m + term.b] += lam;
-        var[v * sim.m + term.b2] += lam;
-      }
-    });
-    if (total <= 0.0) {
-      // No reaction can fire: the exact silence certificate of the discrete
-      // chain, same meaning as the dense engines'.
-      sim.silent = true;
-      return;
-    }
-
-    // Cao et al. tau selection: bound each count's expected relative change
-    // and relative variance per leap by tau_epsilon.
-    const double eps = options_.tau_epsilon;
-    double tau = sim.horizon - sim.t;
-    for (std::size_t i = 0; i < dim; ++i) {
-      if (var[i] <= 0.0) continue;
-      const double cbar = std::max(static_cast<double>(sim.c[i]), 1.0);
-      if (mu[i] != 0.0) tau = std::min(tau, eps * cbar / std::fabs(mu[i]));
-      tau = std::min(tau, eps * eps * cbar * cbar / var[i]);
-    }
-    // Near silence the propensities are tiny; keep at least ~one expected
-    // event per leap so the loop terminates in O(events), not O(horizon/tau).
-    if (tau * total < 1.0) tau = std::min(sim.horizon - sim.t, 1.0 / total);
-
-    bool applied = false;
-    for (int attempt = 0; attempt < 40 && !applied; ++attempt) {
-      std::fill(delta.begin(), delta.end(), 0);
-      std::uint64_t events = 0;
-      for_each_reaction([&](std::size_t u, std::size_t v,
-                            const DriftTerm& term, double lam) {
-        const std::uint64_t k = poisson(rng, lam * tau);
-        if (k == 0) return;
-        events += k;
-        const auto sk = static_cast<std::int64_t>(k);
-        if (term.a2 != term.a) {
-          delta[u * sim.m + term.a] -= sk;
-          delta[u * sim.m + term.a2] += sk;
-        }
-        if (term.b2 != term.b) {
-          delta[v * sim.m + term.b] -= sk;
-          delta[v * sim.m + term.b2] += sk;
-        }
-      });
-      bool feasible = true;
-      for (std::size_t i = 0; i < dim && feasible; ++i) {
-        feasible = delta[i] >= 0 ||
-                   sim.c[i] >= static_cast<std::uint64_t>(-delta[i]);
-      }
-      if (!feasible) {
-        // Standard negative-count rejection: halve the leap and redraw.
-        sim.m_tau_redraws += 1;
-        if (sim.trace != nullptr) {
-          sim.trace->instant("fluid.tau_redraw", "redraw", sim.m_tau_redraws);
-        }
-        tau *= 0.5;
-        continue;
-      }
-      for (std::size_t i = 0; i < dim; ++i) {
-        sim.c[i] = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(sim.c[i]) + delta[i]);
-      }
-      sim.changes += static_cast<double>(events);
-      sim.t += tau;
-      sim.m_tau_leaps += 1;
-      if (sim.trace != nullptr && (sim.m_tau_leaps <= kTraceFullSteps ||
-                                   sim.m_tau_leaps % kTraceStride == 0)) {
-        sim.trace->instant("fluid.tau_leap", "events", events);
-      }
-      applied = true;
-    }
-    if (!applied) {
-      sim.budget = true;
-      return;
-    }
-
-    if (sim.recorder != nullptr) {
-      sim.publish_counts(drift_.species());
-      sim.recorder->advance(
-          sim.interactions_at(sim.t, engine_.max_interactions), sim.t,
-          sim.aggregate, obs::kUnknownActive, drift_.species(), sim.urn_spans);
-    }
-  }
-}
-
 pp::RunResult FluidEngine::run_counts(
-    std::vector<std::vector<std::uint64_t>>& urns, std::uint64_t seed,
+    std::vector<std::vector<std::uint64_t>>& urns,
     obs::Recorder* recorder) const {
   const std::size_t num_states =
       static_cast<std::size_t>(protocol().num_states());
@@ -534,12 +362,10 @@ pp::RunResult FluidEngine::run_counts(
   }
   CIRCLES_CHECK_MSG(n >= 2, "fluid runs need at least two agents");
   sim.n = static_cast<double>(n);
-  // One span per run; accepted/rejected steps, leaps and redraws nest as
-  // (decimated) instants. Null tracer: every site is a pointer test.
+  // One span per run; accepted/rejected steps nest as (decimated)
+  // instants. Null tracer: every site is a pointer test.
   sim.trace = trace::buffer(engine_.tracer);
-  const trace::ScopedSpan run_span(
-      sim.trace, options_.tau_leaping ? "fluid.run_tau" : "fluid.run_ode",
-      "n", n);
+  const trace::ScopedSpan run_span(sim.trace, "fluid.run_ode", "n", n);
   sim.horizon = static_cast<double>(engine_.max_interactions) / sim.n;
   sim.drift_tol =
       options_.drift_tol > 0.0 ? options_.drift_tol : 0.5 / sim.n;
@@ -562,25 +388,20 @@ pp::RunResult FluidEngine::run_counts(
                     sim.urn_spans);
   }
 
-  if (options_.tau_leaping) {
-    run_tau(sim, seed);
-  } else {
-    sim.x.assign(sim.U * sim.m, 0.0);
-    for (std::size_t u = 0; u < sim.U; ++u) {
-      for (std::size_t i = 0; i < sim.m; ++i) {
-        sim.x[u * sim.m + i] =
-            static_cast<double>(sim.c[u * sim.m + i]) / sim.urn_n[u];
-      }
+  sim.x.assign(sim.U * sim.m, 0.0);
+  for (std::size_t u = 0; u < sim.U; ++u) {
+    for (std::size_t i = 0; i < sim.m; ++i) {
+      sim.x[u * sim.m + i] =
+          static_cast<double>(sim.c[u * sim.m + i]) / sim.urn_n[u];
     }
-    run_ode(sim);
-    sim.round_counts();
   }
+  run_ode(sim);
+  sim.round_counts();
   sim.publish_counts(drift_.species());
 
   // The final silence verdict always comes from the final configuration
-  // (the tau path's zero-propensity exit and the ODE path's converged
-  // rounding both satisfy it; runs under stop_when_silent=false get graded
-  // here too).
+  // (the converged rounding satisfies it; runs under stop_when_silent=false
+  // get graded here too).
   sim.silent = counts_silent(sim.c, sim.U, rates_, drift_);
 
   // Write the final configuration back.
@@ -617,27 +438,27 @@ pp::RunResult FluidEngine::run_counts(
     m.counter("fluid.runs").add(1);
     m.counter("fluid.ode_steps_accepted").add(sim.m_ode_accepted);
     m.counter("fluid.ode_steps_rejected").add(sim.m_ode_rejected);
-    m.counter("fluid.tau_leaps").add(sim.m_tau_leaps);
-    m.counter("fluid.tau_redraws").add(sim.m_tau_redraws);
   }
   return result;
 }
 
-pp::RunResult FluidEngine::run(dense::DenseConfig& config, std::uint64_t seed,
+pp::RunResult FluidEngine::run(dense::DenseConfig& config,
+                               std::uint64_t /*seed*/,
                                obs::Recorder* recorder) const {
   CIRCLES_CHECK_MSG(num_urns_ == 1,
                     "fluid engine built with a multi-urn lumping runs "
                     "UrnConfigs, not single count vectors");
   std::vector<std::vector<std::uint64_t>> urns;
   urns.push_back(std::move(config.counts));
-  const pp::RunResult result = run_counts(urns, seed, recorder);
+  const pp::RunResult result = run_counts(urns, recorder);
   config.counts = std::move(urns[0]);
   return result;
 }
 
-pp::RunResult FluidEngine::run(dense::UrnConfig& config, std::uint64_t seed,
+pp::RunResult FluidEngine::run(dense::UrnConfig& config,
+                               std::uint64_t /*seed*/,
                                obs::Recorder* recorder) const {
-  return run_counts(config.urns, seed, recorder);
+  return run_counts(config.urns, recorder);
 }
 
 }  // namespace circles::fluid

@@ -16,15 +16,9 @@
 // multi-urn lumping of the clustered scheduler is the same block structure
 // the dense engine uses, one fraction vector per urn. The trajectory is a
 // pure function of (configuration, options): deterministic to the bit for a
-// fixed spec, independent of the seed.
+// fixed spec; runs ignore the seed.
 //
-// An optional tau-leaping tier (FluidOptions::tau_leaping) re-introduces
-// finite-n fluctuations: it advances the *integer* count chain with
-// per-reaction Poisson leaps (Cao-style tau selection), which keeps the
-// exact-silence certificate of the dense engines while stepping far beyond
-// one interaction at a time. Tau runs consume the seed; ODE runs ignore it.
-//
-// Convergence/silence detection, ODE path: when the drift infinity-norm
+// Convergence/silence detection: when the drift infinity-norm
 // falls below FluidOptions::drift_tol (default 0.5/n — the drift can no
 // longer move half an agent per unit time) AND the fractions rounded to
 // integer counts form an exactly silent configuration, the run stops with
@@ -34,8 +28,9 @@
 // integrator: dynamics the discrete chain resolves by noise — an exact tie,
 // or a sub-race between near-tied colors — are fluctuation-free here, so
 // they either converge exponentially slowly (expect budget_exhausted) or
-// tip over on floating-point rounding; use tau_leaping when that noise is
-// the quantity of interest.
+// tip over on floating-point rounding. When that noise is the quantity of
+// interest, run the spec on a dense backend (dense_batched at large n),
+// which samples the exact count chain.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +45,6 @@
 #include "pp/engine.hpp"
 #include "pp/run_result.hpp"
 #include "pp/scheduler.hpp"
-#include "util/rng.hpp"
 
 namespace circles::obs {
 class Recorder;
@@ -64,20 +58,13 @@ struct FluidOptions {
   double rtol = 1e-6;
   double atol = 1e-9;
 
-  /// Integrate the integer count chain with Poisson tau-leaps instead of
-  /// the deterministic ODE (finite-n fluctuations, exact silence).
-  bool tau_leaping = false;
-  /// Cao-style tau-selection control: bounds the expected relative change
-  /// of any count per leap.
-  double tau_epsilon = 0.03;
-
   /// Drift infinity-norm (fractions per unit chemical time) below which the
-  /// ODE path tests the rounded configuration for exact silence. 0 = auto:
+  /// integrator tests the rounded configuration for exact silence. 0 = auto:
   /// 0.5 / n.
   double drift_tol = 0.0;
 
-  /// Hard cap on accepted-plus-rejected integrator steps / tau leaps
-  /// (stiffness guard; hitting it reports budget_exhausted).
+  /// Hard cap on accepted-plus-rejected integrator steps (stiffness guard;
+  /// hitting it reports budget_exhausted).
   std::uint64_t max_steps = 50'000'000;
 
   /// DriftTable compile budget (transition lookups).
@@ -121,22 +108,24 @@ class FluidEngine {
   /// every state holding mass to lie in the drift table's closure. The
   /// single-configuration overload needs a single-urn lumping; the urn
   /// overload needs the engine's lumping to match the configuration shape.
+  /// `seed` is ignored: it keeps the signature sim::run_counts shares with
+  /// DenseEngine::run.
   pp::RunResult run(dense::DenseConfig& config, std::uint64_t seed,
                     obs::Recorder* recorder = nullptr) const;
   pp::RunResult run(dense::UrnConfig& config, std::uint64_t seed,
                     obs::Recorder* recorder = nullptr) const;
 
  private:
-  /// Drift accumulation shared by both run paths; returns the probability
-  /// that one interaction is non-null (the state-change rate is n times it).
+  /// Drift accumulation shared by eval_drift and run_ode; returns the
+  /// probability that one interaction is non-null (the state-change rate is
+  /// n times it).
   double drift_and_rate(std::span<const double> x,
                         std::span<double> dxdt) const;
 
   pp::RunResult run_counts(std::vector<std::vector<std::uint64_t>>& urns,
-                           std::uint64_t seed, obs::Recorder* recorder) const;
+                           obs::Recorder* recorder) const;
   struct Sim;
   void run_ode(Sim& sim) const;
-  void run_tau(Sim& sim, std::uint64_t seed) const;
 
   void init_blocks();
 
@@ -154,9 +143,5 @@ class FluidEngine {
   std::vector<double> rates_;  // num_urns_^2, row-major
   std::vector<double> scale_;  // per urn
 };
-
-/// Deterministic Poisson sample (Knuth inversion below mean 32, matched
-/// normal approximation above). Exposed for the tau-leaping moment tests.
-std::uint64_t poisson(util::Rng& rng, double mean);
 
 }  // namespace circles::fluid

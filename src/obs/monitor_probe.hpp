@@ -1,17 +1,12 @@
-// Bridges between the event world (pp::Monitor) and the count world (obs).
+// The bridge from the event world (pp::Monitor) to the count world (obs).
 //
-//  * RecorderMonitor — drives a Recorder from the agent-array engine.
-//    pp::Population already maintains the per-state count vector, so the
-//    monitor only forwards snapshots at the recorder's cadence; between due
-//    points an interaction costs one comparison. Survives engine re-entry
-//    (fault-injection bursts) by offsetting the per-run step counter.
-//
-//  * MonitorProbeAdapter — runs an existing pp::Monitor unchanged inside
-//    the probe pipeline on the agent backend: hosts that have interaction
-//    events attach as_monitor() next to the RecorderMonitor, so bra-ket
-//    invariant checkers and potential-descent checkers keep working without
-//    a rewrite. Count-only backends cannot drive it; the BatchRunner's
-//    validation points monitor-based features here.
+// RecorderMonitor drives a Recorder from the agent-array engine.
+// pp::Population already maintains the per-state count vector, so the
+// monitor only forwards snapshots at the recorder's cadence; between due
+// points an interaction costs one comparison. Survives engine re-entry
+// (fault-injection bursts) by offsetting the per-run step counter.
+// Event-level monitors (bra-ket invariant and potential-descent checkers)
+// run next to it in the same monitor list on the agent backend.
 #pragma once
 
 #include <cstdint>
@@ -51,19 +46,6 @@ class RecorderMonitor final : public pp::Monitor {
   std::uint64_t base_steps_ = 0;
   std::uint64_t last_abs_step_ = 0;
   bool begun_ = false;
-};
-
-class MonitorProbeAdapter final : public Probe {
- public:
-  explicit MonitorProbeAdapter(pp::Monitor& monitor) : monitor_(&monitor) {}
-
-  /// Count snapshots are ignored — the wrapped monitor sees the richer
-  /// event stream directly.
-  void on_sample(const Snapshot& snapshot) override { (void)snapshot; }
-  pp::Monitor* as_monitor() override { return monitor_; }
-
- private:
-  pp::Monitor* monitor_;
 };
 
 }  // namespace circles::obs

@@ -16,7 +16,6 @@
 #include "pp/types.hpp"
 
 namespace circles::pp {
-class Monitor;
 class Protocol;
 }  // namespace circles::pp
 
@@ -85,14 +84,8 @@ class Probe {
   /// sample to compute it when the host cannot supply it for free).
   virtual bool wants_active_pairs() const { return false; }
 
-  /// Event-level escape hatch for the agent backend: when non-null, hosts
-  /// with real interaction events (pp::Engine) attach this monitor alongside
-  /// the count pipeline. Count-only backends ignore it — see
-  /// MonitorProbeAdapter for the compatibility story.
-  virtual pp::Monitor* as_monitor() { return nullptr; }
-
   /// The probe's recorded trajectory, or null for probes that only expose
-  /// scalars or wrap monitors.
+  /// scalars.
   virtual const TraceTable* table() const { return nullptr; }
 
   /// Moves the trajectory out (end-of-trial harvest; the probe is done).

@@ -9,15 +9,12 @@
 #include <thread>
 #include <unordered_set>
 
-#include "core/decomposition.hpp"
-#include "core/invariants.hpp"
 #include "crn/gillespie.hpp"
 #include "dense/dense_config.hpp"
 #include "dense/dense_engine.hpp"
 #include "dense/urn_config.hpp"
 #include "fluid/fluid_engine.hpp"
 #include "metrics/metrics.hpp"
-#include "obs/monitor_probe.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -120,13 +117,15 @@ void aggregate(SpecResult& result, bool keep_trials) {
     result.budget_exhausted += rec.outcome.run.budget_exhausted ? 1 : 0;
     result.consensus +=
         (rec.outcome.run.silent && rec.outcome.consensus.has_value()) ? 1 : 0;
-    result.decomposition_matches += rec.decomposition_matches ? 1 : 0;
-    result.braket_invariant_violations += rec.braket_invariant_violations;
-    result.potential_descent_violations += rec.potential_descent_violations;
-    result.scalar_energy_increases += rec.scalar_energy_increases;
+    result.decomposition_matches += rec.circles.decomposition_matches ? 1 : 0;
+    result.braket_invariant_violations +=
+        rec.circles.braket_invariant_violations;
+    result.potential_descent_violations +=
+        rec.circles.potential_descent_violations;
+    result.scalar_energy_increases += rec.circles.scalar_energy_increases;
     interactions.push_back(static_cast<double>(rec.outcome.run.interactions));
     state_changes.push_back(static_cast<double>(rec.outcome.run.state_changes));
-    exchanges.push_back(static_cast<double>(rec.ket_exchanges));
+    exchanges.push_back(static_cast<double>(rec.circles.ket_exchanges));
     stabilization.push_back(rec.stabilization_time);
     convergence.push_back(rec.convergence_time);
     trial_ms.push_back(rec.wall_ms);
@@ -540,18 +539,11 @@ TrialRecord PreparedSpec::run_trial(std::uint64_t trial_seed) const {
     return rec;
   }
 
-  // The RNG consumption order below (colors, then one split for the
-  // scheduler/gillespie seed) matches sim::run_trial exactly, so a RunSpec
-  // trial with seed s reproduces run_trial(..., {.seed = s}) bit for bit.
-  util::Rng rng(trial_seed);
-  const auto colors = rec.workload.agent_colors(rng);
-  CIRCLES_CHECK_MSG(colors.size() >= 2, "trials need at least two agents");
-  const auto n = static_cast<std::uint32_t>(colors.size());
-  const std::uint64_t derived_seed = rng.split()();
-
   if (spec.chemical_time) {
-    const crn::GillespieResult result = crn::run_gillespie(
-        *kernel_, colors, derived_seed, engine_options_, recorder_ptr);
+    const AgentDraws draws(rec.workload, trial_seed);
+    const crn::GillespieResult result =
+        crn::run_gillespie(*kernel_, draws.colors, draws.scheduler_seed,
+                           engine_options_, recorder_ptr);
     rec.outcome = grade_run(result.run, rec.workload, expected);
     rec.stabilization_time = result.stabilization_time;
     rec.convergence_time = result.convergence_time;
@@ -565,52 +557,24 @@ TrialRecord PreparedSpec::run_trial(std::uint64_t trial_seed) const {
           : nullptr;
   CIRCLES_CHECK_MSG(!spec.circles_stats || circles != nullptr,
                     "circles_stats requires the circles protocol");
-
-  std::optional<core::CirclesBraKetView> view;
-  std::optional<core::KetExchangeCounter> exchange_counter;
-  std::optional<core::BraKetInvariantMonitor> invariant;
-  std::optional<core::PotentialDescentMonitor> potential;
+  std::optional<CirclesInstruments> instruments;
   UsedStatesMonitor used_states;
   std::vector<pp::Monitor*> monitors;
   if (circles != nullptr) {
-    view.emplace(*circles);
-    exchange_counter.emplace(*view);
-    invariant.emplace(*view);
-    potential.emplace(*view);
-    monitors.insert(monitors.end(),
-                    {&*exchange_counter, &*invariant, &*potential});
+    const auto circles_monitors = instruments.emplace(*circles).monitors();
+    monitors.assign(circles_monitors.begin(), circles_monitors.end());
   }
   if (spec.track_used_states) monitors.push_back(&used_states);
 
-  pp::Population population(protocol, colors);
-  const pp::ClusteredOptions clustered = spec.clustered_options();
-  auto scheduler =
-      spec.scheduler_factory
-          ? spec.scheduler_factory(n, derived_seed)
-          : pp::make_scheduler(spec.scheduler, n, derived_seed, &protocol,
-                               &clustered);
-
-  // The count pipeline rides the monitor list; probes wrapping legacy
-  // monitors (Probe::as_monitor) see the raw event stream next to it.
-  std::optional<obs::RecorderMonitor> recorder_monitor;
-  if (recorder_ptr != nullptr) {
-    recorder_monitor.emplace(*recorder, kernel_.get());
-    monitors.push_back(&*recorder_monitor);
-    for (obs::Probe* probe : recorder->probes()) {
-      if (pp::Monitor* monitor = probe->as_monitor()) {
-        monitors.push_back(monitor);
-      }
-    }
-  }
-  const std::span<pp::Monitor* const> monitor_span(monitors.data(),
-                                                   monitors.size());
-
-  // The fault bursts below re-enter the engine; every entry shares the
-  // trial's kernel.
-  const auto run_engine = [&](const pp::EngineOptions& options) {
-    return pp::Engine(options)
-        .run(*kernel_, population, *scheduler, monitor_span);
-  };
+  // The same trial body as sim::run_trial, so a RunSpec trial with seed s
+  // reproduces run_trial(..., {.seed = s}) bit for bit.
+  TrialOptions options;
+  options.scheduler = spec.scheduler;
+  options.seed = trial_seed;
+  options.scheduler_factory = spec.scheduler_factory;
+  options.clustered = spec.clustered_options();
+  options.recorder = recorder_ptr;
+  AgentTrial trial(protocol, rec.workload, options, monitors, kernel_.get());
 
   // Transient-fault injection: run in bursts; after each burst reboot one
   // random agent to its input state (it keeps its reading, loses its
@@ -618,32 +582,26 @@ TrialRecord PreparedSpec::run_trial(std::uint64_t trial_seed) const {
   for (std::uint32_t f = 0; f < spec.reboot_faults; ++f) {
     pp::EngineOptions burst = engine_options_;
     burst.max_interactions =
-        spec.fault_burst_min +
-        (spec.fault_burst_span ? rng.uniform_below(spec.fault_burst_span) : 0);
+        spec.fault_burst_min + (spec.fault_burst_span
+                                    ? trial.rng.uniform_below(
+                                          spec.fault_burst_span)
+                                    : 0);
     burst.stop_when_silent = false;
-    (void)run_engine(burst);
-    const auto victim = static_cast<pp::AgentId>(rng.uniform_below(n));
-    population.set_state(victim, protocol.input(colors[victim]));
+    (void)trial.run(burst);
+    const auto victim =
+        static_cast<pp::AgentId>(trial.rng.uniform_below(trial.colors.size()));
+    trial.population->set_state(victim,
+                                protocol.input(trial.colors[victim]));
   }
 
-  const pp::RunResult run = run_engine(engine_options_);
+  const pp::RunResult run = trial.run(engine_options_);
   rec.outcome = grade_run(run, rec.workload, expected);
   if (spec.grader) {
-    rec.outcome.correct =
-        spec.grader(protocol, rec.workload,
-                    std::span<const pp::ColorId>(colors), population, run);
+    rec.outcome.correct = spec.grader(protocol, rec.workload, trial.colors,
+                                      *trial.population, run);
   }
-
-  if (circles != nullptr) {
-    rec.ket_exchanges = exchange_counter->exchanges();
-    rec.diagonal_creations = exchange_counter->diagonal_creations();
-    rec.diagonal_destructions = exchange_counter->diagonal_destructions();
-    rec.braket_invariant_violations = invariant->violations();
-    rec.potential_descent_violations = potential->descent_violations();
-    rec.scalar_energy_increases = potential->scalar_energy_increases();
-    rec.decomposition_matches =
-        core::verify_decomposition(population, *circles, rec.workload.counts)
-            .matches;
+  if (instruments.has_value()) {
+    rec.circles = instruments->stats(*trial.population, rec.workload);
   }
   if (spec.track_used_states) rec.used_states = used_states.used();
   collect_traces();

@@ -45,14 +45,8 @@ struct TrialRecord {
   analysis::Workload workload;
   TrialOutcome outcome;
 
-  // Circles instrumentation (valid iff spec.circles_stats).
-  std::uint64_t ket_exchanges = 0;
-  std::uint64_t diagonal_creations = 0;
-  std::uint64_t diagonal_destructions = 0;
-  std::uint64_t braket_invariant_violations = 0;
-  std::uint64_t potential_descent_violations = 0;
-  std::uint64_t scalar_energy_increases = 0;
-  bool decomposition_matches = false;
+  /// Circles instrumentation (valid iff spec.circles_stats).
+  CirclesStats circles;
 
   // Valid iff spec.track_used_states.
   std::uint64_t used_states = 0;
@@ -215,8 +209,9 @@ class PreparedSpec {
 
   /// Runs one trial: the workload on its salted stream, then (count tiers)
   /// the engine-seed split and the urn split of the trial stream, or
-  /// (agent array) the color shuffle and the scheduler split; the run; the
-  /// grade. `trial_seed` is sim::trial_seed(spec seed, trial index).
+  /// (agent array) the sim::AgentTrial that run_trial uses too, plus any
+  /// fault bursts; the run; the grade. `trial_seed` is
+  /// sim::trial_seed(spec seed, trial index).
   TrialRecord run_trial(std::uint64_t trial_seed) const;
 
   const RunSpec& spec() const { return spec_; }

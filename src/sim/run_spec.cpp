@@ -244,6 +244,16 @@ std::string RunSpec::to_string() const {
   if (engine.max_interactions != pp::EngineOptions{}.max_interactions) {
     out += " budget=" + std::to_string(engine.max_interactions);
   }
+  if (grading == Grading::kTieAware) out += " grading=tie_aware";
+  if (reboot_faults != 0) out += " faults=" + std::to_string(reboot_faults);
+  const RunSpec defaults;
+  if (fault_burst_min != defaults.fault_burst_min) {
+    out += " burst_min=" + std::to_string(fault_burst_min);
+  }
+  if (fault_burst_span != defaults.fault_burst_span) {
+    out += " burst_span=" + std::to_string(fault_burst_span);
+  }
+  if (chemical_time) out += " clock=chemical";
   for (const obs::ProbeSpec& probe : probes) {
     out += " trace=" + probe.to_string();
   }
@@ -377,6 +387,27 @@ RunSpec RunSpec::parse(const std::string& text) {
               "RunSpec parse: budget must be >= 1 interaction in '" + text +
               "'");
         }
+      } else if (key == "grading") {
+        if (value != "plurality" && value != "tie_aware") {
+          throw std::invalid_argument(
+              "RunSpec parse: grading must be plurality or tie_aware, got '" +
+              value + "'");
+        }
+        spec.grading = value == "tie_aware" ? Grading::kTieAware
+                                            : Grading::kPluralityWinner;
+      } else if (key == "faults") {
+        spec.reboot_faults = static_cast<std::uint32_t>(parse_unsigned(value));
+      } else if (key == "burst_min") {
+        spec.fault_burst_min = parse_unsigned(value);
+      } else if (key == "burst_span") {
+        spec.fault_burst_span = parse_unsigned(value);
+      } else if (key == "clock") {
+        if (value != "interactions" && value != "chemical") {
+          throw std::invalid_argument(
+              "RunSpec parse: clock must be interactions or chemical, got '" +
+              value + "'");
+        }
+        spec.chemical_time = value == "chemical";
       } else if (key == "trace") {
         try {
           spec.probes.push_back(obs::ProbeSpec::parse(value));

@@ -182,6 +182,7 @@ struct RunSpec {
   /// non-default, so a spec string reproduces budget_exhausted failures
   /// exactly (the flight recorder's REPRO lines rely on this).
   pp::EngineOptions engine;
+  /// Rendered as a "grading=tie_aware" token when tie-aware.
   Grading grading = Grading::kPluralityWinner;
 
   /// Attach the paper's Circles instrumentation (exchange counters,
@@ -206,6 +207,7 @@ struct RunSpec {
   /// jump chain is the uniform scheduler. Incompatible with the engine-only
   /// features (circles_stats, track_used_states, reboot_faults, grader,
   /// scheduler_factory) — the BatchRunner rejects such specs up front.
+  /// Rendered as a "clock=chemical" token.
   bool chemical_time = false;
 
   /// Per-spec telemetry sink: when non-empty, the BatchRunner gives this
@@ -229,7 +231,8 @@ struct RunSpec {
   /// Transient-fault injection: before the final run to silence, execute
   /// this many bursts, rebooting one random agent to its input state after
   /// each burst. Burst length is uniform in
-  /// [fault_burst_min, fault_burst_min + fault_burst_span).
+  /// [fault_burst_min, fault_burst_min + fault_burst_span). Rendered as
+  /// "faults=3" / "burst_min=200" / "burst_span=400" tokens when non-default.
   std::uint32_t reboot_faults = 0;
   std::uint64_t fault_burst_min = 200;
   std::uint64_t fault_burst_span = 400;
@@ -251,9 +254,11 @@ struct RunSpec {
   /// (backend omitted for the agent-array default). parse() inverts it.
   std::string to_string() const;
 
-  /// Parses the to_string() format back into a spec (the flag-expressible
-  /// fields: protocol, k, n, workload, scheduler, trials, backend, label).
-  /// Throws std::invalid_argument on malformed text.
+  /// Parses the to_string() format back into a spec: every rendered field,
+  /// so a REPRO line runs and grades the same trial. Callables (grader,
+  /// scheduler_factory) and the circles_stats / track_used_states
+  /// instrumentation are not rendered. Throws std::invalid_argument on
+  /// malformed text.
   static RunSpec parse(const std::string& text);
 };
 

@@ -1,12 +1,9 @@
 #include "sim/trial.hpp"
 
-#include <array>
 #include <optional>
 #include <vector>
 
 #include "core/decomposition.hpp"
-#include "core/invariants.hpp"
-#include "obs/monitor_probe.hpp"
 #include "util/check.hpp"
 
 namespace circles::sim {
@@ -49,50 +46,56 @@ TrialOutcome grade_run(const pp::RunResult& run,
   return outcome;
 }
 
+AgentDraws::AgentDraws(const analysis::Workload& workload, std::uint64_t seed)
+    : rng(seed), colors(workload.agent_colors(rng)) {
+  CIRCLES_CHECK_MSG(colors.size() >= 2, "trials need at least two agents");
+  scheduler_seed = rng.split()();
+}
+
+AgentTrial::AgentTrial(const pp::Protocol& protocol,
+                       const analysis::Workload& workload,
+                       const TrialOptions& options,
+                       std::span<pp::Monitor* const> monitors,
+                       const kernel::CompiledProtocol* kernel)
+    : AgentDraws(workload, options.seed),
+      kernel_(kernel),
+      monitors_(monitors.begin(), monitors.end()) {
+  CIRCLES_CHECK_MSG(workload.k() == protocol.num_colors(),
+                    "workload color count does not match the protocol");
+  if (kernel_ == nullptr) {
+    kernel_ = &owned_kernel_.emplace(protocol,
+                                     kernel::CompileOptions::one_shot());
+  }
+  population = std::make_unique<pp::Population>(protocol, colors);
+  const auto n = static_cast<std::uint32_t>(colors.size());
+  scheduler_ = options.scheduler_factory
+                   ? options.scheduler_factory(n, scheduler_seed)
+                   : pp::make_scheduler(options.scheduler, n, scheduler_seed,
+                                        &protocol, &options.clustered);
+  if (options.recorder != nullptr) {
+    monitors_.push_back(&recorder_monitor_.emplace(*options.recorder, kernel_));
+  }
+}
+
+pp::RunResult AgentTrial::run(const pp::EngineOptions& engine) {
+  return pp::Engine(engine).run(*kernel_, *population, *scheduler_, monitors_);
+}
+
 TrialOutcome run_trial_keep_population(
     const pp::Protocol& protocol, const analysis::Workload& workload,
     const TrialOptions& options, std::span<pp::Monitor* const> monitors,
     std::optional<pp::OutputSymbol> expected_symbol,
     std::unique_ptr<pp::Population>* final_population,
     std::vector<pp::ColorId>* assigned_colors) {
-  CIRCLES_CHECK_MSG(workload.k() == protocol.num_colors(),
-                    "workload color count does not match the protocol");
-  util::Rng rng(options.seed);
-  const auto colors = workload.agent_colors(rng);
-  CIRCLES_CHECK_MSG(colors.size() >= 2, "trials need at least two agents");
-
-  auto population = std::make_unique<pp::Population>(protocol, colors);
-  const auto n = static_cast<std::uint32_t>(colors.size());
-  const std::uint64_t scheduler_seed = rng.split()();
-  auto scheduler = options.scheduler_factory
-                       ? options.scheduler_factory(n, scheduler_seed)
-                       : pp::make_scheduler(options.scheduler, n,
-                                            scheduler_seed, &protocol,
-                                            &options.clustered);
-
-  // Probe pipeline: the recorder monitor feeds count snapshots, and probes
-  // wrapping legacy monitors (Probe::as_monitor) ride the event stream.
-  std::optional<obs::RecorderMonitor> recorder_monitor;
-  std::vector<pp::Monitor*> all_monitors(monitors.begin(), monitors.end());
-  if (options.recorder != nullptr) {
-    recorder_monitor.emplace(*options.recorder);
-    all_monitors.push_back(&*recorder_monitor);
-    for (obs::Probe* probe : options.recorder->probes()) {
-      if (pp::Monitor* monitor = probe->as_monitor()) {
-        all_monitors.push_back(monitor);
-      }
-    }
-    monitors = std::span<pp::Monitor* const>(all_monitors.data(),
-                                             all_monitors.size());
-  }
-
-  pp::Engine engine(options.engine);
+  AgentTrial trial(protocol, workload, options, monitors);
   TrialOutcome outcome;
-  outcome.run = engine.run(protocol, *population, *scheduler, monitors);
+  outcome.run = trial.run(options.engine);
   grade_against(outcome, workload, expected_symbol);
 
-  if (final_population != nullptr) *final_population = std::move(population);
-  if (assigned_colors != nullptr) *assigned_colors = colors;
+  if (final_population != nullptr) {
+    *final_population = std::move(trial.population);
+  }
+  if (assigned_colors != nullptr) *assigned_colors = std::move(trial.colors);
   return outcome;
 }
 
@@ -105,31 +108,41 @@ TrialOutcome run_trial(const pp::Protocol& protocol,
                                    expected_symbol, nullptr);
 }
 
+CirclesInstruments::CirclesInstruments(const core::CirclesProtocol& protocol)
+    : protocol_(protocol),
+      view_(protocol),
+      exchanges_(view_),
+      invariant_(view_),
+      potential_(view_),
+      monitors_{&exchanges_, &invariant_, &potential_} {}
+
+CirclesStats CirclesInstruments::stats(
+    const pp::Population& final_population,
+    const analysis::Workload& workload) const {
+  CirclesStats stats;
+  stats.ket_exchanges = exchanges_.exchanges();
+  stats.diagonal_creations = exchanges_.diagonal_creations();
+  stats.diagonal_destructions = exchanges_.diagonal_destructions();
+  stats.braket_invariant_violations = invariant_.violations();
+  stats.potential_descent_violations = potential_.descent_violations();
+  stats.scalar_energy_increases = potential_.scalar_energy_increases();
+  stats.decomposition_matches =
+      core::verify_decomposition(final_population, protocol_, workload.counts)
+          .matches;
+  return stats;
+}
+
 CirclesTrialOutcome run_circles_trial(const core::CirclesProtocol& protocol,
                                       const analysis::Workload& workload,
                                       const TrialOptions& options) {
-  core::CirclesBraKetView view(protocol);
-  core::KetExchangeCounter exchanges(view);
-  core::BraKetInvariantMonitor invariant(view);
-  core::PotentialDescentMonitor potential(view);
-  std::array<pp::Monitor*, 3> monitors{&exchanges, &invariant, &potential};
-
+  CirclesInstruments instruments(protocol);
   std::unique_ptr<pp::Population> population;
   CirclesTrialOutcome outcome;
-  outcome.trial = run_trial_keep_population(
-      protocol, workload, options,
-      std::span<pp::Monitor* const>(monitors.data(), monitors.size()),
-      std::nullopt, &population);
-
-  outcome.ket_exchanges = exchanges.exchanges();
-  outcome.diagonal_creations = exchanges.diagonal_creations();
-  outcome.diagonal_destructions = exchanges.diagonal_destructions();
-  outcome.braket_invariant_violations = invariant.violations();
-  outcome.potential_descent_violations = potential.descent_violations();
-  outcome.scalar_energy_increases = potential.scalar_energy_increases();
-  outcome.decomposition_matches =
-      core::verify_decomposition(*population, protocol, workload.counts)
-          .matches;
+  outcome.trial =
+      run_trial_keep_population(protocol, workload, options,
+                                instruments.monitors(), std::nullopt,
+                                &population);
+  outcome.circles = instruments.stats(*population, workload);
   return outcome;
 }
 

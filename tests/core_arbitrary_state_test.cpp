@@ -38,23 +38,19 @@ TEST_P(ArbitraryStateSweep, StabilizesFromAnyConfiguration) {
   }
   pp::Population population(protocol.num_states(), states);
 
-  // The legacy event-level monitor runs unchanged inside the obs:: probe
-  // pipeline (the MonitorProbeAdapter usage example): the adapter exposes
-  // it through Probe::as_monitor(), the RecorderMonitor feeds the
-  // count-level probes alongside, and the engine sees one monitor list.
+  // The event-level monitor and the obs:: probe pipeline observe the same
+  // run: the RecorderMonitor feeds the count-level probes, and the engine
+  // sees one monitor list holding both.
   CirclesBraKetView view(protocol);
   PotentialDescentMonitor potential(view);
-  obs::MonitorProbeAdapter adapter(potential);
   obs::EnergyTrace energy = obs::EnergyTrace::for_circles(protocol);
 
   obs::RecorderOptions recorder_options;
   recorder_options.interaction_horizon = pp::EngineOptions{}.max_interactions;
   obs::Recorder recorder(recorder_options);
-  recorder.add(&adapter);
   recorder.add(&energy, obs::GridSpec::parse("log:64"));
   obs::RecorderMonitor recorder_monitor(recorder);
-  std::array<pp::Monitor*, 2> monitors{&recorder_monitor,
-                                       adapter.as_monitor()};
+  std::array<pp::Monitor*, 2> monitors{&recorder_monitor, &potential};
 
   auto scheduler =
       pp::make_scheduler(pp::SchedulerKind::kUniformRandom, n, rng());

@@ -33,9 +33,10 @@ TEST_P(TwoColorExhaustive, EveryCountSplitObeysAllClaims) {
     options.seed = 1000 * n + zeros;
     const auto outcome = sim::run_circles_trial(protocol, w, options);
     ASSERT_TRUE(outcome.trial.run.silent) << w.to_string();
-    EXPECT_EQ(outcome.braket_invariant_violations, 0u) << w.to_string();
-    EXPECT_EQ(outcome.potential_descent_violations, 0u) << w.to_string();
-    EXPECT_TRUE(outcome.decomposition_matches) << w.to_string();
+    EXPECT_EQ(outcome.circles.braket_invariant_violations, 0u) << w.to_string();
+    EXPECT_EQ(outcome.circles.potential_descent_violations, 0u)
+        << w.to_string();
+    EXPECT_TRUE(outcome.circles.decomposition_matches) << w.to_string();
     if (!w.tied()) {
       EXPECT_TRUE(outcome.trial.correct) << w.to_string();
     }
@@ -70,9 +71,11 @@ TEST_P(ThreeColorExhaustive, EveryCountSplitObeysAllClaims) {
       options.seed = 10000 * n + 100 * a + b;
       const auto outcome = sim::run_circles_trial(protocol, w, options);
       ASSERT_TRUE(outcome.trial.run.silent) << w.to_string();
-      EXPECT_EQ(outcome.braket_invariant_violations, 0u) << w.to_string();
-      EXPECT_EQ(outcome.potential_descent_violations, 0u) << w.to_string();
-      EXPECT_TRUE(outcome.decomposition_matches) << w.to_string();
+      EXPECT_EQ(outcome.circles.braket_invariant_violations, 0u)
+          << w.to_string();
+      EXPECT_EQ(outcome.circles.potential_descent_violations, 0u)
+          << w.to_string();
+      EXPECT_TRUE(outcome.circles.decomposition_matches) << w.to_string();
       if (!w.tied()) {
         EXPECT_TRUE(outcome.trial.correct) << w.to_string();
       }

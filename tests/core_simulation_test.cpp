@@ -56,11 +56,11 @@ void expect_trial_obeys_paper(const CirclesTrialOutcome& outcome,
   EXPECT_TRUE(outcome.trial.run.silent) << context;
   EXPECT_FALSE(outcome.trial.run.budget_exhausted) << context;
   // Lemma 3.3.
-  EXPECT_EQ(outcome.braket_invariant_violations, 0u) << context;
+  EXPECT_EQ(outcome.circles.braket_invariant_violations, 0u) << context;
   // Theorem 3.4's potential argument.
-  EXPECT_EQ(outcome.potential_descent_violations, 0u) << context;
+  EXPECT_EQ(outcome.circles.potential_descent_violations, 0u) << context;
   // Lemma 3.6.
-  EXPECT_TRUE(outcome.decomposition_matches) << context;
+  EXPECT_TRUE(outcome.circles.decomposition_matches) << context;
   // Theorem 3.7 (only meaningful without ties).
   if (workload.winner().has_value()) {
     EXPECT_TRUE(outcome.trial.correct) << context;
@@ -126,8 +126,8 @@ TEST(CirclesSimulationTest, TiesStabilizeWithoutDiagonalsOrConsensus) {
     options.seed = rng();
     const auto outcome = sim::run_circles_trial(protocol, w, options);
     EXPECT_TRUE(outcome.trial.run.silent);
-    EXPECT_TRUE(outcome.decomposition_matches);
-    EXPECT_EQ(outcome.braket_invariant_violations, 0u);
+    EXPECT_TRUE(outcome.circles.decomposition_matches);
+    EXPECT_EQ(outcome.circles.braket_invariant_violations, 0u);
     EXPECT_FALSE(outcome.trial.correct);
   }
 }
@@ -145,7 +145,7 @@ TEST(CirclesSimulationTest, DecompositionIsScheduleIndependent) {
       options.seed = seed;
       const auto outcome = sim::run_circles_trial(protocol, w, options);
       EXPECT_TRUE(outcome.trial.run.silent) << pp::to_string(kind);
-      EXPECT_TRUE(outcome.decomposition_matches)
+      EXPECT_TRUE(outcome.circles.decomposition_matches)
           << pp::to_string(kind) << " seed=" << seed;
       EXPECT_TRUE(outcome.trial.correct) << pp::to_string(kind);
     }
@@ -180,7 +180,7 @@ TEST(CirclesSimulationTest, ScalarEnergyIsNotMonotoneInGeneral) {
     TrialOptions options;
     options.seed = rng();
     const auto outcome = sim::run_circles_trial(protocol, w, options);
-    total_increases += outcome.scalar_energy_increases;
+    total_increases += outcome.circles.scalar_energy_increases;
   }
   EXPECT_GT(total_increases, 0u);
 }
@@ -192,9 +192,9 @@ TEST(CirclesSimulationTest, ExchangeCountsArePositiveWithMultipleColors) {
   TrialOptions options;
   options.seed = 9;
   const auto outcome = sim::run_circles_trial(protocol, w, options);
-  EXPECT_GT(outcome.ket_exchanges, 0u);
+  EXPECT_GT(outcome.circles.ket_exchanges, 0u);
   // Diagonal destructions happen (initial diagonals get broken up).
-  EXPECT_GT(outcome.diagonal_destructions, 0u);
+  EXPECT_GT(outcome.circles.diagonal_destructions, 0u);
 }
 
 TEST(CirclesSimulationTest, UniformSingleColorSilentImmediately) {
@@ -205,7 +205,7 @@ TEST(CirclesSimulationTest, UniformSingleColorSilentImmediately) {
   options.seed = 5;
   const auto outcome = sim::run_circles_trial(protocol, w, options);
   EXPECT_TRUE(outcome.trial.run.silent);
-  EXPECT_EQ(outcome.ket_exchanges, 0u);
+  EXPECT_EQ(outcome.circles.ket_exchanges, 0u);
   EXPECT_TRUE(outcome.trial.correct);
   EXPECT_EQ(outcome.trial.run.interactions, 0u);
 }

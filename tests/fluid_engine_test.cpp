@@ -4,17 +4,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <vector>
 
 #include "dense/dense_config.hpp"
 #include "dense/urn_config.hpp"
 #include "kernel/compiled_protocol.hpp"
-#include "metrics/metrics.hpp"
 #include "obs/probes.hpp"
 #include "obs/recorder.hpp"
 #include "pp/schedulers/clustered.hpp"
 #include "sim/sim.hpp"
+#include "util/rng.hpp"
 
 namespace circles::fluid {
 namespace {
@@ -314,38 +313,6 @@ TEST(FluidDriftTest, FiniteNExpectationConvergesToDriftAsOneOverN) {
 }
 
 // ---------------------------------------------------------------------------
-// Poisson sampler
-
-TEST(FluidPoissonTest, MomentsMatchInBothRegimes) {
-  for (const double mean : {3.0, 100.0}) {  // Knuth branch, normal branch
-    util::Rng rng(12345);
-    const int samples = 20000;
-    double sum = 0.0, sum2 = 0.0;
-    for (int i = 0; i < samples; ++i) {
-      const double v = static_cast<double>(poisson(rng, mean));
-      sum += v;
-      sum2 += v * v;
-    }
-    const double sample_mean = sum / samples;
-    const double sample_var = sum2 / samples - sample_mean * sample_mean;
-    // ~5 sigma of the sampling error of each moment.
-    EXPECT_NEAR(sample_mean, mean, 5.0 * std::sqrt(mean / samples));
-    EXPECT_NEAR(sample_var, mean,
-                5.0 * mean * std::sqrt(3.0 / samples) + 0.05 * mean);
-  }
-}
-
-TEST(FluidPoissonTest, DeterministicForAFixedSeed) {
-  util::Rng a(7), b(7);
-  for (int i = 0; i < 100; ++i) {
-    const double mean = 0.5 + 7.0 * (i % 13);
-    EXPECT_EQ(poisson(a, mean), poisson(b, mean));
-  }
-  EXPECT_EQ(poisson(a, 0.0), 0u);
-  EXPECT_EQ(poisson(a, -1.0), 0u);
-}
-
-// ---------------------------------------------------------------------------
 // ODE end-to-end
 
 TEST(FluidEngineTest, CirclesMillionAgentsReachesSilentConsensus) {
@@ -475,163 +442,6 @@ TEST(FluidEngineTest, EnergyTraceDescendsOnTheContinuousTrajectory) {
   EXPECT_LT(table->at(table->num_rows() - 1, energy_col),
             table->at(0, energy_col));
   EXPECT_GT(table->at(table->num_rows() - 1, time_col), 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Tau-leaping
-
-TEST(FluidTauTest, ReachesExactSilenceWithConsensus) {
-  const auto protocol = make("approx_majority_3state", 2);
-  FluidOptions options;
-  options.tau_leaping = true;
-  const FluidEngine engine(*protocol, {}, options);
-  const analysis::Workload workload = workload_of({70000, 30000});
-  dense::DenseConfig config =
-      dense::DenseConfig::from_workload(*protocol, workload);
-  const pp::RunResult run = engine.run(config, /*seed=*/42);
-  EXPECT_TRUE(run.silent);
-  EXPECT_FALSE(run.budget_exhausted);
-  EXPECT_TRUE(run.consensus_on(0));
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : config.counts) total += c;
-  EXPECT_EQ(total, workload.n());
-}
-
-TEST(FluidTauTest, SameSeedSameTrajectoryDifferentSeedDifferentNoise) {
-  const auto protocol = make("approx_majority_3state", 2);
-  FluidOptions options;
-  options.tau_leaping = true;
-  const FluidEngine engine(*protocol, {}, options);
-  const analysis::Workload workload = workload_of({60000, 40000});
-  const auto run_with = [&](std::uint64_t seed) {
-    dense::DenseConfig config =
-        dense::DenseConfig::from_workload(*protocol, workload);
-    const pp::RunResult run = engine.run(config, seed);
-    return std::make_pair(run.interactions, config.counts);
-  };
-  const auto a = run_with(7);
-  const auto b = run_with(7);
-  const auto c = run_with(8);
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a.first, c.first);
-}
-
-TEST(FluidTauTest, LeapMomentsTrackTheDrift) {
-  // One macroscopic property of the leap process: over a short horizon the
-  // mean displacement must match the ODE drift to a few percent. Run many
-  // short tau trajectories and compare against an ODE run of the same
-  // horizon.
-  const auto protocol = make("approx_majority_3state", 2);
-  const std::uint64_t n = 100000;
-  const double horizon = 1.0;  // one unit of chemical time = n interactions
-  pp::EngineOptions engine_options;
-  engine_options.max_interactions = static_cast<std::uint64_t>(horizon * n);
-  engine_options.stop_when_silent = false;
-
-  const FluidEngine ode(*protocol, engine_options);
-  const analysis::Workload workload = workload_of({60000, 40000});
-  dense::DenseConfig ode_config =
-      dense::DenseConfig::from_workload(*protocol, workload);
-  (void)ode.run(ode_config, 1);
-
-  FluidOptions tau_options;
-  tau_options.tau_leaping = true;
-  const FluidEngine tau(*protocol, engine_options, tau_options);
-  const int reps = 32;
-  std::vector<double> mean(protocol->num_states(), 0.0);
-  for (int r = 0; r < reps; ++r) {
-    dense::DenseConfig config =
-        dense::DenseConfig::from_workload(*protocol, workload);
-    (void)tau.run(config, 1000 + r);
-    for (std::size_t s = 0; s < config.counts.size(); ++s) {
-      mean[s] += static_cast<double>(config.counts[s]) / reps;
-    }
-  }
-  for (std::size_t s = 0; s < mean.size(); ++s) {
-    // Fluctuations are O(sqrt(n)) per trajectory, O(sqrt(n / reps)) on the
-    // mean; 4 sigma with sqrt(1e5/32) ~ 56.
-    EXPECT_NEAR(mean[s], static_cast<double>(ode_config.counts[s]), 250.0)
-        << "state " << s;
-  }
-}
-
-TEST(FluidTauTest, SeededRunsKeepEveryDraw) {
-  // Goldens recorded before the drift loops walked the term table by
-  // initiator row. Skipping a row whose initiator count is 0 only drops
-  // reactions with zero pairs, which never drew, so the RNG stream and every
-  // count must stay bitwise identical.
-  struct Case {
-    const char* name;
-    const char* protocol;
-    std::uint32_t k;
-    CountVector colors;
-    std::uint32_t clusters;  // 1: single uniform urn, DenseConfig path
-    std::uint64_t seed;
-    const char* golden;
-  };
-  const std::vector<Case> cases{
-      {"approx_majority_3state single-urn", "approx_majority_3state", 2,
-       {7000, 3000}, 1, 42,
-       "interactions=117518 state_changes=16578 silent=1 tau_leaps=453 "
-       "tau_redraws=1 counts=0:0=10000 "},
-      {"approx_majority_3state 2-urn clustered", "approx_majority_3state", 2,
-       {6000, 4000}, 2, 43,
-       "interactions=124447 state_changes=28154 silent=1 tau_leaps=557 "
-       "tau_redraws=0 counts=0:0=5000 1:0=5000 "},
-      {"circles k=3 single-urn", "circles", 3, {6000, 2500, 1500}, 1, 44,
-       "interactions=521950 state_changes=12409 silent=1 tau_leaps=3965 "
-       "tau_redraws=2 counts=0:0=3500 0:3=2500 0:9=1000 0:15=1500 "
-       "0:18=1500 "},
-      {"circles k=3 2-urn clustered", "circles", 3, {5000, 3000, 2000}, 2, 45,
-       "interactions=380550 state_changes=17899 silent=1 tau_leaps=5812 "
-       "tau_redraws=2 counts=0:0=990 0:3=1494 0:9=481 0:15=1017 0:18=1018 "
-       "1:0=1010 1:3=1506 1:9=519 1:15=983 1:18=982 "},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    const auto protocol = make(c.protocol, c.k);
-    metrics::MetricsRegistry registry;
-    pp::EngineOptions options;
-    options.metrics = &registry;
-    FluidOptions tau;
-    tau.tau_leaping = true;
-    const analysis::Workload workload = workload_of(c.colors);
-    pp::RunResult result;
-    std::vector<CountVector> final_urns;
-    if (c.clusters == 1) {
-      const FluidEngine engine(*protocol, options, tau);
-      dense::DenseConfig config =
-          dense::DenseConfig::from_workload(*protocol, workload);
-      result = engine.run(config, c.seed);
-      final_urns.push_back(config.counts);
-    } else {
-      pp::ClusteredOptions clustered;
-      clustered.num_clusters = c.clusters;
-      clustered.bridge_probability = 0.05;
-      const pp::UrnLumping lumping =
-          pp::clustered_lumping(workload.n(), clustered);
-      const FluidEngine engine(*protocol, options, tau, lumping);
-      util::Rng rng(c.seed);
-      dense::UrnConfig config = dense::UrnConfig::from_workload(
-          *protocol, workload, lumping.sizes, rng);
-      result = engine.run(config, c.seed);
-      final_urns = config.urns;
-    }
-    std::ostringstream summary;
-    summary << "interactions=" << result.interactions
-            << " state_changes=" << result.state_changes
-            << " silent=" << result.silent
-            << " tau_leaps=" << registry.counter("fluid.tau_leaps").value()
-            << " tau_redraws=" << registry.counter("fluid.tau_redraws").value()
-            << " counts=";
-    for (std::size_t u = 0; u < final_urns.size(); ++u) {
-      for (std::size_t s = 0; s < final_urns[u].size(); ++s) {
-        if (final_urns[u][s] == 0) continue;
-        summary << u << ':' << s << '=' << final_urns[u][s] << ' ';
-      }
-    }
-    EXPECT_EQ(summary.str(), c.golden);
-  }
 }
 
 // ---------------------------------------------------------------------------

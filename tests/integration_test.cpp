@@ -96,7 +96,7 @@ TEST(IntegrationTest, StableExchangeTotalsAreSeedIndependentInShape) {
     TrialOptions options;
     options.seed = seed;
     const auto outcome = sim::run_circles_trial(protocol, w, options);
-    EXPECT_TRUE(outcome.decomposition_matches);
+    EXPECT_TRUE(outcome.circles.decomposition_matches);
     if (consensus.has_value()) {
       EXPECT_EQ(outcome.trial.consensus, consensus);
     }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <string>
 
@@ -173,30 +174,29 @@ TEST(ObsIntegrationTest, ChemicalTimeCadenceOnGillespie) {
 }
 
 TEST(ObsIntegrationTest, RecorderThroughTrialOptionsAndMonitorAdapter) {
-  // Direct sim::run_trial usage: a counts probe plus a legacy monitor
-  // running unchanged through MonitorProbeAdapter.
+  // Direct sim::run_trial usage: a counts probe through the recorder plus
+  // an event-level monitor in the same trial's monitor list.
   core::CirclesProtocol protocol(3);
   analysis::Workload workload;
   workload.counts = {30, 20, 10};
 
   core::CirclesBraKetView view(protocol);
   core::PotentialDescentMonitor potential(view);
-  obs::MonitorProbeAdapter adapter(potential);
   obs::CountsTrace counts_trace;
 
   obs::RecorderOptions recorder_options;
   recorder_options.interaction_horizon = 500'000'000;  // engine default
   obs::Recorder recorder(recorder_options);
-  recorder.add(&adapter);
   recorder.add(&counts_trace, obs::GridSpec::parse("log:32"));
 
   sim::TrialOptions options;
   options.seed = 3;
   options.recorder = &recorder;
-  const auto outcome = sim::run_trial(protocol, workload, options);
+  const std::array<pp::Monitor*, 1> monitors{&potential};
+  const auto outcome = sim::run_trial(protocol, workload, options, monitors);
 
   EXPECT_TRUE(outcome.run.silent);
-  // The wrapped monitor observed the full event stream.
+  // The monitor observed the full event stream.
   EXPECT_EQ(potential.descent_violations(), 0u);
   EXPECT_GT(potential.exchanges(), 0u);
   // The counts probe rode the same run; every row conserves the population.

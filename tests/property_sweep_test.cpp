@@ -71,11 +71,12 @@ TEST_P(CirclesPropertySweep, AllFourClaimsHold) {
     // Theorem 3.4 (stabilization, via silence certificate):
     ASSERT_TRUE(outcome.trial.run.silent) << w.to_string();
     // Lemma 3.3 (bra-ket invariant):
-    EXPECT_EQ(outcome.braket_invariant_violations, 0u) << w.to_string();
+    EXPECT_EQ(outcome.circles.braket_invariant_violations, 0u) << w.to_string();
     // Theorem 3.4 (ordinal potential descent):
-    EXPECT_EQ(outcome.potential_descent_violations, 0u) << w.to_string();
+    EXPECT_EQ(outcome.circles.potential_descent_violations, 0u)
+        << w.to_string();
     // Lemma 3.6 (decomposition):
-    EXPECT_TRUE(outcome.decomposition_matches) << w.to_string();
+    EXPECT_TRUE(outcome.circles.decomposition_matches) << w.to_string();
     // Theorem 3.7 (correctness):
     EXPECT_TRUE(outcome.trial.correct) << w.to_string();
   }

@@ -53,14 +53,16 @@ std::string trace_fingerprint(const std::vector<obs::TraceTable>& traces) {
 }
 
 std::string record_fingerprint(const TrialRecord& rec) {
+  const CirclesStats& circles = rec.circles;
   return run_fingerprint(rec.outcome) +
-         " exchanges=" + std::to_string(rec.ket_exchanges) +
-         " creations=" + std::to_string(rec.diagonal_creations) +
-         " destructions=" + std::to_string(rec.diagonal_destructions) +
-         " invariant=" + std::to_string(rec.braket_invariant_violations) +
-         " descent=" + std::to_string(rec.potential_descent_violations) +
-         " increases=" + std::to_string(rec.scalar_energy_increases) +
-         " decomposition=" + std::to_string(rec.decomposition_matches ? 1 : 0) +
+         " exchanges=" + std::to_string(circles.ket_exchanges) +
+         " creations=" + std::to_string(circles.diagonal_creations) +
+         " destructions=" + std::to_string(circles.diagonal_destructions) +
+         " invariant=" + std::to_string(circles.braket_invariant_violations) +
+         " descent=" + std::to_string(circles.potential_descent_violations) +
+         " increases=" + std::to_string(circles.scalar_energy_increases) +
+         " decomposition=" +
+         std::to_string(circles.decomposition_matches ? 1 : 0) +
          " used_states=" + std::to_string(rec.used_states) +
          " stabilization=" + num(rec.stabilization_time) +
          " convergence=" + num(rec.convergence_time) +
@@ -235,14 +237,7 @@ TEST(AgentTrialGoldenTest, SharedBodyKeepsEveryDraw) {
          const CirclesTrialOutcome outcome =
              run_circles_trial(protocol, workload, options);
          rec.outcome = outcome.trial;
-         rec.ket_exchanges = outcome.ket_exchanges;
-         rec.diagonal_creations = outcome.diagonal_creations;
-         rec.diagonal_destructions = outcome.diagonal_destructions;
-         rec.braket_invariant_violations = outcome.braket_invariant_violations;
-         rec.potential_descent_violations =
-             outcome.potential_descent_violations;
-         rec.scalar_energy_increases = outcome.scalar_energy_increases;
-         rec.decomposition_matches = outcome.decomposition_matches;
+         rec.circles = outcome.circles;
          return record_fingerprint(rec);
        },
        "interactions=2310 state_changes=444 last_change_step=1049 "
@@ -261,9 +256,10 @@ TEST(AgentTrialGoldenTest, SharedBodyKeepsEveryDraw) {
          const CirclesTrialOutcome outcome =
              run_circles_trial(protocol, workload, options);
          return run_fingerprint(outcome.trial) +
-                " exchanges=" + std::to_string(outcome.ket_exchanges) +
+                " exchanges=" +
+                std::to_string(outcome.circles.ket_exchanges) +
                 " decomposition=" +
-                std::to_string(outcome.decomposition_matches ? 1 : 0) +
+                std::to_string(outcome.circles.decomposition_matches ? 1 : 0) +
                 direct.fingerprint();
        },
        "interactions=2280 state_changes=137 last_change_step=2215 "

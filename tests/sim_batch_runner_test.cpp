@@ -59,7 +59,8 @@ void expect_identical(const SpecResult& a, const SpecResult& b) {
               b.trials[t].outcome.run.state_changes);
     EXPECT_EQ(a.trials[t].outcome.correct, b.trials[t].outcome.correct);
     EXPECT_EQ(a.trials[t].outcome.consensus, b.trials[t].outcome.consensus);
-    EXPECT_EQ(a.trials[t].ket_exchanges, b.trials[t].ket_exchanges);
+    EXPECT_EQ(a.trials[t].circles.ket_exchanges,
+              b.trials[t].circles.ket_exchanges);
   }
   EXPECT_EQ(a.correct, b.correct);
   EXPECT_EQ(a.silent, b.silent);
@@ -216,9 +217,9 @@ TEST(BatchRunnerTest, AggregatesMatchPerTrialRecords) {
   for (const auto& rec : result.trials) {
     correct += rec.outcome.correct ? 1 : 0;
     silent += rec.outcome.run.silent ? 1 : 0;
-    matches += rec.decomposition_matches ? 1 : 0;
+    matches += rec.circles.decomposition_matches ? 1 : 0;
     interaction_sum += static_cast<double>(rec.outcome.run.interactions);
-    exchange_sum += static_cast<double>(rec.ket_exchanges);
+    exchange_sum += static_cast<double>(rec.circles.ket_exchanges);
   }
   EXPECT_EQ(result.correct, correct);
   EXPECT_EQ(result.silent, silent);
@@ -425,6 +426,67 @@ TEST(BatchRunnerTest, TieAwareGradingAcceptsTieSymbolConsensus) {
   EXPECT_TRUE(result.all_correct());
   for (const auto& rec : result.trials) {
     EXPECT_EQ(rec.outcome.consensus, std::optional<pp::OutputSymbol>(2u));
+  }
+}
+
+TEST(BatchRunnerTest, ReproSpecsReplayGradingFaultsAndChemicalTime) {
+  // A failing trial's REPRO line is spec.to_string(); replaying it must run
+  // and grade the same trial, so every field that changes either has to
+  // survive the round trip.
+  const auto circles = [](std::uint64_t n) {
+    RunSpec spec;
+    spec.protocol = "circles";
+    spec.params.k = 3;
+    spec.n = n;
+    return spec;
+  };
+  std::vector<RunSpec> specs;
+  {
+    RunSpec spec = circles(40);
+    spec.reboot_faults = 3;
+    specs.push_back(spec);
+    spec.fault_burst_min = 50;
+    spec.fault_burst_span = 0;
+    specs.push_back(spec);
+  }
+  {
+    RunSpec spec = circles(40);
+    spec.chemical_time = true;
+    specs.push_back(spec);
+  }
+  {
+    RunSpec spec;
+    spec.protocol = "tie_report";
+    spec.params.k = 3;
+    spec.n = 30;
+    spec.workload = WorkloadSpec::exact_tie(2);
+    spec.grading = Grading::kTieAware;
+    specs.push_back(spec);
+  }
+  for (const RunSpec& spec : specs) {
+    const std::string text = spec.to_string();
+    SCOPED_TRACE(text);
+    const RunSpec replay = RunSpec::parse(text);
+    EXPECT_EQ(replay.grading, spec.grading);
+    EXPECT_EQ(replay.reboot_faults, spec.reboot_faults);
+    EXPECT_EQ(replay.fault_burst_min, spec.fault_burst_min);
+    EXPECT_EQ(replay.fault_burst_span, spec.fault_burst_span);
+    EXPECT_EQ(replay.chemical_time, spec.chemical_time);
+    EXPECT_EQ(replay.to_string(), text);
+
+    const TrialRecord original = BatchRunner::execute_trial(spec, 12345);
+    const TrialRecord replayed = BatchRunner::execute_trial(replay, 12345);
+    EXPECT_EQ(replayed.outcome.run.interactions,
+              original.outcome.run.interactions);
+    EXPECT_EQ(replayed.outcome.run.state_changes,
+              original.outcome.run.state_changes);
+    EXPECT_EQ(replayed.outcome.correct, original.outcome.correct);
+    EXPECT_EQ(replayed.stabilization_time, original.stabilization_time);
+  }
+  // Defaults render no token.
+  const std::string plain = circles(40).to_string();
+  for (const char* key : {"grading=", "faults=", "burst_", "clock="}) {
+    EXPECT_EQ(plain.find(key), std::string::npos) << key;
   }
 }
 

@@ -166,6 +166,12 @@ TEST(RunSpecParseTest, RejectsMalformedSpecs) {
                std::invalid_argument);
   EXPECT_THROW(RunSpec::parse("circles(k=2) backend=gpu"),
                std::invalid_argument);
+  EXPECT_THROW(RunSpec::parse("circles(k=2) grading=best"),
+               std::invalid_argument);
+  EXPECT_THROW(RunSpec::parse("circles(k=2) clock=wall"),
+               std::invalid_argument);
+  EXPECT_THROW(RunSpec::parse("circles(k=2) faults=-3"),
+               std::invalid_argument);
   EXPECT_THROW(RunSpec::parse("circles(k=2) n=10]"), std::invalid_argument);
   // Negative numbers must not wrap through std::stoull.
   EXPECT_THROW(RunSpec::parse("circles(k=-2) n=10"), std::invalid_argument);

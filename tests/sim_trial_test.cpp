@@ -65,10 +65,10 @@ TEST(RunCirclesTrialTest, PopulatesInstrumentation) {
   options.seed = 5;
   const CirclesTrialOutcome outcome = run_circles_trial(protocol, w, options);
   EXPECT_TRUE(outcome.trial.correct);
-  EXPECT_GT(outcome.ket_exchanges, 0u);
-  EXPECT_EQ(outcome.braket_invariant_violations, 0u);
-  EXPECT_EQ(outcome.potential_descent_violations, 0u);
-  EXPECT_TRUE(outcome.decomposition_matches);
+  EXPECT_GT(outcome.circles.ket_exchanges, 0u);
+  EXPECT_EQ(outcome.circles.braket_invariant_violations, 0u);
+  EXPECT_EQ(outcome.circles.potential_descent_violations, 0u);
+  EXPECT_TRUE(outcome.circles.decomposition_matches);
 }
 
 TEST(RunCirclesTrialTest, ExchangeCountBoundedByStateChanges) {
@@ -78,7 +78,7 @@ TEST(RunCirclesTrialTest, ExchangeCountBoundedByStateChanges) {
   TrialOptions options;
   options.seed = 6;
   const CirclesTrialOutcome outcome = run_circles_trial(protocol, w, options);
-  EXPECT_LE(outcome.ket_exchanges, outcome.trial.run.state_changes);
+  EXPECT_LE(outcome.circles.ket_exchanges, outcome.trial.run.state_changes);
 }
 
 TEST(RunTrialTest, WorksWithBaselineProtocols) {
