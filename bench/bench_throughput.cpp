@@ -91,15 +91,6 @@ int main(int argc, char** argv) {
   const auto urn_budget = static_cast<std::uint64_t>(cli.int_flag(
       "urn_budget", smoke ? 200'000 : 20'000'000,
       "interaction budget for the agent-engine rate measurement"));
-  const auto parallel_n = static_cast<std::uint64_t>(cli.int_flag(
-      "parallel_n", smoke ? 50'000 : 10'000'000,
-      "population size for the uniform (single-urn) intra-run parallelism "
-      "case"));
-  const auto run_threads_flag = static_cast<std::uint32_t>(cli.int_flag(
-      "run-threads", 0,
-      "worker threads INSIDE each dense run for the non-sweep sections "
-      "(0 = auto-budget; the parallel_run section sweeps 1/2/4/8 "
-      "regardless; the OUTER across-trial pool is --threads)"));
   const auto fluid_n = static_cast<std::uint64_t>(cli.int_flag(
       "fluid_n", smoke ? 1'000'000 : 1'000'000'000,
       "population size for the fluid run-to-convergence comparison"));
@@ -142,7 +133,6 @@ int main(int argc, char** argv) {
   manifest.seed = seed;
   manifest.trials = trials;
   manifest.threads = batch.threads;
-  manifest.run_threads = run_threads_flag;
   const auto t_program = Clock::now();
 
   bench::print_header("E11",
@@ -307,7 +297,6 @@ int main(int argc, char** argv) {
       spec.trials = dense_trials;
       spec.seed = sim::mix_seed(seed, 0xDE45E);
       spec.backend = backend;
-      spec.run_threads = run_threads_flag;
       // Generous cap: circles' interactions-to-silence are strongly
       // superlinear in n; never let "hit the budget" pollute the timing.
       spec.engine.max_interactions = ~std::uint64_t{0};
@@ -370,7 +359,6 @@ int main(int argc, char** argv) {
     urn_spec.clusters = 2;
     urn_spec.bridge = urn_bridge;
     urn_spec.backend = sim::EngineKind::kDenseBatched;
-    urn_spec.run_threads = run_threads_flag;
     urn_spec.engine.max_interactions = ~std::uint64_t{0};
     auto options = batch;
     options.keep_trials = false;
@@ -475,7 +463,6 @@ int main(int argc, char** argv) {
 
     sim::RunSpec batched_spec = fluid_spec;
     batched_spec.backend = sim::EngineKind::kDenseBatched;
-    batched_spec.run_threads = run_threads_flag;
     batched_spec.engine.max_interactions = fluid_sample_budget;
     batched_spec.engine.stop_when_silent = false;
     const auto t_batched = Clock::now();
@@ -533,119 +520,6 @@ int main(int argc, char** argv) {
                       ", run to convergence vs extrapolation");
   }
 
-  // Intra-run parallelism: the same dense workload re-run at inner thread
-  // counts 1/2/4/8 (spec run_threads, the knob INSIDE one run — the outer
-  // --threads pool stays at one worker since each case is a single trial).
-  // Results must be bitwise identical at every width; the wall clock is the
-  // point. Task parallelism scales with the number of urn blocks, so the
-  // >= 4x requirement binds on the 8-cluster case (64 blocks), not the
-  // dumbbell (4 blocks) or the uniform single-urn case (no fan-out at all:
-  // that row checks the flat hot path did not regress and that run_threads
-  // is an exact no-op without urn structure).
-  double parallel_speedup8 = 0.0;
-  bool parallel_identical = true;
-  const unsigned hw_cores = std::max(1u, std::thread::hardware_concurrency());
-  {
-    struct ParallelCase {
-      std::string label;
-      sim::RunSpec spec;
-      bool scales = false;  // counts toward the 8-thread speedup requirement
-    };
-    std::vector<ParallelCase> cases;
-    {
-      sim::RunSpec dumbbell;
-      dumbbell.protocol = "circles";
-      dumbbell.params.k = 3;
-      dumbbell.n = urn_n;
-      dumbbell.trials = 1;
-      dumbbell.seed = sim::mix_seed(seed, 0x9A7A);
-      dumbbell.scheduler = pp::SchedulerKind::kClustered;
-      dumbbell.clusters = 2;
-      dumbbell.bridge = urn_bridge;
-      dumbbell.backend = sim::EngineKind::kDenseBatched;
-      dumbbell.engine.max_interactions = ~std::uint64_t{0};
-      cases.push_back({"dumbbell n=" + std::to_string(urn_n), dumbbell,
-                       false});
-
-      sim::RunSpec clustered = dumbbell;
-      clustered.clusters = 8;
-      clustered.seed = sim::mix_seed(seed, 0x9A7B);
-      cases.push_back({"clustered-8 n=" + std::to_string(urn_n), clustered,
-                       true});
-
-      sim::RunSpec uniform;
-      uniform.protocol = "circles";
-      uniform.params.k = 3;
-      uniform.n = parallel_n;
-      uniform.trials = 1;
-      uniform.seed = sim::mix_seed(seed, 0x9A7C);
-      uniform.backend = sim::EngineKind::kDenseBatched;
-      uniform.engine.max_interactions = smoke ? 200'000 : 20'000'000;
-      uniform.engine.stop_when_silent = false;
-      cases.push_back({"uniform n=" + std::to_string(parallel_n), uniform,
-                       false});
-    }
-    util::Table table({"case", "run_threads", "interactions", "wall s",
-                       "interactions/s", "speedup vs 1"});
-    for (ParallelCase& c : cases) {
-      auto options = batch;
-      options.keep_trials = true;
-      sim::SpecResult serial;
-      double serial_seconds = 0.0;
-      for (const std::uint32_t width : {1u, 2u, 4u, 8u}) {
-        c.spec.run_threads = width;
-        const auto start = Clock::now();
-        const auto run = sim::BatchRunner(options).run_one(c.spec);
-        const double run_seconds = seconds_since(start);
-        if (width == 1) {
-          serial = run;
-          serial_seconds = run_seconds;
-        }
-        // Bitwise identity against the 1-thread pass, record by record.
-        parallel_identical =
-            parallel_identical && run.trials.size() == serial.trials.size();
-        for (std::size_t t = 0;
-             parallel_identical && t < run.trials.size(); ++t) {
-          parallel_identical =
-              run.trials[t].seed == serial.trials[t].seed &&
-              run.trials[t].outcome.run.interactions ==
-                  serial.trials[t].outcome.run.interactions &&
-              run.trials[t].outcome.run.state_changes ==
-                  serial.trials[t].outcome.run.state_changes &&
-              run.trials[t].outcome.run.final_outputs ==
-                  serial.trials[t].outcome.run.final_outputs;
-        }
-        const double total = run.interactions.mean * run.trial_count;
-        const double rate = run_seconds > 0 ? total / run_seconds : 0.0;
-        const double case_speedup =
-            run_seconds > 0 ? serial_seconds / run_seconds : 0.0;
-        if (c.scales && width == 8) parallel_speedup8 = case_speedup;
-        report.add_cell()
-            .set("section", "parallel_run")
-            .set("case", c.label)
-            .set("protocol", "circles")
-            .set("k", 3)
-            .set("backend", "dense_batched")
-            .set("n", c.spec.n)
-            .set("run_threads", static_cast<std::uint64_t>(width))
-            .set("interactions", total)
-            .set("wall_ms", run_seconds * 1000.0)
-            .set("ops_per_sec", rate)
-            .set("speedup_vs_serial", case_speedup);
-        table.add_row({c.label, util::Table::num(std::uint64_t{width}),
-                       util::Table::num(total, 0),
-                       util::Table::num(run_seconds, 2),
-                       util::Table::num(rate, 0),
-                       util::Table::num(case_speedup, 2) + "x"});
-      }
-    }
-    table.print("intra-run parallelism — dense_batched, run_threads sweep "
-                "(outer pool fixed at 1 worker)");
-    std::printf("(parallel runs bitwise identical across thread counts: "
-                "%s)\n",
-                parallel_identical ? "yes" : "NO");
-  }
-
   // Span-tracing overhead: the clustered dumbbell from the urn section
   // (dense_batched, n = urn_n) re-run to silence with and without a
   // trace::Tracer attached. The tracing contract is observation-only —
@@ -667,7 +541,6 @@ int main(int argc, char** argv) {
     spec.clusters = 2;
     spec.bridge = urn_bridge;
     spec.backend = sim::EngineKind::kDenseBatched;
-    spec.run_threads = run_threads_flag;
     spec.engine.max_interactions = ~std::uint64_t{0};
     auto options = batch;
     options.keep_trials = true;
@@ -757,17 +630,12 @@ int main(int argc, char** argv) {
       fluid_converged &&
       (smoke || fluid_n < 100'000'000 || fluid_speedup >= 100.0);
   const bool dense_ok = smoke || batched_seconds <= agent_seconds;
-  // Inner-pool scaling needs cores to scale onto; the identity half of the
-  // check binds everywhere, --smoke included.
-  const bool parallel_ok =
-      parallel_identical &&
-      (smoke || hw_cores < 8 || parallel_speedup8 >= 4.0);
   // Tracing is observation-only by contract: identical results always, and
   // at real sizes the decimated spans must cost under 2% wall clock.
   const bool spans_ok =
       spans_identical && (smoke || spans_overhead < 0.02);
   const bool pass = identical && single_rate > 0 && speedup_ok && dense_ok &&
-                    urn_ok && fluid_ok && parallel_ok && spans_ok;
+                    urn_ok && fluid_ok && spans_ok;
   std::string failure;
   if (!identical) {
     failure = "thread count changed the results";
@@ -775,12 +643,6 @@ int main(int argc, char** argv) {
     failure = "single-threaded throughput measured as zero";
   } else if (!speedup_ok) {
     failure = "multi-threaded speedup below expectation";
-  } else if (!parallel_identical) {
-    failure = "inner run_threads width changed the results";
-  } else if (!parallel_ok) {
-    failure = "intra-run 8-thread speedup below the 4x requirement (" +
-              std::to_string(parallel_speedup8) + "x on " +
-              std::to_string(hw_cores) + " cores)";
   } else if (!dense_ok) {
     failure = "dense backend slower than the agent array";
   } else if (!urn_identical_grading) {

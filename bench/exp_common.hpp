@@ -57,8 +57,8 @@ inline sim::BatchOptions batch_options(util::Cli& cli,
   sim::BatchOptions options;
   options.threads = static_cast<std::uint32_t>(cli.int_flag(
       "threads", 0,
-      "OUTER worker threads, across trials (batch runner pool; 0 = "
-      "hardware). The INNER inside-a-run knob is --run-threads"));
+      "worker threads across trials (batch runner pool; 0 = hardware); "
+      "each run is serial inside"));
   options.base_seed = base_seed;
   return options;
 }

@@ -1,7 +1,6 @@
 #include "dense/dense_engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <optional>
 
@@ -11,7 +10,6 @@
 #include "trace/trace.hpp"
 #include "util/arena.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace circles::dense {
 
@@ -21,10 +19,10 @@ namespace {
 constexpr std::uint64_t kNoExclude = ~std::uint64_t{0};
 
 /// Span decimation: the first kTraceFullEpochs epochs (and fast-forward
-/// jumps, and pooled stage regions) get full begin/end spans — enough to see
-/// the run's structure in a timeline — after which epochs collapse to one
-/// instant every kTraceStride so a billion-interaction run stays under the
-/// <2% tracing-overhead budget and inside the ring window.
+/// jumps) get full begin/end spans — enough to see the run's structure in
+/// a timeline — after which epochs collapse to one instant every
+/// kTraceStride so a billion-interaction run stays under the <2%
+/// tracing-overhead budget and inside the ring window.
 constexpr std::uint64_t kTraceFullEpochs = 512;
 constexpr std::uint64_t kTraceStride = 256;
 
@@ -64,9 +62,6 @@ DenseEngine::DenseEngine(std::shared_ptr<const kernel::CompiledProtocol> kernel,
       lumping_(std::move(lumping)) {
   CIRCLES_CHECK_MSG(num_states_ >= 1, "protocol needs at least one state");
   if (!lumping_.sizes.empty()) lumping_.validate();
-  run_threads_ = options_.run_threads != 0
-                     ? options_.run_threads
-                     : util::ThreadPool::shared().helpers() + 1;
 }
 
 /// Run-local state shared by both modes. The per-urn count/presence/used
@@ -136,19 +131,8 @@ struct DenseEngine::Sim {
   std::span<std::uint64_t> staged;
   std::vector<std::size_t> staged_list;
 
-  // This run's span buffer (the run thread's; null = tracing off). Workers
-  // resolve their own buffers through engine.options_.tracer inside
-  // run_tasks — a span always lands on the emitting thread's track.
+  // This run's span buffer (the run thread's; null = tracing off).
   trace::TraceBuffer* trace = nullptr;
-
-  // Intra-run worker budget (the engine's resolved run_threads) and pool
-  // telemetry. Parallel stages only ever run when pool_threads > 1 and the
-  // run is multi-urn; results are bitwise identical either way.
-  unsigned pool_threads = 1;
-  std::uint64_t m_parallel_epochs = 0;  // batched epochs using the pool
-  std::uint64_t m_pool_regions = 0;     // parallel_for regions issued
-  std::uint64_t m_pool_busy_ns = 0;     // summed worker busy time
-  std::uint64_t m_pool_wall_ns = 0;     // summed region wall time
 
   // Telemetry scratch: plain locals bumped on the hot path, flushed once
   // into EngineOptions::metrics by run_impl.
@@ -171,7 +155,6 @@ struct DenseEngine::Sim {
       std::span<const double> rate_matrix, util::Rng& rng, bool want_aggregate)
       : engine(engine), rng(rng) {
     num_urns = counts.size();
-    pool_threads = engine.run_threads_;
     const std::size_t states = engine.num_states_;
     const std::size_t num_blocks = num_urns * num_urns;
     rates.assign(rate_matrix.begin(), rate_matrix.end());
@@ -250,45 +233,6 @@ struct DenseEngine::Sim {
     for (Urn& urn : urns) {
       std::copy(urn.counts.begin(), urn.counts.end(), urn.out.begin());
     }
-  }
-
-  /// Runs fn(0), ..., fn(count - 1): on the shared pool when `pooled`,
-  /// serially otherwise. Pooled callers write task-indexed disjoint state
-  /// and reduce serially afterwards, so results are bitwise identical for
-  /// any worker count — `pooled` is purely a performance gate. `stage` names
-  /// the region in the span timeline: the issuing thread gets a pool-region
-  /// span and every task wraps itself in a `stage` span on its OWN thread's
-  /// buffer, so pool workers show up as distinct attributed tracks. Tracing
-  /// reads deterministic state only and never reorders the tasks.
-  template <typename Fn>
-  void run_tasks(std::size_t count, bool pooled, const char* stage, Fn&& fn) {
-    if (!pooled || count <= 1 || pool_threads <= 1) {
-      for (std::size_t i = 0; i < count; ++i) fn(i);
-      return;
-    }
-    // Stage/worker spans follow the epoch decimation window so a long run's
-    // per-epoch fan-out does not swamp the ring or the overhead budget.
-    trace::Tracer* tracer =
-        m_epochs <= kTraceFullEpochs ? engine.options_.tracer : nullptr;
-    const trace::ScopedSpan region(tracer != nullptr ? trace : nullptr,
-                                   "dense.pool", "tasks", count);
-    const auto start = std::chrono::steady_clock::now();
-    if (tracer != nullptr) {
-      m_pool_busy_ns += util::ThreadPool::shared().parallel_for(
-          count, pool_threads, [&](std::size_t i) {
-            const trace::ScopedSpan task(trace::buffer(tracer, "worker"),
-                                         stage);
-            fn(i);
-          });
-    } else {
-      m_pool_busy_ns +=
-          util::ThreadPool::shared().parallel_for(count, pool_threads, fn);
-    }
-    m_pool_wall_ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-    m_pool_regions += 1;
   }
 
   void note_state(Urn& urn, pp::StateId s) {
@@ -692,7 +636,7 @@ pp::RunResult DenseEngine::run_impl(Sim& sim, obs::Recorder* recorder) const {
   pp::RunResult result;
   if (options_.stop_when_silent && sim.live_active == 0) result.silent = true;
 
-  // One span per run on the calling thread; epochs/stages/jumps nest inside
+  // One span per run on the calling thread; epochs and jumps nest inside
   // (decimated — see kTraceFullEpochs). Null tracer: sim.trace stays null
   // and every emission site below is a pointer test.
   sim.trace = trace::buffer(options_.tracer);
@@ -745,19 +689,6 @@ pp::RunResult DenseEngine::run_impl(Sim& sim, obs::Recorder* recorder) const {
     m.counter("dense.fast_forward_jumps").add(sim.m_ff_jumps);
     m.counter("dense.fast_forward_interactions").add(sim.m_ff_skipped);
     m.counter("dense.mvhg_draws").add(sim.m_mvhg_draws);
-    m.counter("dense.parallel_epochs").add(sim.m_parallel_epochs);
-    if (sim.m_pool_regions > 0) {
-      // Summed worker busy time across this run's parallel regions, and the
-      // fraction of the regions' (wall x budget) area it filled.
-      m.timer("dense.parallel_workers")
-          .record_ms(static_cast<double>(sim.m_pool_busy_ns) / 1e6);
-      const double area = static_cast<double>(sim.m_pool_wall_ns) *
-                          static_cast<double>(run_threads_);
-      if (area > 0.0) {
-        m.gauge("dense.parallel_utilization")
-            .set(static_cast<double>(sim.m_pool_busy_ns) / area);
-      }
-    }
   }
   return result;
 }
@@ -836,20 +767,12 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     epoch_mean = 0.886 * std::sqrt(2.0 / inv);
   }
 
-  // Multi-urn epochs fan their per-urn and per-block stages out across the
-  // shared worker pool. Every stage writes task-indexed disjoint state and
-  // the reductions below run serially in ascending index order, so results
-  // are bitwise identical for any thread count (single-urn runs are pinned
-  // to the historical main-stream order and never pool).
-  const bool pooled = !single && sim.pool_threads > 1;
-  if (pooled) warm_log_factorial();
-
   LastChangeMark mark;
 
   // Per-epoch scratch, carved from the run's arena once: stride-S rows per
   // block for the role deals, per-urn rows for the participant draws. Only
-  // `seq` and the recorded pair groups keep dynamic vectors (their length
-  // varies per epoch); both reuse their capacity across epochs.
+  // `seq` keeps a dynamic vector (its length varies per epoch); it reuses
+  // its capacity across epochs.
   const std::size_t states = num_states_;
   std::vector<std::uint32_t> seq;                  // multi-urn block sequence
   const std::span<std::uint64_t> block_len =
@@ -869,22 +792,6 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       sim.arena.alloc<std::uint64_t>(u_count * states);
   const std::span<std::uint64_t> rem_flat =
       sim.arena.alloc<std::uint64_t>(u_count * states);
-  const std::span<std::uint64_t> mvhg_draws =
-      sim.arena.alloc<std::uint64_t>(u_count);
-
-  // One recorded transition group from an epoch's pairing stage: m matched
-  // (s, t) pairs of one block, mapping through tr. The pairing draws read
-  // only the dealt role rows and the frozen present-list prefixes — never
-  // the counts they will mutate — so recording groups per block (possibly
-  // concurrently) and applying them in ascending (block, group) order
-  // reproduces the historical interleaved loop bit for bit.
-  struct PairGroup {
-    pp::StateId s;
-    pp::StateId t;
-    pp::Transition tr;
-    std::uint64_t m;
-  };
-  std::vector<std::vector<PairGroup>> groups(num_blocks);
 
   while (!result.silent && result.interactions < options_.max_interactions) {
     const std::uint64_t remaining =
@@ -1056,11 +963,8 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     // from the urn's counts, then sequential splits deal the drawn states
     // across the urn's roles. Single-urn runs draw on the main RNG stream
     // (the historical order); multi-urn runs give urn u the forked
-    // sub-stream fork(u), so the draws do not depend on urn iteration order
-    // — which is what lets the urn tasks run concurrently: urn u writes
-    // only its own pool/drawn/rem rows, the init rows (u, *), and the resp
-    // rows (*, u), all disjoint across urns.
-    const auto deal_urn = [&](std::size_t u) {
+    // sub-stream fork(u), which defines the multi-urn stream.
+    for (std::size_t u = 0; u < u_count; ++u) {
       Sim::Urn& urn = sim.urns[u];
       const std::size_t w = urn.present.size();
       width[u] = w;
@@ -1068,7 +972,7 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       for (std::size_t v = 0; v < u_count; ++v) {
         t_u += block_len[u * u_count + v] + block_len[v * u_count + u];
       }
-      if (t_u == 0) return;
+      if (t_u == 0) continue;
 
       util::Rng forked(0);
       util::Rng* stream = &rng;
@@ -1084,7 +988,7 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
         pool[i] = urn.counts[urn.present[i]];
       }
       multivariate_hypergeometric(*stream, pool, t_u, drawn);
-      mvhg_draws[u] += 1;
+      sim.m_mvhg_draws += 1;
 
       std::copy(drawn.begin(), drawn.end(), rem.begin());
       std::uint64_t rem_total = t_u;
@@ -1098,7 +1002,7 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
           return;
         }
         multivariate_hypergeometric(*stream, rem, count, target);
-        mvhg_draws[u] += 1;
+        sim.m_mvhg_draws += 1;
         for (std::size_t i = 0; i < w; ++i) rem[i] -= target[i];
         rem_total -= count;
       };
@@ -1110,31 +1014,31 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
         const std::size_t b = v * u_count + u;
         deal_role(resp_flat.subspan(b * states, w), block_len[b]);
       }
-    };
-    sim.run_tasks(u_count, pooled, "dense.stage.deal", deal_urn);
-    if (pooled) sim.m_parallel_epochs += 1;
+    }
 
     sim.reset_used();
 
     // Pair initiators with responders per block: a uniformly random perfect
     // matching, sampled group by group as a hypergeometric contingency
-    // table. Blocks draw from their own forked sub-streams (fork(U + b)) on
-    // multi-urn runs, so the record stage fans out per block; the draws
-    // depend only on the dealt role rows and the frozen present prefixes
-    // (present lists are append-only, so indices below width stay stable
-    // while later groups apply).
-    const auto pair_block = [&](std::size_t b) {
-      std::vector<PairGroup>& out = groups[b];
-      out.clear();
-      if (block_len[b] == 0) return;
-      const std::size_t u = b / u_count;
-      const std::size_t v = b % u_count;
-      const Sim::Urn& urn_i = sim.urns[u];
-      const Sim::Urn& urn_r = sim.urns[v];
+    // table, on the block's forked sub-stream fork(U + b) in multi-urn
+    // runs. Each matched group of m (s, t) pairs is applied as it is drawn:
+    // it marks its participants used and, unless null, stages its count
+    // deltas. The draws read only the dealt role rows and the present-list
+    // prefixes below `width` (present lists only grow, so those indices
+    // stay stable while groups apply); the staged deltas are netted per
+    // (urn, state) and applied once, before the collision draw reads the
+    // counts.
+    std::uint64_t epoch_productive = 0;
+    for (std::size_t b = 0; b < num_blocks; ++b) {
+      if (block_len[b] == 0) continue;
+      const std::size_t bu = b / u_count;
+      const std::size_t bv = b % u_count;
+      Sim::Urn& urn_i = sim.urns[bu];
+      Sim::Urn& urn_r = sim.urns[bv];
       const std::span<const std::uint64_t> init =
-          init_flat.subspan(b * states, width[u]);
+          init_flat.subspan(b * states, width[bu]);
       const std::span<std::uint64_t> resp =
-          resp_flat.subspan(b * states, width[v]);
+          resp_flat.subspan(b * states, width[bv]);
 
       util::Rng forked(0);
       util::Rng* stream = &rng;
@@ -1159,39 +1063,21 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
           if (m == 0) continue;
           const pp::StateId s = urn_i.present[a];
           const pp::StateId t = urn_r.present[c];
-          out.push_back({s, t, transition(s, t), m});
+          const pp::Transition tr = transition(s, t);
+          sim.touch_used(urn_i, tr.initiator, m);
+          sim.touch_used(urn_r, tr.responder, m);
+          if (tr.initiator == s && tr.responder == t) continue;
+          sim.stage(bu, s, 0 - m);
+          sim.stage(bv, t, 0 - m);
+          sim.stage(bu, tr.initiator, m);
+          sim.stage(bv, tr.responder, m);
+          sim.note_state(urn_i, tr.initiator);
+          sim.note_state(urn_r, tr.responder);
+          sim.apply_agg(s, t, tr, m);
+          block_productive[b] += m;
         }
         CIRCLES_DCHECK(need == 0);
         resp_pool -= init[a];
-      }
-    };
-    sim.run_tasks(num_blocks, pooled, "dense.stage.pair", pair_block);
-
-    // Apply the recorded groups in ascending (block, group) order — the
-    // exact mutation order of the historical interleaved loop, and the only
-    // stage that touches counts, presence, the used masses, or the
-    // aggregate view. Every group marks its participants used; null groups
-    // move no count. The count deltas are netted per (urn, state) and
-    // applied once, before the collision draw reads the counts.
-    std::uint64_t epoch_productive = 0;
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-      if (block_len[b] == 0) continue;
-      const std::size_t bu = b / u_count;
-      const std::size_t bv = b % u_count;
-      Sim::Urn& urn_i = sim.urns[bu];
-      Sim::Urn& urn_r = sim.urns[bv];
-      for (const PairGroup& g : groups[b]) {
-        sim.touch_used(urn_i, g.tr.initiator, g.m);
-        sim.touch_used(urn_r, g.tr.responder, g.m);
-        if (g.tr.initiator == g.s && g.tr.responder == g.t) continue;
-        sim.stage(bu, g.s, 0 - g.m);
-        sim.stage(bv, g.t, 0 - g.m);
-        sim.stage(bu, g.tr.initiator, g.m);
-        sim.stage(bv, g.tr.responder, g.m);
-        sim.note_state(urn_i, g.tr.initiator);
-        sim.note_state(urn_r, g.tr.responder);
-        sim.apply_agg(g.s, g.t, g.tr, g.m);
-        block_productive[b] += g.m;
       }
       epoch_productive += block_productive[b];
     }
@@ -1289,10 +1175,6 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     }
     if (trace_epoch) sim.trace->end("dense.epoch");
   }
-
-  // The deal tasks count their mvhg draws per urn (so pooled stages never
-  // share a counter); fold them into the run total here.
-  for (std::size_t u = 0; u < u_count; ++u) sim.m_mvhg_draws += mvhg_draws[u];
 
   // Resolve the exact step of the final change. Within an epoch each
   // block's slot assignment is exchangeable, so its productive slots form a

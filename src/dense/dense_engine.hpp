@@ -57,14 +57,9 @@
 // util::Rng::fork, so per-block draws are reproducible regardless of block
 // iteration order.
 //
-// Intra-run parallelism: that same sub-stream structure makes the batched
-// multi-urn epoch stages embarrassingly parallel — per-urn participant
-// deals and per-block contingency pairing write task-indexed disjoint
-// state, and the recorded transition groups are applied serially in
-// ascending (block, group) order. EngineOptions::run_threads > 1 fans the
-// stages out across util::ThreadPool::shared(); results are bitwise
-// identical for every thread count, including 1. Single-urn runs and
-// per-step mode never pool.
+// A run is serial: epochs follow each other and each multi-urn epoch is
+// only U urn deals and U^2 small block pairings, so parallelism lives
+// across trials (sim::BatchRunner), not inside one run.
 #pragma once
 
 #include <cstdint>
@@ -143,9 +138,6 @@ class DenseEngine {
   const pp::EngineOptions& options() const { return options_; }
   /// Empty sizes = single urn of whatever n the configuration carries.
   const pp::UrnLumping& lumping() const { return lumping_; }
-  /// Resolved intra-run worker budget: EngineOptions::run_threads with 0
-  /// expanded to the hardware's core count. 1 = fully serial.
-  std::uint32_t run_threads() const { return run_threads_; }
 
  private:
   struct Sim;
@@ -171,7 +163,6 @@ class DenseEngine {
   DenseMode mode_;
   std::uint64_t num_states_;
   pp::UrnLumping lumping_;
-  std::uint32_t run_threads_ = 1;  // resolved at construction (0 -> cores)
 };
 
 }  // namespace circles::dense

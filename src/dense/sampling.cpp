@@ -77,8 +77,6 @@ std::uint64_t chop_down(util::Rng& rng, std::uint64_t lo, std::uint64_t mode,
 
 }  // namespace
 
-void warm_log_factorial() { (void)log_factorial_table(); }
-
 double log_factorial(std::uint64_t x) {
   if (x < kFactorialTableSize) return log_factorial_table()[x];
   // Stirling series for log Gamma(x + 1), summed term by term (not via

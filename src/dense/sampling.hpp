@@ -22,12 +22,6 @@ namespace circles::dense {
 /// error < 1e-14 there, far below the samplers' inversion tolerance).
 double log_factorial(std::uint64_t x);
 
-/// Forces the shared log-factorial table to build now. The table is a
-/// thread-safe magic static either way; warming it from an engine's serial
-/// setup keeps the one-time initialization (and its guard) off the first
-/// parallel epoch's worker threads.
-void warm_log_factorial();
-
 /// log of the binomial coefficient C(n, k). Requires k <= n.
 double log_choose(std::uint64_t n, std::uint64_t k);
 

@@ -79,7 +79,6 @@ std::string RunManifest::to_json() const {
   out += ",\"seed\":" + std::to_string(seed);
   out += ",\"trials\":" + std::to_string(trials);
   out += ",\"threads\":" + std::to_string(threads);
-  out += ",\"run_threads\":" + std::to_string(run_threads);
   out += ",\"utilization\":" + json_number(utilization);
   field("git_describe", git_describe);
   field("build_type", build_type);

@@ -18,7 +18,6 @@ struct RunManifest {
   std::uint64_t seed = 0;
   std::uint32_t trials = 0;
   std::uint32_t threads = 0;      ///< Outer across-trial worker count.
-  std::uint32_t run_threads = 0;  ///< Resolved inner per-run worker budget.
   double utilization = 0.0;  ///< Outer-pool busy fraction over the batch.
 
   // Where/when it ran (filled by collect()).

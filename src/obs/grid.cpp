@@ -2,38 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "util/cli.hpp"
 
 namespace circles::obs {
 
-namespace {
-
 using util::split_commas;
-
-/// Shortest rendering that parses back to the exact double: "0.1" stays
-/// "0.1", but code-built fractions like 1.0/3.0 get the full 17 digits —
-/// to_string() -> parse() recovering the bit-identical sample point is a
-/// documented invariant, and plain %g would silently move it.
-std::string format_fraction(double f) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%g", f);
-  if (std::strtod(buffer, nullptr) == f) return buffer;
-  std::snprintf(buffer, sizeof(buffer), "%.17g", f);
-  return buffer;
-}
-
-}  // namespace
 
 std::string GridSpec::to_string() const {
   if (!fractions.empty()) {
     std::string out = "frac:";
     for (std::size_t i = 0; i < fractions.size(); ++i) {
       if (i) out += ',';
-      out += format_fraction(fractions[i]);
+      out += util::format_double(fractions[i]);
     }
     return out;
   }

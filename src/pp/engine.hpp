@@ -57,13 +57,10 @@ struct EngineOptions {
   /// (tracing never touches an RNG stream or reorders work).
   trace::Tracer* tracer = nullptr;
 
-  /// Worker threads INSIDE one run. Only the dense engine consumes it (the
-  /// multi-urn batched epoch stages fan out across util::ThreadPool::
-  /// shared()); the agent/gillespie/fluid engines are inherently serial per
-  /// run and ignore it. 1 (default) = fully serial; 0 = one thread per
-  /// hardware core; results are bitwise identical for every value (the
-  /// parallel stages reduce in a deterministic order). Across-trial
-  /// parallelism is a different knob: BatchOptions::threads.
+  /// Must be 1; no engine reads it (every run is serial inside, and
+  /// across-trial parallelism is BatchOptions::threads). Kept only because
+  /// perfbench/ still assigns it; the next change to the benchmark deletes
+  /// it together with that assignment.
   std::uint32_t run_threads = 1;
 };
 

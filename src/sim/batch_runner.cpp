@@ -276,6 +276,21 @@ void validate_spec(const RunSpec& spec, const pp::Protocol& protocol) {
         std::to_string(spec.rtol) + ", atol=" + std::to_string(spec.atol) +
         "); tolerances must be positive (0 = engine default)");
   }
+  if (spec.run_threads != 1 || spec.engine.run_threads != 1) {
+    throw std::invalid_argument(
+        "RunSpec '" + spec.to_string() + "' asks for " +
+        std::to_string(spec.run_threads != 1 ? spec.run_threads
+                                             : spec.engine.run_threads) +
+        " threads inside a run; every run is serial inside (threads=1), "
+        "trials spread across the batch pool instead (sweep --threads)");
+  }
+  if (spec.engine.metrics != nullptr || spec.engine.tracer != nullptr) {
+    throw std::invalid_argument(
+        "RunSpec '" + spec.to_string() +
+        "' attaches its own engine metrics registry or tracer; attach "
+        "telemetry batch-wide (BatchOptions::metrics / tracer) or per spec "
+        "with the metrics= / spans= sinks");
+  }
 
   if (spec.backend != EngineKind::kAuto) {
     check_population_range(spec, spec.backend);
@@ -312,7 +327,6 @@ pp::RunResult run_counts(const CountEngine& engine,
 
 PreparedSpec::PreparedSpec(const RunSpec& spec,
                            const ProtocolRegistry& registry,
-                           std::uint32_t inner_threads,
                            metrics::MetricsRegistry* metrics,
                            trace::Tracer* tracer,
                            kernel::CompileOptions compile)
@@ -402,13 +416,10 @@ PreparedSpec::PreparedSpec(const RunSpec& spec,
   }
 
   // Options for every engine of this spec: the spec's, with the caller's
-  // registry and tracer injected (never overriding ones the spec names)
-  // and the inner width resolved.
+  // registry and tracer attached.
   engine_options_ = spec.engine;
-  if (engine_options_.metrics == nullptr) engine_options_.metrics = metrics;
-  if (engine_options_.tracer == nullptr) engine_options_.tracer = tracer;
-  engine_options_.run_threads =
-      spec.run_threads != 0 ? spec.run_threads : inner_threads;
+  engine_options_.metrics = metrics;
+  engine_options_.tracer = tracer;
   {
     // The compile runs once per spec on the preparing thread; its span
     // lands in the spec's own timeline so build time is visibly separate
@@ -629,15 +640,9 @@ std::vector<SpecResult> BatchRunner::run(
   // spec of the batch; collected once, stamped with the batch start time.
   const metrics::RunManifest base_manifest = metrics::RunManifest::collect();
 
-  // Outer/inner thread budget, resolved before the specs are prepared so
-  // the inner width can be baked into the per-spec dense engines. Trials
-  // and the dense engines' intra-run regions run on one pool, whose size
-  // (helpers + 1) caps the outer width. The outer across-trial width takes
-  // the machine first (trials parallelize perfectly); only when there are
-  // fewer jobs than cores do the leftover cores move INSIDE the runs (dense
-  // multi-urn epoch stages). A spec with run_threads != 0 pins its own
-  // inner width instead. Results are bitwise identical under every split —
-  // this is purely a wall-clock decision.
+  // Across-trial width: trials run on one pool, whose size (helpers + 1)
+  // caps it, as does the job count. Results are bitwise identical at every
+  // width — this is purely a wall-clock decision.
   util::ThreadPool& pool = util::ThreadPool::shared();
   const std::uint32_t cores = pool.helpers() + 1;
   std::size_t total_jobs = 0;
@@ -645,14 +650,11 @@ std::vector<SpecResult> BatchRunner::run(
   const std::uint32_t threads = static_cast<std::uint32_t>(
       std::min<std::size_t>({options_.threads == 0 ? cores : options_.threads,
                              cores, std::max<std::size_t>(total_jobs, 1)}));
-  const std::uint32_t inner_default =
-      total_jobs >= cores ? 1 : std::max<std::uint32_t>(1, cores / threads);
 
   // Telemetry registry and span tracer per spec: the batch-wide ones from
   // BatchOptions, overridden by private ones for specs that want their own
   // sink files (spec.metrics_out / spec.spans_out, written at the end of
-  // run()). A spec.engine.metrics/tracer set by the caller always wins
-  // inside the engines.
+  // run()).
   std::vector<std::unique_ptr<metrics::MetricsRegistry>> owned_registries(
       specs.size());
   std::vector<std::unique_ptr<trace::Tracer>> owned_tracers(specs.size());
@@ -677,8 +679,7 @@ std::vector<SpecResult> BatchRunner::run(
     if (!spec.spans_out.empty()) {
       owned_tracers[i] = std::make_unique<trace::Tracer>();
     }
-    prepared.emplace_back(spec, *registry_, inner_default, spec_metrics(i),
-                          spec_tracer(i));
+    prepared.emplace_back(spec, *registry_, spec_metrics(i), spec_tracer(i));
     spec_seeds[i] = spec_seed(spec, options_.base_seed, i);
     results[i].spec = spec;
     results[i].backend_resolved = prepared[i].backend();
@@ -876,7 +877,6 @@ std::vector<SpecResult> BatchRunner::run(
     result.manifest.seed = spec_seeds[i];
     result.manifest.trials = specs[i].trials;
     result.manifest.threads = threads;
-    result.manifest.run_threads = prepared[i].engine_options().run_threads;
     result.manifest.utilization = utilization;
     result.manifest.finished_utc = finished;
     result.manifest.wall_ms =

@@ -5,8 +5,8 @@
 // RNG stream is a pure function of (spec seed, trial index) — see
 // run_spec.hpp — so the results are bitwise identical regardless of thread
 // count or scheduling order. Trials are executed work-stealing style over a
-// flattened job list, in the same pool the dense engine's intra-run regions
-// use; the per-spec aggregation runs sequentially afterwards, in trial order.
+// flattened job list; each run is serial inside. The per-spec aggregation
+// runs sequentially afterwards, in trial order.
 #pragma once
 
 #include <cstdint>
@@ -179,8 +179,12 @@ struct BatchOptions {
 /// circles_stats or probes that do not fit `protocol`, an exact tie or a
 /// margin-1 workload that cannot be built, feature combinations no backend
 /// supports, misplaced fluid tolerances, or a population beyond a concrete
-/// backend's range. PreparedSpec calls it before building anything (and
-/// range-checks backend=auto specs once resolved).
+/// backend's range. It also rejects a spec that asks for threads inside a
+/// run (run_threads or engine.run_threads other than 1) or attaches its
+/// own engine.metrics / engine.tracer: telemetry attaches batch-wide
+/// (BatchOptions) or per spec through the metrics= / spans= sinks.
+/// PreparedSpec calls it before building anything (and range-checks
+/// backend=auto specs once resolved).
 void validate_spec(const RunSpec& spec, const pp::Protocol& protocol);
 
 /// One spec made ready to run: its protocol, compiled kernel, resolved
@@ -193,14 +197,11 @@ void validate_spec(const RunSpec& spec, const pp::Protocol& protocol);
 /// thread-safe.
 class PreparedSpec {
  public:
-  /// `inner_threads` is the dense engine's intra-run width when the spec
-  /// leaves run_threads at 0. `metrics` and `tracer` receive the engines'
-  /// counters and spans unless spec.engine already names its own. `compile`
-  /// lowers the kernel (its count_sparse_hits follows whether a registry
-  /// is attached); the kernel-equivalence tests force the sparse table
-  /// through it.
+  /// `metrics` and `tracer` receive the engines' counters and spans.
+  /// `compile` lowers the kernel (its count_sparse_hits follows whether a
+  /// registry is attached); the kernel-equivalence tests force the sparse
+  /// table through it.
   PreparedSpec(const RunSpec& spec, const ProtocolRegistry& registry,
-               std::uint32_t inner_threads = 1,
                metrics::MetricsRegistry* metrics = nullptr,
                trace::Tracer* tracer = nullptr,
                kernel::CompileOptions compile = {});
@@ -218,9 +219,6 @@ class PreparedSpec {
   const kernel::CompiledProtocol& kernel() const { return *kernel_; }
   /// The concrete backend the trials run on (never kAuto).
   EngineKind backend() const { return backend_; }
-  /// The options every engine of this spec runs with (registry and tracer
-  /// injected, run_threads resolved).
-  const pp::EngineOptions& engine_options() const { return engine_options_; }
 
  private:
   RunSpec spec_;
@@ -249,8 +247,7 @@ class BatchRunner {
 
   /// Prepares `spec` alone and runs its trial with seed `trial_seed`: the
   /// entry point REPRO lines replay through (sweep --spec/--trial-seed).
-  /// Same checks and results as that trial inside run() (inner width 1;
-  /// results never depend on the width).
+  /// Same checks and results as that trial inside run().
   static TrialRecord execute_trial(
       const RunSpec& spec, std::uint64_t trial_seed,
       const ProtocolRegistry& registry = ProtocolRegistry::global());

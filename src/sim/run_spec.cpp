@@ -1,12 +1,12 @@
 #include "sim/run_spec.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 
 #include "pp/schedulers/clustered.hpp"
+#include "util/cli.hpp"
 
 namespace circles::sim {
 
@@ -124,16 +124,10 @@ std::string WorkloadSpec::to_string() const {
       return "tie:" + std::to_string(tied_colors);
     case Family::kCloseMargin:
       return "margin1";
-    case Family::kDominant: {
-      char buffer[32];
-      std::snprintf(buffer, sizeof(buffer), "dominant:%g", share);
-      return buffer;
-    }
-    case Family::kZipf: {
-      char buffer[32];
-      std::snprintf(buffer, sizeof(buffer), "zipf:%g", exponent);
-      return buffer;
-    }
+    case Family::kDominant:
+      return "dominant:" + util::format_double(share);
+    case Family::kZipf:
+      return "zipf:" + util::format_double(exponent);
     case Family::kExplicit: {
       std::string out = "counts:";
       for (std::size_t i = 0; i < counts.size(); ++i) {
@@ -221,26 +215,14 @@ std::string RunSpec::to_string() const {
   } else if (clusters != 0) {
     out += " clusters=" + std::to_string(clusters);
   }
-  if (bridge != 0.01) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), " bridge=%g", bridge);
-    out += buffer;
-  }
+  if (bridge != 0.01) out += " bridge=" + util::format_double(bridge);
   out += " trials=" + std::to_string(trials);
   if (backend != EngineKind::kAgentArray) {
     out += " backend=" + sim::to_string(backend);
   }
-  if (run_threads != 0) out += " threads=" + std::to_string(run_threads);
-  if (rtol != 0.0) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), " rtol=%g", rtol);
-    out += buffer;
-  }
-  if (atol != 0.0) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), " atol=%g", atol);
-    out += buffer;
-  }
+  if (run_threads != 1) out += " threads=" + std::to_string(run_threads);
+  if (rtol != 0.0) out += " rtol=" + util::format_double(rtol);
+  if (atol != 0.0) out += " atol=" + util::format_double(atol);
   if (engine.max_interactions != pp::EngineOptions{}.max_interactions) {
     out += " budget=" + std::to_string(engine.max_interactions);
   }

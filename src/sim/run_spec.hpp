@@ -145,14 +145,12 @@ struct RunSpec {
   /// of refusing.
   EngineKind backend = EngineKind::kAgentArray;
 
-  /// Worker threads INSIDE each trial's run (dense backends only; feeds
-  /// pp::EngineOptions::run_threads). 0 (default) lets the BatchRunner
-  /// budget: trials get the whole machine via outer parallelism when there
-  /// are enough of them, otherwise leftover cores go inside the runs. Any
-  /// other value pins the inner width; results are bitwise identical for
-  /// every value. Rendered as a "threads=" token when non-zero. The outer
-  /// across-trial knob is BatchOptions::threads (sweep --threads).
-  std::uint32_t run_threads = 0;
+  /// Must be 1 (validate_spec rejects anything else): every run is serial
+  /// inside, and the one thread-count knob is BatchOptions::threads (sweep
+  /// --threads). Parsed from a "threads=" token, which perfbench/'s spec
+  /// strings still carry as "threads=1", and rendered only when not 1. The
+  /// next change to the benchmark deletes the field and the token.
+  std::uint32_t run_threads = 1;
 
   /// Fluid-backend integrator tolerances (backend=fluid or auto-resolved
   /// fluid); 0 = the engine defaults (rtol 1e-6, atol 1e-9). Setting them on

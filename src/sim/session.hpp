@@ -137,17 +137,10 @@ class SessionBuilder {
     spec_.label = std::move(label);
     return *this;
   }
-  /// Worker threads ACROSS trials (the BatchRunner's outer pool); the
-  /// inner, inside-a-run knob is run_threads().
+  /// Worker threads across trials (the BatchRunner's pool); each run is
+  /// serial inside.
   SessionBuilder& threads(std::uint32_t threads) {
     batch_.threads = threads;
-    return *this;
-  }
-  /// Worker threads INSIDE each trial's run (dense backends; see
-  /// RunSpec::run_threads). 0 = let the BatchRunner budget inner vs outer;
-  /// results are bitwise identical for every value.
-  SessionBuilder& run_threads(std::uint32_t threads) {
-    spec_.run_threads = threads;
     return *this;
   }
   /// Attach a telemetry registry: engine counters, kernel stats, and batch

@@ -77,23 +77,12 @@ SweepSpecs specs_from_flags(util::Cli& cli, const SweepFlagDefaults& defaults) {
       cli.int_flag("seed", defaults.seed, "base rng seed"));
   const auto budget = cli.int_flag(
       "budget", defaults.budget, "interaction budget (0 = engine default)");
-  const auto run_threads = cli.int_flag(
-      "run-threads", 0,
-      "worker threads INSIDE each run (dense backends; 0 = auto-budget "
-      "against the outer --threads pool; results are bitwise identical for "
-      "every value)");
 
   require_non_negative("k", ks);
   require_non_negative("n", ns);
   require_non_negative("trials", {trials});
   require_non_negative("budget", {budget});
   require_non_negative("clusters", clusters);
-  if (run_threads < 0) {
-    throw std::invalid_argument(
-        "flag --run-threads expects a non-negative inner (inside-a-run) "
-        "thread count, got " + std::to_string(run_threads) +
-        "; the outer across-trial pool is the separate --threads flag");
-  }
 
   SweepSpecs out;
   out.base_seed = seed;
@@ -118,7 +107,6 @@ SweepSpecs specs_from_flags(util::Cli& cli, const SweepFlagDefaults& defaults) {
               spec.atol = atol;
             }
             spec.trials = static_cast<std::uint32_t>(trials);
-            spec.run_threads = static_cast<std::uint32_t>(run_threads);
             if (budget > 0) {
               spec.engine.max_interactions =
                   static_cast<std::uint64_t>(budget);

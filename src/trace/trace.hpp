@@ -48,10 +48,9 @@ namespace circles::trace {
 
 struct TracerOptions {
   /// Events retained per thread (rounded up to a power of two). Sized so a
-  /// multi-trial batch keeps its setup spans (kernel.compile, batch.trial)
-  /// even when pooled stage tasks flood the shared worker threads: the inner
-  /// run_threads tasks drain on the same outer pool, so one thread can see
-  /// several trials' worth of decimated engine spans (~15k per trial).
+  /// multi-trial batch keeps its setup spans (kernel.compile, batch.trial):
+  /// one pool worker runs several trials in turn, each leaving its
+  /// decimated engine spans (~15k per trial) on that worker's ring.
   /// ~40 bytes per slot, allocated per registered thread, tracing opt-in.
   std::size_t buffer_capacity = 1 << 16;
   /// Events per flight-recorder dump (most recent first across threads).
@@ -140,7 +139,7 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   /// This thread's buffer, registering it on first use. `name_hint` labels
-  /// the thread in the exported timeline ("worker" becomes "worker-3"); it
+  /// the thread in the exported timeline ("trial-worker" becomes "trial-worker-3"); it
   /// is only consulted at registration, so later calls may pass nullptr.
   /// The constructing thread is pre-registered as "main". Lookup after
   /// registration is lock-free (one hash probe into an atomic table).

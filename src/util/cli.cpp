@@ -123,6 +123,14 @@ std::vector<std::string> split_commas(const std::string& raw) {
   return parts;
 }
 
+std::string format_double(double value) {
+  char buffer[40];
+  std::snprintf(buffer, sizeof(buffer), "%g", value);
+  if (std::strtod(buffer, nullptr) == value) return buffer;
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return buffer;
+}
+
 std::vector<std::int64_t> Cli::int_list_flag(const std::string& name,
                                              const std::string& def,
                                              const std::string& help) {

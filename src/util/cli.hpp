@@ -16,6 +16,12 @@ namespace circles::util {
 /// the sweep --trace parser.
 std::vector<std::string> split_commas(const std::string& raw);
 
+/// Shortest rendering that parses back to the exact double: "0.1" stays
+/// "0.1" (plain %g), anything %g would round gets the full 17 digits. The
+/// spec grammars (RunSpec, WorkloadSpec, obs grids) render real values
+/// with it, so to_string() -> parse() recovers the bit-identical value.
+std::string format_double(double value);
+
 class Cli {
  public:
   /// Parses argv; exits with a message on malformed input.

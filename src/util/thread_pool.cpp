@@ -1,20 +1,8 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 namespace circles::util {
-
-namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 ThreadPool::ThreadPool(unsigned helpers) {
   workers_.reserve(helpers);
@@ -41,31 +29,22 @@ ThreadPool& ThreadPool::shared() {
 }
 
 void ThreadPool::drain(Region& region) {
-  const std::uint64_t start = now_ns();
-  std::size_t ran = 0;
   for (;;) {
     const std::size_t i =
         region.next.fetch_add(1, std::memory_order_relaxed);
     if (i >= region.count) break;
     (*region.fn)(i);
-    ++ran;
     // release: the task's writes happen-before the caller's acquire read
     // of `done` hitting `count`, so post-region serial reductions see them.
     region.done.fetch_add(1, std::memory_order_release);
   }
-  if (ran > 0) {
-    region.busy_ns.fetch_add(now_ns() - start, std::memory_order_relaxed);
-  }
 }
 
-std::uint64_t ThreadPool::parallel_for(
-    std::size_t count, unsigned max_threads,
-    const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return 0;
-  if (max_threads <= 1 || count == 1 || workers_.empty()) {
-    const std::uint64_t start = now_ns();
+void ThreadPool::parallel_for(std::size_t count, unsigned max_threads,
+                              const std::function<void(std::size_t)>& fn) {
+  if (max_threads <= 1 || count <= 1 || workers_.empty()) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
-    return now_ns() - start;
+    return;
   }
 
   Region region;
@@ -102,7 +81,6 @@ std::uint64_t ThreadPool::parallel_for(
              region.done.load(std::memory_order_acquire) == region.count;
     });
   }
-  return region.busy_ns.load(std::memory_order_relaxed);
 }
 
 void ThreadPool::worker_loop() {

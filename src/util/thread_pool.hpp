@@ -1,29 +1,22 @@
-// The process's one worker pool: BatchRunner's across-trial jobs and the
-// dense engine's intra-run regions both run here.
+// The process's one worker pool: BatchRunner's across-trial jobs run here.
 //
-// The dense engine's batched epochs need cheap regions — a few per epoch,
-// thousands of epochs per run — so the workers are created once and parked
-// on a condition variable between regions. A trial running on a helper may
-// open its own regions (nesting): the helper participates in them like any
-// caller. parallel_for(count, fn) runs fn(0..count-1) with the
-// calling thread participating; the division of indices across threads is
-// racy ON PURPOSE (work stealing via one fetch_add), which is only sound
-// because every caller in this codebase writes task-indexed disjoint state
-// and performs order-sensitive reductions serially afterwards. Determinism
-// therefore never depends on the pool: results are bitwise identical for any
-// worker count, including zero.
+// The workers are created once and parked on a condition variable between
+// regions. parallel_for(count, fn) runs fn(0..count-1) with the calling
+// thread participating; the division of indices across threads is racy ON
+// PURPOSE (work stealing via one fetch_add), which is only sound because
+// every caller writes task-indexed disjoint state and performs
+// order-sensitive reductions serially afterwards. Determinism therefore
+// never depends on the pool: results are bitwise identical for any worker
+// count, including zero.
 //
-// Concurrent parallel_for calls from different threads are safe (the
-// BatchRunner's trials may each drive their own intra-run regions); regions
-// are served newest-first, which keeps a small batch's regions from
-// interleaving pathologically. fn must not throw: on a helper thread an
+// Concurrent parallel_for calls from different threads are safe; regions
+// are served newest-first. fn must not throw: on a helper thread an
 // escaping exception calls std::terminate.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -47,14 +40,12 @@ class ThreadPool {
   /// Runs fn(i) for every i in [0, count); returns when all calls finished.
   /// At most `max_threads` threads (including the caller) touch the region;
   /// max_threads <= 1, count <= 1 or an empty pool short-circuit to an
-  /// inline serial loop. Returns the summed task execution time in
-  /// nanoseconds across all participants (telemetry only).
-  std::uint64_t parallel_for(std::size_t count, unsigned max_threads,
-                             const std::function<void(std::size_t)>& fn);
+  /// inline serial loop.
+  void parallel_for(std::size_t count, unsigned max_threads,
+                    const std::function<void(std::size_t)>& fn);
 
   /// The process-wide pool, lazily built with hardware_concurrency() - 1
-  /// helpers. Engines share it so concurrent trials cannot oversubscribe
-  /// the machine with per-engine pools.
+  /// helpers.
   static ThreadPool& shared();
 
  private:
@@ -63,7 +54,6 @@ class ThreadPool {
     std::size_t count = 0;
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
-    std::atomic<std::uint64_t> busy_ns{0};
     unsigned max_helpers = 0;  // helper threads admitted (caller not counted)
     unsigned helpers_inside = 0;  // guarded by the pool mutex
   };

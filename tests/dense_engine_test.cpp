@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -1243,102 +1242,6 @@ TEST(DenseBackendSpecTest, TieAwareGradingWorksOnDenseBackend) {
   spec.seed = 5;
   const sim::SpecResult result = sim::BatchRunner().run_one(spec);
   EXPECT_EQ(result.correct, 8u);
-}
-
-// --- intra-run parallelism ---------------------------------------------------
-
-TEST(ParallelRunTest, RunThreadsResolveAtConstruction) {
-  const auto protocol = sim::ProtocolRegistry::global().create("circles",
-                                                               {.k = 2});
-  DenseEngine serial(*protocol, {}, DenseMode::kBatched);
-  EXPECT_EQ(serial.run_threads(), 1u);
-  pp::EngineOptions options;
-  options.run_threads = 4;
-  DenseEngine pinned(*protocol, options, DenseMode::kBatched);
-  EXPECT_EQ(pinned.run_threads(), 4u);
-  options.run_threads = 0;  // 0 = one thread per core, resolved eagerly.
-  DenseEngine automatic(*protocol, options, DenseMode::kBatched);
-  EXPECT_GE(automatic.run_threads(), 1u);
-}
-
-/// The tentpole guarantee: run_threads is a pure performance knob. Every
-/// cell of the (threads x urn structure x mode x kernel kind) matrix must
-/// leave counts, RNG consumption, and every RunResult field bitwise
-/// identical to the serial engine.
-TEST(ParallelRunTest, ThreadCountsAreBitwiseIdenticalToSerial) {
-  const auto protocol = sim::ProtocolRegistry::global().create("circles",
-                                                               {.k = 3});
-  const std::vector<pp::UrnLumping> lumpings = {
-      {},  // single urn: historical stream, unified code path
-      urn_harness::dumbbell({60, 40}, 0.02),
-      urn_harness::dumbbell({40, 35, 25}, 0.05),
-  };
-  for (const DenseMode mode : {DenseMode::kPerStep, DenseMode::kBatched}) {
-    for (const auto& compiled :
-         {std::make_shared<const kernel::CompiledProtocol>(*protocol),
-          forced_sparse(*protocol)}) {
-      for (const pp::UrnLumping& lumping : lumpings) {
-        SCOPED_TRACE(::testing::Message()
-                     << "mode=" << (mode == DenseMode::kBatched ? "batched"
-                                                                : "per_step")
-                     << " kernel=" << kernel::to_string(compiled->kind())
-                     << " urns=" << std::max<std::size_t>(
-                            lumping.sizes.size(), 1));
-        DenseEngine serial(compiled, {}, mode, lumping);
-        const std::uint64_t n =
-            lumping.sizes.empty()
-                ? 100u
-                : std::accumulate(lumping.sizes.begin(), lumping.sizes.end(),
-                                  std::uint64_t{0});
-        util::Rng seed_rng(17);
-        UrnConfig baseline_config = UrnConfig::from_workload(
-            *protocol, workload_of({n / 2, n / 4, n - n / 2 - n / 4}),
-            lumping.sizes.empty() ? std::vector<std::uint64_t>{n}
-                                  : lumping.sizes,
-            seed_rng);
-        UrnConfig serial_config = baseline_config;
-        const pp::RunResult expect = serial.run(serial_config, 4242);
-        for (const std::uint32_t threads : {2u, 4u, 8u}) {
-          pp::EngineOptions options;
-          options.run_threads = threads;
-          DenseEngine parallel(compiled, options, mode, lumping);
-          UrnConfig config = baseline_config;
-          const pp::RunResult result = parallel.run(config, 4242);
-          EXPECT_EQ(config, serial_config) << "threads=" << threads;
-          EXPECT_EQ(result.interactions, expect.interactions);
-          EXPECT_EQ(result.state_changes, expect.state_changes);
-          EXPECT_EQ(result.last_change_step, expect.last_change_step);
-          EXPECT_EQ(result.silent, expect.silent);
-          EXPECT_EQ(result.budget_exhausted, expect.budget_exhausted);
-        }
-      }
-    }
-  }
-}
-
-/// TSan-friendly hammer: many back-to-back 8-thread batched runs over the
-/// shared pool and per-run scratch arenas, each checked against the serial
-/// engine. Races in the deal/pairing stages or the shared log-factorial
-/// table show up here under -fsanitize=thread (CIRCLES_TSAN=ON).
-TEST(ParallelRunTest, EightThreadHammerMatchesSerialAcrossSeeds) {
-  const auto protocol = sim::ProtocolRegistry::global().create("circles",
-                                                               {.k = 3});
-  const auto lumping = urn_harness::dumbbell({50, 30, 20}, 0.05);
-  pp::EngineOptions options;
-  options.run_threads = 8;
-  DenseEngine serial(*protocol, {}, DenseMode::kBatched, lumping);
-  DenseEngine parallel(*protocol, options, DenseMode::kBatched, lumping);
-  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-    util::Rng rng(seed);
-    UrnConfig a = UrnConfig::from_workload(
-        *protocol, workload_of({45, 35, 20}), lumping.sizes, rng);
-    UrnConfig b = a;
-    const pp::RunResult ra = serial.run(a, seed * 31);
-    const pp::RunResult rb = parallel.run(b, seed * 31);
-    EXPECT_EQ(a, b) << "seed " << seed;
-    EXPECT_EQ(ra.interactions, rb.interactions) << "seed " << seed;
-    EXPECT_EQ(ra.state_changes, rb.state_changes) << "seed " << seed;
-  }
 }
 
 }  // namespace

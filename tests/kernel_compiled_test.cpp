@@ -233,7 +233,7 @@ kernel::CompileOptions forced_sparse() {
 /// `spec` prepared as the BatchRunner prepares it, but on the forced-sparse
 /// kernel.
 sim::PreparedSpec prepare_sparse(const sim::RunSpec& spec) {
-  return sim::PreparedSpec(spec, sim::ProtocolRegistry::global(), 1, nullptr,
+  return sim::PreparedSpec(spec, sim::ProtocolRegistry::global(), nullptr,
                            nullptr, forced_sparse());
 }
 

@@ -44,7 +44,7 @@ TEST(ObsIntegrationTest, EnergyTraceBitwiseIdenticalWithKernelOnAndOff) {
     const auto result_on = sim::BatchRunner().run_one(spec);
     ASSERT_EQ(result_on.kernel_stats.kind, kernel::TableKind::kDense);
     ASSERT_EQ(result_on.trials.size(), spec.trials);
-    const sim::PreparedSpec sparse(spec, sim::ProtocolRegistry::global(), 1,
+    const sim::PreparedSpec sparse(spec, sim::ProtocolRegistry::global(),
                                    nullptr, nullptr, sparse_options);
     ASSERT_EQ(sparse.kernel().kind(), kernel::TableKind::kSparse);
     for (std::uint32_t t = 0; t < spec.trials; ++t) {

@@ -70,7 +70,11 @@ void expect_identical(const SpecResult& a, const SpecResult& b) {
 }
 
 TEST(BatchRunnerTest, ResultsAreThreadCountInvariant) {
-  const auto specs = small_grid();
+  auto specs = small_grid();
+  // Multi-urn dense_batched trials sharing one engine across the pool.
+  specs.push_back(RunSpec::parse(
+      "circles(k=3) n=1000 workload=zipf:1.2 scheduler=clustered clusters=4 "
+      "bridge=0.05 trials=4 backend=dense_batched"));
   const auto single = BatchRunner({.threads = 1, .base_seed = 99}).run(specs);
   const auto pooled = BatchRunner({.threads = 8, .base_seed = 99}).run(specs);
   ASSERT_EQ(single.size(), specs.size());
@@ -78,49 +82,6 @@ TEST(BatchRunnerTest, ResultsAreThreadCountInvariant) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     SCOPED_TRACE(i);
     expect_identical(single[i], pooled[i]);
-  }
-}
-
-TEST(BatchRunnerTest, NestedPoolRegionsMatchTheSerialRun) {
-  // Outer trials and the dense engine's intra-run epoch regions share one
-  // pool: clustered multi-urn dense_batched trials at outer width 4, each
-  // fanning its epochs out at inner width 2 or 4, must reproduce the fully
-  // serial batch bit for bit.
-  std::vector<RunSpec> specs;
-  for (const char* text :
-       {"circles(k=3) n=1000 workload=zipf:1.2 scheduler=clustered "
-        "clusters=4 bridge=0.05 trials=2 backend=dense_batched",
-        "circles(k=4) n=800 workload=unique scheduler=clustered clusters=3 "
-        "trials=2 backend=dense_batched"}) {
-    specs.push_back(RunSpec::parse(text));
-  }
-  metrics::MetricsRegistry registry;
-  const auto run_at = [&](std::uint32_t outer, std::uint32_t inner) {
-    std::vector<RunSpec> sized = specs;
-    for (RunSpec& spec : sized) spec.run_threads = inner;
-    return BatchRunner(
-               {.threads = outer, .base_seed = 21, .metrics = &registry})
-        .run(sized);
-  };
-  const auto serial = run_at(1, 1);
-  EXPECT_EQ(registry.counter("dense.parallel_epochs").value(), 0u);
-  for (const std::uint32_t inner : {2u, 4u}) {
-    SCOPED_TRACE(inner);
-    const auto nested = run_at(4, inner);
-    // The inner regions really ran (the epochs took the pooled path).
-    EXPECT_GT(registry.counter("dense.parallel_epochs").value(), 0u);
-    ASSERT_EQ(nested.size(), specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      SCOPED_TRACE(i);
-      EXPECT_EQ(nested[i].manifest.run_threads, inner);
-      expect_identical(serial[i], nested[i]);
-      for (std::size_t t = 0; t < serial[i].trials.size(); ++t) {
-        EXPECT_EQ(serial[i].trials[t].outcome.run.final_outputs,
-                  nested[i].trials[t].outcome.run.final_outputs);
-        EXPECT_EQ(serial[i].trials[t].outcome.run.last_change_step,
-                  nested[i].trials[t].outcome.run.last_change_step);
-      }
-    }
   }
 }
 
@@ -234,26 +195,6 @@ TEST(BatchRunnerTest, AggregatesMatchPerTrialRecords) {
   EXPECT_EQ(result.potential_descent_violations, 0u);
   EXPECT_EQ(result.braket_invariant_violations, 0u);
   EXPECT_EQ(result.decomposition_rate(), 1.0);
-}
-
-TEST(BatchRunnerTest, TrialsMatchSingleTrialRunner) {
-  RunSpec spec;
-  spec.protocol = "circles";
-  spec.params.k = 3;
-  spec.workload = WorkloadSpec::explicit_counts({5, 3, 2});
-  spec.trials = 3;
-  const auto result = BatchRunner({.threads = 1, .base_seed = 17}).run_one(spec);
-
-  const auto protocol = ProtocolRegistry::global().create("circles", {.k = 3});
-  for (const auto& rec : result.trials) {
-    TrialOptions options;
-    options.seed = rec.seed;
-    const TrialOutcome direct =
-        run_trial(*protocol, rec.workload, options);
-    EXPECT_EQ(direct.run.interactions, rec.outcome.run.interactions);
-    EXPECT_EQ(direct.run.state_changes, rec.outcome.run.state_changes);
-    EXPECT_EQ(direct.correct, rec.outcome.correct);
-  }
 }
 
 TEST(BatchRunnerTest, ValidatesSpecsUpFront) {
@@ -413,6 +354,67 @@ TEST(BatchRunnerValidationTest, ReplayedSpecsGetTheSameChecks) {
   const RunSpec ok = RunSpec::parse("circles(k=3) n=30 backend=agent");
   const auto protocol = ProtocolRegistry::global().create("circles", {.k = 3});
   EXPECT_NO_THROW(validate_spec(ok, *protocol));
+}
+
+/// The rejection message names the spec and mentions `needle`.
+void expect_rejected(const RunSpec& spec, const std::string& needle) {
+  const std::string message = rejection(spec);
+  EXPECT_NE(message.find(spec.to_string()), std::string::npos) << message;
+  EXPECT_NE(message.find(needle), std::string::npos) << message;
+}
+
+TEST(BatchRunnerValidationTest, RejectsThreadsInsideARun) {
+  // A run is serial inside; the one thread-count knob is
+  // BatchOptions::threads.
+  for (const std::uint32_t threads : {0u, 2u, 4u}) {
+    RunSpec spec = circles_spec(3, 200, EngineKind::kDenseBatched);
+    spec.run_threads = threads;
+    SCOPED_TRACE(spec.to_string());
+    EXPECT_NE(spec.to_string().find("threads=" + std::to_string(threads)),
+              std::string::npos);
+    expect_rejected(spec, "threads inside a run");
+  }
+}
+
+TEST(BatchRunnerValidationTest, RejectsEngineRunThreads) {
+  RunSpec spec = circles_spec(3, 200, EngineKind::kDenseBatched);
+  spec.engine.run_threads = 2;
+  expect_rejected(spec, "threads inside a run");
+}
+
+TEST(BatchRunnerValidationTest, RejectsSpecOwnedTelemetry) {
+  // Engine counters and spans attach batch-wide or through the spec's
+  // metrics= / spans= sinks, so batch.trial, kernel.* and REPRO dumps land
+  // in the same place as the engine's own telemetry.
+  metrics::MetricsRegistry registry;
+  trace::Tracer tracer;
+  RunSpec with_metrics = circles_spec(3, 40, EngineKind::kAgentArray);
+  with_metrics.engine.metrics = &registry;
+  expect_rejected(with_metrics, "metrics registry or tracer");
+  RunSpec with_tracer = circles_spec(3, 40, EngineKind::kAgentArray);
+  with_tracer.engine.tracer = &tracer;
+  expect_rejected(with_tracer, "metrics registry or tracer");
+  EXPECT_TRUE(registry.snapshot().empty());
+}
+
+TEST(BatchRunnerValidationTest, ReplayedThreadsTokenMustBeOne) {
+  // sweep --spec replays: "threads=4" fails the spec check (sweep exits 2
+  // naming the spec), while "threads=1", as perfbench's spec strings
+  // carry it, still parses and runs.
+  const RunSpec wide =
+      RunSpec::parse("circles(k=3) n=30 backend=agent threads=4");
+  try {
+    (void)BatchRunner::execute_trial(wide, 1);
+    ADD_FAILURE() << "accepted: " << wide.to_string();
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(wide.to_string()), std::string::npos)
+        << e.what();
+  }
+  const RunSpec serial =
+      RunSpec::parse("circles(k=3) n=30 backend=agent threads=1");
+  EXPECT_EQ(serial.run_threads, 1u);
+  EXPECT_EQ(serial.to_string().find("threads="), std::string::npos);
+  EXPECT_TRUE(BatchRunner::execute_trial(serial, 1).outcome.correct);
 }
 
 TEST(BatchRunnerTest, TieAwareGradingAcceptsTieSymbolConsensus) {

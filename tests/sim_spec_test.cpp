@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/specs_from_flags.hpp"
 #include "util/cli.hpp"
+#include "util/rng.hpp"
 
 namespace circles::sim {
 namespace {
@@ -149,7 +152,8 @@ TEST(RunSpecParseTest, RunThreadsRoundTripAndDefaultOmitted) {
   spec.protocol = "circles";
   spec.params.k = 3;
   spec.n = 50;
-  // 0 = "let the BatchRunner budget it" and stays out of the string.
+  // The default (1, the only width validate_spec accepts) stays out of the
+  // string; any other value renders, so the rejection can name it.
   EXPECT_EQ(spec.to_string().find("threads="), std::string::npos);
   spec.run_threads = 4;
   EXPECT_NE(spec.to_string().find("threads=4"), std::string::npos);
@@ -286,29 +290,6 @@ TEST(SpecsFromFlagsTest, BackendAxisJoinsTheCrossProduct) {
   const char* bad[] = {"prog", "--backend=quantum"};
   util::Cli bad_cli(2, const_cast<char**>(bad));
   EXPECT_THROW(specs_from_flags(bad_cli), std::invalid_argument);
-}
-
-TEST(SpecsFromFlagsTest, RunThreadsFlagAppliesToEveryCell) {
-  const char* argv[] = {"prog", "--n=10,20", "--backend=dense_batched",
-                        "--run-threads=2"};
-  util::Cli cli(4, const_cast<char**>(argv));
-  const SweepSpecs sweep = specs_from_flags(cli);
-  cli.finish();
-  ASSERT_EQ(sweep.specs.size(), 2u);
-  for (const RunSpec& spec : sweep.specs) EXPECT_EQ(spec.run_threads, 2u);
-
-  // The rejection names both knobs so --threads/--run-threads confusion is
-  // self-explaining.
-  const char* bad[] = {"prog", "--n=10", "--run-threads=-4"};
-  util::Cli bad_cli(3, const_cast<char**>(bad));
-  try {
-    (void)specs_from_flags(bad_cli);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("--run-threads"), std::string::npos) << message;
-    EXPECT_NE(message.find("--threads"), std::string::npos) << message;
-  }
 }
 
 TEST(RunSpecParseTest, RoundTripsClusterAndBridgeTokens) {
@@ -583,6 +564,215 @@ TEST(SpecsFromFlagsTest, DenseNonUniformCornersAreSkippedNotFatal) {
                          "--backend=dense"};
   util::Cli empty_cli(3, const_cast<char**>(empty));
   EXPECT_THROW(specs_from_flags(empty_cli), std::invalid_argument);
+}
+
+// --- deterministic fuzzing ---------------------------------------------------
+
+/// A random spec string over every token RunSpec renders, in random token
+/// order (parse is order-independent). Real values carry all their digits.
+std::string random_spec_text(util::Rng& rng) {
+  const auto pick = [&rng](std::initializer_list<const char*> options) {
+    return std::string(options.begin()[rng.uniform_below(options.size())]);
+  };
+  const auto coin = [&rng](double p) { return rng.uniform01() < p; };
+  const auto uint = [&rng](std::uint64_t lo, std::uint64_t span) {
+    return std::to_string(lo + rng.uniform_below(span));
+  };
+  // A real in [lo, lo + span), rendered exactly.
+  const auto real = [&rng](double lo, double span) {
+    return util::format_double(lo + span * rng.uniform01());
+  };
+  const auto tolerance = [&rng]() {
+    return util::format_double(std::pow(10.0, -12.0 * rng.uniform01()));
+  };
+
+  std::vector<std::string> tokens;
+  tokens.push_back("n=" + uint(2, 1'000'000'000));
+  switch (rng.uniform_below(7)) {
+    case 0: tokens.push_back("workload=unique"); break;
+    case 1: tokens.push_back("workload=random"); break;
+    case 2: tokens.push_back("workload=tie:" + uint(2, 8)); break;
+    case 3: tokens.push_back("workload=margin1"); break;
+    case 4: tokens.push_back("workload=dominant:" + real(0.01, 0.99)); break;
+    case 5: tokens.push_back("workload=zipf:" + real(0.0, 3.0)); break;
+    default: {
+      std::string counts = "workload=counts:" + uint(0, 1000);
+      for (std::uint64_t c = rng.uniform_below(5); c > 0; --c) {
+        counts += "," + uint(0, 1000);
+      }
+      tokens.push_back(counts);
+    }
+  }
+  tokens.push_back(
+      "scheduler=" +
+      pp::to_string(static_cast<pp::SchedulerKind>(rng.uniform_below(5))));
+  if (coin(0.3)) {
+    tokens.push_back("clusters=" + uint(1, 16));
+  } else if (coin(0.3)) {
+    // One explicit size keeps its trailing comma.
+    std::string sizes = "clusters=" + uint(1, 5000) + ",";
+    for (std::uint64_t c = rng.uniform_below(4); c > 0; --c) {
+      sizes += uint(1, 5000) + ",";
+    }
+    if (std::count(sizes.begin(), sizes.end(), ',') > 1) sizes.pop_back();
+    tokens.push_back(sizes);
+  }
+  if (coin(0.3)) tokens.push_back("bridge=" + real(1e-6, 0.99));
+  tokens.push_back("trials=" + uint(1, 100));
+  tokens.push_back(
+      "backend=" +
+      sim::to_string(static_cast<EngineKind>(rng.uniform_below(5))));
+  if (coin(0.2)) tokens.push_back("threads=" + uint(0, 9));
+  if (coin(0.3)) tokens.push_back("rtol=" + tolerance());
+  if (coin(0.3)) tokens.push_back("atol=" + tolerance());
+  if (coin(0.3)) tokens.push_back("budget=" + uint(1, 1'000'000'000'000));
+  if (coin(0.5)) {
+    tokens.push_back("grading=" + pick({"plurality", "tie_aware"}));
+  }
+  if (coin(0.3)) tokens.push_back("faults=" + uint(0, 50));
+  if (coin(0.3)) tokens.push_back("burst_min=" + uint(0, 100000));
+  if (coin(0.3)) tokens.push_back("burst_span=" + uint(0, 100000));
+  if (coin(0.5)) {
+    tokens.push_back("clock=" + pick({"interactions", "chemical"}));
+  }
+  for (std::uint64_t t = rng.uniform_below(3); t > 0; --t) {
+    const std::string grid =
+        coin(0.3) ? "frac:" + real(1e-3, 0.5) + "," + real(0.5, 0.5)
+                  : pick({"log:", "linear:"}) + uint(1, 4096);
+    tokens.push_back(
+        "trace=" +
+        pick({"counts", "states", "energy", "active", "convergence"}) + "@" +
+        grid);
+  }
+  if (coin(0.2)) tokens.push_back("metrics=out/m" + uint(0, 9) + ".jsonl");
+  if (coin(0.2)) tokens.push_back("spans=out/s" + uint(0, 9) + ".json");
+  rng.shuffle(std::span<std::string>(tokens));
+
+  std::string text =
+      pick({"circles", "tie_report", "approx_majority_3state"}) +
+      "(k=" + uint(1, 12) + ")";
+  for (const std::string& token : tokens) text += " " + token;
+  if (coin(0.2)) text += " [label " + uint(0, 100) + "]";
+  return text;
+}
+
+/// `text` with one token dropped, duplicated or garbled.
+std::string mutate(const std::string& text, util::Rng& rng) {
+  std::vector<std::string> tokens;
+  std::size_t pos = 0;
+  while (pos <= text.size()) {
+    const auto space = text.find(' ', pos);
+    const auto end = space == std::string::npos ? text.size() : space;
+    tokens.push_back(text.substr(pos, end - pos));
+    pos = end + 1;
+  }
+  const std::size_t i = rng.uniform_below(tokens.size());
+  switch (rng.uniform_below(3)) {
+    case 0:
+      tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(i));
+      break;
+    case 1:
+      tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(
+                                         rng.uniform_below(tokens.size() + 1)),
+                    tokens[i]);
+      break;
+    default: {
+      static const std::string kChars = "=,:@()[]-.+e0123456789knx ";
+      std::string& token = tokens[i];
+      const std::size_t at = rng.uniform_below(token.size() + 1);
+      const char c = kChars[rng.uniform_below(kChars.size())];
+      switch (rng.uniform_below(4)) {
+        case 0: token.insert(at, 1, c); break;
+        case 1: if (at < token.size()) token[at] = c; break;
+        case 2: if (at < token.size()) token.erase(at, 1); break;
+        default: token.resize(at); break;
+      }
+    }
+  }
+  std::string out;
+  for (std::size_t t = 0; t < tokens.size(); ++t) {
+    if (t) out += " ";
+    out += tokens[t];
+  }
+  return out;
+}
+
+/// parse(to_string(s)) equals s in every rendered field and renders s
+/// again: the invariant REPRO lines and manifests rely on.
+void expect_round_trip(const RunSpec& spec, const std::string& source) {
+  const std::string rendered = spec.to_string();
+  SCOPED_TRACE("from '" + source + "' via '" + rendered + "'");
+  RunSpec r;
+  try {
+    r = RunSpec::parse(rendered);
+  } catch (const std::invalid_argument& e) {
+    ADD_FAILURE() << "rendering does not parse: " << e.what();
+    return;
+  }
+  EXPECT_EQ(r.to_string(), rendered);
+  EXPECT_EQ(r.protocol, spec.protocol);
+  EXPECT_EQ(r.params.k, spec.params.k);
+  EXPECT_EQ(r.effective_n(), spec.effective_n());
+  EXPECT_EQ(r.workload.to_string(), spec.workload.to_string());
+  EXPECT_EQ(r.scheduler, spec.scheduler);
+  EXPECT_EQ(r.clusters, spec.clusters);
+  EXPECT_EQ(r.cluster_sizes, spec.cluster_sizes);
+  EXPECT_EQ(r.bridge, spec.bridge);
+  EXPECT_EQ(r.trials, spec.trials);
+  EXPECT_EQ(r.backend, spec.backend);
+  EXPECT_EQ(r.run_threads, spec.run_threads);
+  EXPECT_EQ(r.rtol, spec.rtol);
+  EXPECT_EQ(r.atol, spec.atol);
+  EXPECT_EQ(r.engine.max_interactions, spec.engine.max_interactions);
+  EXPECT_EQ(r.grading, spec.grading);
+  EXPECT_EQ(r.reboot_faults, spec.reboot_faults);
+  EXPECT_EQ(r.fault_burst_min, spec.fault_burst_min);
+  EXPECT_EQ(r.fault_burst_span, spec.fault_burst_span);
+  EXPECT_EQ(r.chemical_time, spec.chemical_time);
+  EXPECT_EQ(r.probes, spec.probes);
+  EXPECT_EQ(r.metrics_out, spec.metrics_out);
+  EXPECT_EQ(r.spans_out, spec.spans_out);
+  EXPECT_EQ(r.label, spec.label);
+}
+
+TEST(RunSpecFuzzTest, RandomSpecsRoundTrip) {
+  util::Rng rng(0xF022);
+  for (int i = 0; i < 2000; ++i) {
+    const std::string text = random_spec_text(rng);
+    RunSpec spec;
+    try {
+      spec = RunSpec::parse(text);
+    } catch (const std::invalid_argument& e) {
+      ADD_FAILURE() << "generated spec rejected: '" << text
+                    << "': " << e.what();
+      continue;
+    }
+    expect_round_trip(spec, text);
+  }
+}
+
+TEST(RunSpecFuzzTest, MutatedSpecsParseOrThrowInvalidArgument) {
+  util::Rng rng(0xF023);
+  int parsed = 0, rejected = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string text = random_spec_text(rng);
+    for (std::uint64_t m = 1 + rng.uniform_below(3); m > 0; --m) {
+      text = mutate(text, rng);
+    }
+    try {
+      const RunSpec spec = RunSpec::parse(text);
+      ++parsed;
+      expect_round_trip(spec, text);
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "'" << text << "' threw a non-invalid_argument: "
+                    << e.what();
+    }
+  }
+  // Both outcomes occur, so the mutations neither all miss nor all break.
+  EXPECT_GT(parsed, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 }  // namespace
