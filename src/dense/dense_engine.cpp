@@ -767,6 +767,21 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     epoch_mean = 0.886 * std::sqrt(2.0 / inv);
   }
 
+  // The live blocks (positive rate) in row-major order with their
+  // cumulative rate intervals [start, end), accumulated in the same order
+  // and with the same roundings as a linear walk over the rate matrix, so a
+  // binary search over the ends picks the block such a walk would.
+  std::vector<std::size_t> live_blocks;
+  std::vector<double> live_start, live_end;
+  double acc = 0.0;
+  for (std::size_t b = 0; b < num_blocks; ++b) {
+    if (sim.rates[b] <= 0.0) continue;
+    live_blocks.push_back(b);
+    live_start.push_back(acc);
+    acc += sim.rates[b];
+    live_end.push_back(acc);
+  }
+
   LastChangeMark mark;
 
   // Per-epoch scratch, carved from the run's arena once: stride-S rows per
@@ -903,26 +918,16 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       std::fill(phase1_used.begin(), phase1_used.end(), 0);
       while (static_cast<std::uint64_t>(seq.size()) < remaining) {
         const double r = rng.uniform01();
-        std::size_t b = num_blocks;
+        // The first live block whose cumulative end exceeds r; past the
+        // last end (rounding), the final live block with r_in = 0.
+        const std::size_t j = static_cast<std::size_t>(
+            std::upper_bound(live_end.begin(), live_end.end(), r) -
+            live_end.begin());
+        std::size_t b = live_blocks.back();
         double r_in = 0.0;
-        {
-          double acc = 0.0;
-          std::size_t last = num_blocks;
-          for (std::size_t i = 0; i < num_blocks; ++i) {
-            const double rate = sim.rates[i];
-            if (rate <= 0.0) continue;
-            last = i;
-            if (r < acc + rate) {
-              b = i;
-              r_in = (r - acc) / rate;
-              break;
-            }
-            acc += rate;
-          }
-          if (b == num_blocks) {
-            b = last;  // rounding pushed r past the final live block
-            r_in = 0.0;
-          }
+        if (j < live_blocks.size()) {
+          b = live_blocks[j];
+          r_in = (r - live_start[j]) / sim.rates[b];
         }
         const std::size_t u = b / u_count;
         const std::size_t v = b % u_count;

@@ -33,7 +33,8 @@ UrnLumping clustered_lumping(std::uint64_t n, const ClusteredOptions& options) {
 ClusteredScheduler::ClusteredScheduler(std::uint32_t n, std::uint64_t seed,
                                        double bridge_probability)
     : ClusteredScheduler(n, seed,
-                         ClusteredOptions{.num_clusters = 2,
+                         ClusteredOptions{.sizes = {},
+                                          .num_clusters = 2,
                                           .bridge_probability =
                                               bridge_probability}) {
   CIRCLES_CHECK_MSG(n >= 4, "clustered scheduler needs at least four agents");
