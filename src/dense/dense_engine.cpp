@@ -26,6 +26,15 @@ constexpr std::uint64_t kNoExclude = ~std::uint64_t{0};
 constexpr std::uint64_t kTraceFullEpochs = 512;
 constexpr std::uint64_t kTraceStride = 256;
 
+/// Epoch sampler switch: an epoch of L interactions deals its 2L agents one
+/// by one when 2L <= kPerAgentSwitch * sum_u w_u^2 (w_u = urn u's present
+/// states), and by multivariate hypergeometric deals and contingency pairing
+/// otherwise. The per-agent path costs O(w_u + T_u log w_u) per urn; the
+/// contingency pairing costs O(P_i * P_r) per block. Both are exact
+/// samplers of the same uniform matching, so the constant only moves time.
+/// Calibrated on margin-1 and 8-urn clustered circles cells (EXPERIMENTS.md).
+constexpr double kPerAgentSwitch = 0.5;
+
 /// Where the most recent state change happened, at epoch granularity. The
 /// exact step index inside the epoch is only sampled once, at the end of the
 /// run, for the epoch that turned out to contain the final change. Single-urn
@@ -140,6 +149,7 @@ struct DenseEngine::Sim {
   std::uint64_t m_ff_jumps = 0;     // sparse-activity fast-forward jumps
   std::uint64_t m_ff_skipped = 0;   // null interactions skipped by them
   std::uint64_t m_mvhg_draws = 0;   // multivariate hypergeometric deals
+  std::uint64_t m_agent_epochs = 0; // epochs dealt agent by agent
 
   // Aggregate view for the recorder: single-urn runs alias urn 0; multi-urn
   // runs maintain summed counts incrementally (only when a recorder is
@@ -689,6 +699,7 @@ pp::RunResult DenseEngine::run_impl(Sim& sim, obs::Recorder* recorder) const {
     m.counter("dense.fast_forward_jumps").add(sim.m_ff_jumps);
     m.counter("dense.fast_forward_interactions").add(sim.m_ff_skipped);
     m.counter("dense.mvhg_draws").add(sim.m_mvhg_draws);
+    m.counter("dense.agent_epochs").add(sim.m_agent_epochs);
   }
   return result;
 }
@@ -807,6 +818,14 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       sim.arena.alloc<std::uint64_t>(u_count * states);
   const std::span<std::uint64_t> rem_flat =
       sim.arena.alloc<std::uint64_t>(u_count * states);
+  // Per-agent epochs: each urn's draw order (indices into its present
+  // prefix) and where every block's roles start in it.
+  AgentDeal agent_deal;
+  std::vector<std::vector<std::uint32_t>> order(u_count);
+  const std::span<std::uint64_t> init_offset =
+      sim.arena.alloc<std::uint64_t>(num_blocks);
+  const std::span<std::uint64_t> resp_offset =
+      sim.arena.alloc<std::uint64_t>(num_blocks);
 
   while (!result.silent && result.interactions < options_.max_interactions) {
     const std::uint64_t remaining =
@@ -964,15 +983,31 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
 
     // Participant state draws, per urn: T_u agents leave urn u this epoch
     // (initiators of blocks (u, *) plus responders of blocks (*, u); intra
-    // blocks contribute on both sides). drawn ~ multivariate hypergeometric
-    // from the urn's counts, then sequential splits deal the drawn states
-    // across the urn's roles. Single-urn runs draw on the main RNG stream
-    // (the historical order); multi-urn runs give urn u the forked
-    // sub-stream fork(u), which defines the multi-urn stream.
+    // blocks contribute on both sides). Single-urn runs draw on the main RNG
+    // stream (the historical order); multi-urn runs give urn u the forked
+    // sub-stream fork(u), which defines the multi-urn stream. Two exact
+    // samplers of the same uniform matching, chosen per epoch by
+    // kPerAgentSwitch:
+    //  * per agent: the T_u agents are drawn one by one (AgentDeal) and the
+    //    draw order is sliced into the roles (role_offsets); block b's i-th
+    //    initiator meets its i-th responder.
+    //  * by counts: drawn ~ multivariate hypergeometric from the urn's
+    //    counts, then sequential splits deal the drawn states across the
+    //    urn's roles, and the pairing below samples a contingency table.
+    std::uint64_t width_sq = 0;
+    for (std::size_t u = 0; u < u_count; ++u) {
+      width[u] = sim.urns[u].present.size();
+      width_sq += width[u] * width[u];
+    }
+    const bool per_agent = 2.0 * static_cast<double>(len) <=
+                           kPerAgentSwitch * static_cast<double>(width_sq);
+    if (per_agent) {
+      sim.m_agent_epochs += 1;
+      role_offsets(block_len, u_count, init_offset, resp_offset);
+    }
     for (std::size_t u = 0; u < u_count; ++u) {
       Sim::Urn& urn = sim.urns[u];
-      const std::size_t w = urn.present.size();
-      width[u] = w;
+      const std::size_t w = width[u];
       std::uint64_t t_u = 0;
       for (std::size_t v = 0; v < u_count; ++v) {
         t_u += block_len[u * u_count + v] + block_len[v * u_count + u];
@@ -987,11 +1022,17 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       }
 
       const std::span<std::uint64_t> pool = pool_flat.subspan(u * states, w);
-      const std::span<std::uint64_t> drawn = drawn_flat.subspan(u * states, w);
-      const std::span<std::uint64_t> rem = rem_flat.subspan(u * states, w);
       for (std::size_t i = 0; i < w; ++i) {
         pool[i] = urn.counts[urn.present[i]];
       }
+      if (per_agent) {
+        order[u].resize(t_u);
+        agent_deal.deal(*stream, pool, order[u]);
+        continue;
+      }
+
+      const std::span<std::uint64_t> drawn = drawn_flat.subspan(u * states, w);
+      const std::span<std::uint64_t> rem = rem_flat.subspan(u * states, w);
       multivariate_hypergeometric(*stream, pool, t_u, drawn);
       sim.m_mvhg_draws += 1;
 
@@ -1024,15 +1065,15 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     sim.reset_used();
 
     // Pair initiators with responders per block: a uniformly random perfect
-    // matching, sampled group by group as a hypergeometric contingency
-    // table, on the block's forked sub-stream fork(U + b) in multi-urn
-    // runs. Each matched group of m (s, t) pairs is applied as it is drawn:
-    // it marks its participants used and, unless null, stages its count
-    // deltas. The draws read only the dealt role rows and the present-list
-    // prefixes below `width` (present lists only grow, so those indices
-    // stay stable while groups apply); the staged deltas are netted per
-    // (urn, state) and applied once, before the collision draw reads the
-    // counts.
+    // matching. Each matched group of m (s, t) pairs is applied as it is
+    // found: it marks its participants used and, unless null, stages its
+    // count deltas. Per-agent epochs walk the block's role slices; the others
+    // sample the matching group by group as a hypergeometric contingency
+    // table, on the block's forked sub-stream fork(U + b) in multi-urn runs.
+    // Both read only the dealt roles and the present-list prefixes below
+    // `width` (present lists only grow, so those indices stay stable while
+    // groups apply); the staged deltas are netted per (urn, state) and
+    // applied once, before the collision draw reads the counts.
     std::uint64_t epoch_productive = 0;
     for (std::size_t b = 0; b < num_blocks; ++b) {
       if (block_len[b] == 0) continue;
@@ -1040,11 +1081,36 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       const std::size_t bv = b % u_count;
       Sim::Urn& urn_i = sim.urns[bu];
       Sim::Urn& urn_r = sim.urns[bv];
+      const auto apply_group = [&](pp::StateId s, pp::StateId t,
+                                   std::uint64_t m) {
+        const pp::Transition tr = transition(s, t);
+        sim.touch_used(urn_i, tr.initiator, m);
+        sim.touch_used(urn_r, tr.responder, m);
+        if (tr.initiator == s && tr.responder == t) return;
+        sim.stage(bu, s, 0 - m);
+        sim.stage(bv, t, 0 - m);
+        sim.stage(bu, tr.initiator, m);
+        sim.stage(bv, tr.responder, m);
+        sim.note_state(urn_i, tr.initiator);
+        sim.note_state(urn_r, tr.responder);
+        sim.apply_agg(s, t, tr, m);
+        block_productive[b] += m;
+      };
+
+      if (per_agent) {
+        const std::uint32_t* init = order[bu].data() + init_offset[b];
+        const std::uint32_t* resp = order[bv].data() + resp_offset[b];
+        for (std::uint64_t i = 0; i < block_len[b]; ++i) {
+          apply_group(urn_i.present[init[i]], urn_r.present[resp[i]], 1);
+        }
+        epoch_productive += block_productive[b];
+        continue;
+      }
+
       const std::span<const std::uint64_t> init =
           init_flat.subspan(b * states, width[bu]);
       const std::span<std::uint64_t> resp =
           resp_flat.subspan(b * states, width[bv]);
-
       util::Rng forked(0);
       util::Rng* stream = &rng;
       if (!single) {
@@ -1065,21 +1131,7 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
           pool_total -= avail;
           resp[c] -= m;
           need -= m;
-          if (m == 0) continue;
-          const pp::StateId s = urn_i.present[a];
-          const pp::StateId t = urn_r.present[c];
-          const pp::Transition tr = transition(s, t);
-          sim.touch_used(urn_i, tr.initiator, m);
-          sim.touch_used(urn_r, tr.responder, m);
-          if (tr.initiator == s && tr.responder == t) continue;
-          sim.stage(bu, s, 0 - m);
-          sim.stage(bv, t, 0 - m);
-          sim.stage(bu, tr.initiator, m);
-          sim.stage(bv, tr.responder, m);
-          sim.note_state(urn_i, tr.initiator);
-          sim.note_state(urn_r, tr.responder);
-          sim.apply_agg(s, t, tr, m);
-          block_productive[b] += m;
+          if (m > 0) apply_group(urn_i.present[a], urn_r.present[c], m);
         }
         CIRCLES_DCHECK(need == 0);
         resp_pool -= init[a];

@@ -28,12 +28,17 @@
 //    Interaction") generalized across the block structure: sample the exact
 //    collision-free prefix (single urn: precomputed survival table, one
 //    uniform; multi-urn: the exact sequential block/collision chain — all
-//    participants distinct *within each urn*), draw the participants' states
-//    per urn via multivariate hypergeometrics, split them across their
-//    initiator/responder roles per block, pair initiators with responders by
-//    hypergeometric contingency sampling per block, apply all transitions to
-//    the counts at once, then resolve the single colliding interaction
-//    explicitly and start the next epoch. When activity is sparse (fewer
+//    participants distinct *within each urn*), deal the participants to
+//    their initiator/responder roles and pair them uniformly, apply all
+//    transitions to the counts at once, then resolve the single colliding
+//    interaction explicitly and start the next epoch. The deal and pairing
+//    have two exact samplers, chosen per epoch: when an epoch's 2L agents
+//    are few against the urns' present states (2L <= c * sum_u w_u^2), each
+//    urn's agents are drawn one by one and block b's i-th initiator meets
+//    its i-th responder, O(L log w); otherwise the participants' states are
+//    drawn per urn via multivariate hypergeometrics, split across the roles,
+//    and paired by hypergeometric contingency sampling per block,
+//    O(w + P_i * P_r) whatever L is. When activity is sparse (fewer
 //    than ~3 expected state changes per epoch) the engine switches to
 //    geometric fast-forward: the number of null interactions before the next
 //    state change is Geometric(p) with p = sum_b rate_b * active_b /

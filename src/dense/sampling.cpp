@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 
 #include "util/check.hpp"
@@ -246,6 +247,54 @@ void multivariate_hypergeometric(util::Rng& rng,
     need -= d;
   }
   CIRCLES_DCHECK(need == 0);
+}
+
+void AgentDeal::deal(util::Rng& rng, std::span<const std::uint64_t> counts,
+                     std::span<std::uint32_t> order) {
+  const std::size_t w = counts.size();
+  tree_.assign(w + 1, 0);
+  std::uint64_t total = 0;
+  for (std::size_t i = 1; i <= w; ++i) {
+    tree_[i] += counts[i - 1];
+    total += counts[i - 1];
+    const std::size_t parent = i + (i & (0 - i));
+    if (parent <= w) tree_[parent] += tree_[i];
+  }
+  CIRCLES_CHECK_MSG(order.size() <= total, "agent deal overdraws the urn");
+  const std::size_t top = std::bit_floor(w);
+  for (std::uint32_t& slot : order) {
+    // Descend to the largest prefix of categories holding <= r agents; the
+    // next category holds agent r.
+    std::uint64_t r = rng.uniform_below(total);
+    std::size_t pos = 0;
+    for (std::size_t step = top; step > 0; step >>= 1) {
+      const std::size_t next = pos + step;
+      if (next <= w && tree_[next] <= r) {
+        pos = next;
+        r -= tree_[next];
+      }
+    }
+    slot = static_cast<std::uint32_t>(pos);
+    for (std::size_t i = pos + 1; i <= w; i += i & (0 - i)) tree_[i] -= 1;
+    --total;
+  }
+}
+
+void role_offsets(std::span<const std::uint64_t> block_len,
+                  std::size_t num_urns, std::span<std::uint64_t> init_offset,
+                  std::span<std::uint64_t> resp_offset) {
+  CIRCLES_DCHECK(block_len.size() == num_urns * num_urns);
+  for (std::size_t u = 0; u < num_urns; ++u) {
+    std::uint64_t pos = 0;
+    for (std::size_t v = 0; v < num_urns; ++v) {
+      init_offset[u * num_urns + v] = pos;
+      pos += block_len[u * num_urns + v];
+    }
+    for (std::size_t v = 0; v < num_urns; ++v) {
+      resp_offset[v * num_urns + u] = pos;
+      pos += block_len[v * num_urns + u];
+    }
+  }
 }
 
 CollisionFreeRunLength::CollisionFreeRunLength(std::uint64_t n) {

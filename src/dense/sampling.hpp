@@ -59,6 +59,35 @@ void multivariate_hypergeometric(util::Rng& rng,
                                  std::uint64_t draws,
                                  std::span<std::uint64_t> out);
 
+/// Per-agent deal: draws agents one at a time without replacement from the
+/// categories of `counts`, each draw uniform over the agents still in the
+/// urn. A Fenwick tree over the counts, rebuilt per deal, makes a deal of T
+/// agents over w categories cost O(w + T log w) and one uniform draw per
+/// agent. The draw order is exchangeable, so any fixed assignment of draw
+/// positions to roles deals each role a uniform random set of the urn's
+/// agents.
+class AgentDeal {
+ public:
+  /// Writes the category index of each drawn agent, in draw order, to
+  /// `order`. Requires order.size() <= sum(counts).
+  void deal(util::Rng& rng, std::span<const std::uint64_t> counts,
+            std::span<std::uint32_t> order);
+
+ private:
+  std::vector<std::uint64_t> tree_;  // 1-based Fenwick partial sums
+};
+
+/// Role layout of a per-agent epoch over `num_urns` urns, given the
+/// row-major block lengths (block (u, v): initiators from urn u, responders
+/// from urn v). Urn u's draw order is sliced in the multivariate deal's role
+/// order: initiators of blocks (u, 0..U-1), then responders of blocks
+/// (0..U-1, u). Block b = (u, v) finds its initiators at init_offset[b]
+/// onward in urn u's order and its responders at resp_offset[b] onward in
+/// urn v's; its i-th interaction pairs the i-th of each.
+void role_offsets(std::span<const std::uint64_t> block_len,
+                  std::size_t num_urns, std::span<std::uint64_t> init_offset,
+                  std::span<std::uint64_t> resp_offset);
+
 /// Distribution of the collision-free prefix of the uniform scheduler over n
 /// agents: P(the first j interactions touch 2j distinct agents) =
 /// prod_{i<j} (n-2i)(n-2i-1) / (n(n-1)). One instance precomputes this

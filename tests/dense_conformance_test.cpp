@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "dense/sampling.hpp"
+#include "metrics/metrics.hpp"
 #include "sim/sim.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -322,6 +323,49 @@ TEST(DenseConformanceTest, ContingencyEpochsFollowTheExactPairLaw) {
   expect_family_quiet(names, p);
 }
 
+/// The per-agent deal and index pairing, as the batched engine runs them:
+/// each urn's agents are drawn one by one (AgentDeal), role_offsets slices
+/// the draw orders into roles, and block b's i-th initiator meets its i-th
+/// responder.
+Outcome per_agent_epoch(util::Rng& rng, const EpochShape& shape,
+                        AgentDeal& deal) {
+  const std::size_t u_count = shape.num_urns();
+  const std::size_t states = shape.num_states();
+  const std::size_t blocks = u_count * u_count;
+  std::vector<std::uint64_t> init_offset(blocks), resp_offset(blocks);
+  role_offsets(shape.block_len, u_count, init_offset, resp_offset);
+  std::vector<std::vector<std::uint32_t>> order(u_count);
+  for (std::size_t u = 0; u < u_count; ++u) {
+    order[u].resize(shape.takes(u));
+    deal.deal(rng, shape.urns[u], order[u]);
+  }
+  Outcome out(blocks * states * states, 0);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::size_t u = b / u_count, v = b % u_count;
+    for (std::uint64_t i = 0; i < shape.block_len[b]; ++i) {
+      const std::uint32_t s = order[u].at(init_offset[b] + i);
+      const std::uint32_t t = order[v].at(resp_offset[b] + i);
+      out[(b * states + s) * states + t] += 1;
+    }
+  }
+  return out;
+}
+
+TEST(DenseConformanceTest, PerAgentEpochsFollowTheExactPairLaw) {
+  std::vector<std::string> names;
+  std::vector<double> p;
+  std::uint64_t seed = 201;
+  AgentDeal deal;
+  for (const EpochShape& shape : epoch_shapes()) {
+    names.push_back(shape.name);
+    p.push_back(epoch_law_p_value(
+        shape,
+        [&](util::Rng& rng) { return per_agent_epoch(rng, shape, deal); },
+        seed++, 20'000));
+  }
+  expect_family_quiet(names, p);
+}
+
 /// The chi-square test has power where it matters: an epoch whose agents
 /// are drawn with replacement stays inside the law's support at L = 1 but
 /// over-weights same-state pairs (9/49 instead of 6/42 for (0, 0)).
@@ -353,16 +397,21 @@ struct ConformanceSpec {
   std::uint32_t k;
   CountVector colors;
   std::uint32_t clusters;  // 0: uniform scheduler (one urn)
+  // Bounds on the share of dense_batched epochs dealt agent by agent, so
+  // the gate covers both epoch samplers.
+  double min_agent_share;
+  double max_agent_share;
 };
 
 /// Single-urn and 4-urn clustered inputs. The k = 4 specs have many present
-/// states per agent in an epoch; the k = 2 specs have few.
+/// states per agent in an epoch, so nearly every epoch is dealt agent by
+/// agent; the single-urn k = 2 spec has few, so nearly none is.
 std::vector<ConformanceSpec> conformance_specs() {
   return {
-      {"one urn, k=4 n=600", 4, {200, 160, 140, 100}, 0},
-      {"one urn, k=2 n=2000", 2, {1050, 950}, 0},
-      {"4 urns, k=4 n=800", 4, {260, 220, 180, 140}, 4},
-      {"4 urns, k=2 n=2000", 2, {1050, 950}, 4},
+      {"one urn, k=4 n=600", 4, {200, 160, 140, 100}, 0, 0.9, 1.0},
+      {"one urn, k=2 n=4000", 2, {2100, 1900}, 0, 0.0, 0.1},
+      {"4 urns, k=4 n=800", 4, {260, 220, 180, 140}, 4, 0.9, 1.0},
+      {"4 urns, k=2 n=2000", 2, {1050, 950}, 4, 0.0, 1.0},
   };
 }
 
@@ -372,7 +421,8 @@ struct Samples {
 };
 
 Samples run_samples(const ConformanceSpec& c, sim::EngineKind backend,
-                    std::uint64_t seed, std::uint32_t trials) {
+                    std::uint64_t seed, std::uint32_t trials,
+                    metrics::MetricsRegistry* metrics = nullptr) {
   sim::RunSpec spec;
   spec.protocol = "circles";
   spec.params.k = c.k;
@@ -385,7 +435,9 @@ Samples run_samples(const ConformanceSpec& c, sim::EngineKind backend,
   spec.backend = backend;
   spec.trials = trials;
   spec.seed = seed;
-  const sim::SpecResult result = sim::BatchRunner().run_one(spec);
+  sim::BatchOptions options;
+  options.metrics = metrics;
+  const sim::SpecResult result = sim::BatchRunner(options).run_one(spec);
   EXPECT_EQ(result.silent, trials) << c.name;
   Samples out;
   for (const auto& trial : result.trials) {
@@ -417,9 +469,15 @@ TEST(DenseConformanceTest, AgentAndBatchedAgreeInDistribution) {
   for (const ConformanceSpec& c : conformance_specs()) {
     const Samples agent =
         run_samples(c, sim::EngineKind::kAgentArray, 20261018, kTrials);
-    const Samples batched =
-        run_samples(c, sim::EngineKind::kDenseBatched, 20261018, kTrials);
+    metrics::MetricsRegistry registry;
+    const Samples batched = run_samples(c, sim::EngineKind::kDenseBatched,
+                                        20261018, kTrials, &registry);
     add_ks(c.name, agent, batched, names, p);
+    const double share =
+        static_cast<double>(registry.counter("dense.agent_epochs").value()) /
+        static_cast<double>(registry.counter("dense.epochs").value());
+    EXPECT_GE(share, c.min_agent_share) << c.name;
+    EXPECT_LE(share, c.max_agent_share) << c.name;
   }
   expect_family_quiet(names, p);
 }

@@ -217,9 +217,11 @@ TEST(DenseEngineTest, ForcedSparseKernelMatchesDenseTable) {
 // --- single-urn bitwise regression ----------------------------------------
 
 /// The multi-urn refactor must leave single-urn runs on the exact historical
-/// RNG stream. These goldens were captured from the pre-refactor engine
-/// (PR 2/3 code) — interactions, state_changes, last_change_step and an
-/// FNV-1a hash of the final count vector, per (workload, seed, mode).
+/// RNG stream. These goldens were captured from the pre-refactor engine —
+/// interactions, state_changes, last_change_step and an FNV-1a hash of the
+/// final count vector, per (workload, seed, mode). Batched runs that deal
+/// some epochs agent by agent (agent_epochs > 0) draw a different stream;
+/// their values were re-recorded when that sampler landed.
 TEST(DenseGoldenTest, SingleUrnStreamsMatchThePreRefactorEngine) {
   struct Golden {
     std::uint32_t k;
@@ -230,32 +232,39 @@ TEST(DenseGoldenTest, SingleUrnStreamsMatchThePreRefactorEngine) {
     std::uint64_t state_changes;
     std::uint64_t last_change_step;
     std::uint64_t final_hash;
+    std::uint64_t agent_epochs;  // epochs dealt agent by agent
   };
   const std::vector<Golden> goldens{
       {3, {40, 30, 20}, 123ull, false, 4226ull, 203ull, 4225ull,
-       0xe9f6ad22c0cb1cffull},
-      {3, {40, 30, 20}, 123ull, true, 1769ull, 210ull, 1768ull,
-       0xe9f6ad22c0cb1cffull},
+       0xe9f6ad22c0cb1cffull, 0},
+      {3, {40, 30, 20}, 123ull, true, 3370ull, 234ull, 3369ull,
+       0xe9f6ad22c0cb1cffull, 8},
       {3, {400, 350, 250}, 777ull, false, 73594ull, 3203ull, 73593ull,
-       0x69d34e9a4a4821b9ull},
-      {3, {400, 350, 250}, 777ull, true, 102155ull, 3134ull, 102154ull,
-       0x69d34e9a4a4821b9ull},
+       0x69d34e9a4a4821b9ull, 0},
+      {3, {400, 350, 250}, 777ull, true, 90730ull, 3284ull, 90729ull,
+       0x69d34e9a4a4821b9ull, 258},
       {2, {6, 5}, 9ull, false, 135ull, 18ull, 134ull,
-       0x580ddf4a9b4b380aull},
-      {2, {6, 5}, 9ull, true, 156ull, 22ull, 155ull, 0x580ddf4a9b4b380aull},
+       0x580ddf4a9b4b380aull, 0},
+      {2, {6, 5}, 9ull, true, 156ull, 22ull, 155ull, 0x580ddf4a9b4b380aull,
+       0},
       {4, {2000, 1500, 900, 600}, 20260728ull, false, 338900ull, 12617ull,
-       338899ull, 0x542d5bf6e303879bull},
-      {4, {2000, 1500, 900, 600}, 20260728ull, true, 273285ull, 12981ull,
-       273284ull, 0x542d5bf6e303879bull},
+       338899ull, 0x542d5bf6e303879bull, 0},
+      {4, {2000, 1500, 900, 600}, 20260728ull, true, 244753ull, 12508ull,
+       244752ull, 0x542d5bf6e303879bull, 1020},
   };
   for (const Golden& g : goldens) {
     const auto protocol =
         sim::ProtocolRegistry::global().create("circles", {.k = g.k});
     const DenseMode mode = g.batched ? DenseMode::kBatched : DenseMode::kPerStep;
-    DenseEngine engine(*protocol, {}, mode);
+    metrics::MetricsRegistry registry;
+    pp::EngineOptions options;
+    options.metrics = &registry;
+    DenseEngine engine(*protocol, options, mode);
     DenseConfig config =
         DenseConfig::from_workload(*protocol, workload_of(g.counts));
     const pp::RunResult result = engine.run(config, g.seed);
+    EXPECT_EQ(registry.counter("dense.agent_epochs").value(), g.agent_epochs)
+        << "k=" << g.k;
     EXPECT_EQ(result.interactions, g.interactions) << "k=" << g.k;
     EXPECT_EQ(result.state_changes, g.state_changes) << "k=" << g.k;
     EXPECT_EQ(result.last_change_step, g.last_change_step) << "k=" << g.k;
@@ -428,6 +437,9 @@ TEST(UrnEngineTest, RejectsMismatchedConfigurations) {
 /// — recorded from the engine that rebuilt every block's active-pair count
 /// from scratch after each state change. The incremental bookkeeping that
 /// replaced the rebuild must keep every draw, so each summary is unchanged.
+/// Batched cases that deal some epochs agent by agent (agent_epochs > 0)
+/// draw a different stream; their summaries were re-recorded when that
+/// sampler landed.
 /// Unlike the kernel-path identity tests, both sides of this comparison do
 /// not share the active-pair code.
 TEST(DenseGoldenTest, ActivePairBookkeepingKeepsEveryDraw) {
@@ -443,87 +455,93 @@ TEST(DenseGoldenTest, ActivePairBookkeepingKeepsEveryDraw) {
     std::uint64_t budget;
     std::uint64_t seed;
     const char* golden;
+    std::uint64_t agent_epochs;  // epochs dealt agent by agent
   };
   const std::vector<Case> cases{
       {"single-urn batched margin-1", "circles", 3, {3001, 3000, 1500}, {}, 0.0,
        DenseMode::kBatched, false, 500'000'000, 17,
-       "interactions=284956589 state_changes=55681 "
-       "last_change_step=284956588 silent=1 epochs=2288 "
-       "mvhg_draws=4576 ff_jumps=36436 ff_interactions=284793421 "
-       "counts=0:0=1 0:3=3000 0:9=1500 0:15=1500 0:18=1500 "},
+       "interactions=204659802 state_changes=53462 last_change_step=204659801 "
+       "silent=1 epochs=2064 mvhg_draws=816 ff_jumps=35121 "
+       "ff_interactions=204508897 counts=0:0=1 0:3=3000 0:9=1500 0:15=1500 "
+       "0:18=1500 ", 1656},
       {"8-urn clustered batched", "circles", 3, {1900, 1300, 800},
        {500, 500, 500, 500, 500, 500, 500, 500}, 0.02, DenseMode::kBatched,
        false, 500'000'000, 23,
-       "interactions=131785 state_changes=8068 "
-       "last_change_step=131784 silent=1 epochs=715 mvhg_draws=11960 "
-       "ff_jumps=1346 ff_interactions=101574 counts=0:0=73 0:3=170 "
-       "0:9=79 0:15=92 0:18=86 1:0=88 1:3=159 1:9=59 1:15=97 1:18=97 "
-       "2:0=75 2:3=169 2:9=72 2:15=92 2:18=92 3:0=95 3:3=148 3:9=45 "
-       "3:15=104 3:18=108 4:0=59 4:3=170 4:9=62 4:15=103 4:18=106 "
-       "5:0=66 5:3=174 5:9=95 5:15=83 5:18=82 6:0=88 6:3=147 6:9=35 "
-       "6:15=115 6:18=115 7:0=56 7:3=163 7:9=53 7:15=114 7:18=114 "},
+       "interactions=150738 state_changes=8249 last_change_step=150737 "
+       "silent=1 epochs=723 mvhg_draws=20 ff_jumps=1418 "
+       "ff_interactions=119984 counts=0:0=65 0:3=178 0:9=85 0:15=86 0:18=86 "
+       "1:0=90 1:3=157 1:9=59 1:15=97 1:18=97 2:0=80 2:3=164 2:9=74 2:15=90 "
+       "2:18=92 3:0=97 3:3=146 3:9=42 3:15=107 3:18=108 4:0=67 4:3=162 4:9=60 "
+       "4:15=105 4:18=106 5:0=63 5:3=177 5:9=93 5:15=85 5:18=82 6:0=87 "
+       "6:3=148 6:9=34 6:15=116 6:18=115 7:0=51 7:3=168 7:9=53 7:15=114 "
+       "7:18=114 ", 722},
       {"8-urn clustered batched, budget cut", "circles", 3, {260, 200, 180},
        {80, 80, 80, 80, 80, 80, 80, 80}, 0.01, DenseMode::kBatched, false,
        6'000, 29,
-       "interactions=6000 state_changes=1324 last_change_step=5987 "
-       "silent=0 epochs=153 mvhg_draws=2010 ff_jumps=435 "
-       "ff_interactions=3106 counts=0:0=3 0:3=8 0:4=12 0:5=4 0:6=1 "
-       "0:9=1 0:10=2 0:13=3 0:15=8 0:16=8 0:17=5 0:18=8 0:19=8 0:20=7 "
-       "0:26=2 1:0=2 1:3=8 1:4=11 1:5=3 1:8=2 1:10=2 1:13=1 1:15=8 "
-       "1:16=10 1:17=7 1:18=9 1:19=7 1:20=6 1:23=4 2:0=21 2:3=12 "
-       "2:5=1 2:6=9 2:15=13 2:18=23 2:20=1 3:0=10 3:3=17 3:4=4 3:5=1 "
-       "3:6=3 3:10=2 3:13=2 3:15=15 3:16=3 3:17=1 3:18=16 3:19=2 "
-       "3:20=3 3:26=1 4:0=3 4:3=10 4:4=16 4:9=1 4:10=6 4:13=6 4:15=6 "
-       "4:16=12 4:17=1 4:18=7 4:19=11 4:20=1 5:0=3 5:3=9 5:4=7 5:5=8 "
-       "5:10=2 5:13=3 5:15=7 5:16=10 5:17=7 5:18=7 5:19=7 5:20=7 "
-       "5:22=1 5:23=1 5:26=1 6:0=11 6:3=20 6:4=2 6:5=1 6:6=4 6:9=8 "
-       "6:10=1 6:15=13 6:16=1 6:18=16 6:19=1 6:20=2 7:0=8 7:3=18 "
-       "7:4=2 7:5=4 7:6=2 7:9=5 7:13=1 7:15=13 7:16=3 7:17=3 7:18=14 "
-       "7:19=3 7:20=3 7:26=1 "},
+       "interactions=6000 state_changes=1258 last_change_step=5998 silent=0 "
+       "epochs=163 mvhg_draws=0 ff_jumps=338 ff_interactions=3078 "
+       "counts=0:0=3 0:3=19 0:4=4 0:5=1 0:6=1 0:9=2 0:10=1 0:15=16 0:16=7 "
+       "0:17=1 0:18=14 0:19=5 0:20=6 1:3=8 1:4=10 1:5=8 1:9=1 1:10=3 1:15=4 "
+       "1:16=11 1:17=9 1:18=6 1:19=7 1:20=10 1:23=1 1:26=2 2:0=19 2:3=12 "
+       "2:4=1 2:6=11 2:15=13 2:18=24 3:0=7 3:3=18 3:4=3 3:5=3 3:6=3 3:8=1 "
+       "3:9=5 3:15=14 3:16=2 3:17=2 3:18=12 3:19=3 3:20=7 4:0=1 4:3=12 4:4=15 "
+       "4:5=1 4:9=1 4:10=8 4:13=4 4:15=5 4:16=14 4:18=4 4:19=14 4:20=1 5:3=6 "
+       "5:4=16 5:5=3 5:6=1 5:8=1 5:9=2 5:10=1 5:13=5 5:15=1 5:16=16 5:17=4 "
+       "5:18=4 5:19=14 5:20=4 5:22=1 5:26=1 6:0=13 6:3=22 6:5=1 6:6=2 6:9=5 "
+       "6:10=1 6:15=14 6:16=3 6:18=16 6:19=2 6:20=1 7:0=7 7:3=16 7:4=7 7:5=2 "
+       "7:6=2 7:9=2 7:10=3 7:13=1 7:15=15 7:16=3 7:17=1 7:18=11 7:19=5 "
+       "7:20=5 ",
+       163},
       {"3-urn per-step", "circles", 3, {110, 90, 70}, {120, 90, 60}, 0.1,
        DenseMode::kPerStep, false, 500'000'000, 31,
        "interactions=30864 state_changes=849 last_change_step=30863 "
        "silent=1 epochs=0 mvhg_draws=0 ff_jumps=0 ff_interactions=0 "
        "counts=0:0=5 0:3=44 0:9=18 0:15=29 0:18=24 1:0=1 1:3=32 1:9=2 "
-       "1:15=30 1:18=25 2:0=14 2:3=14 2:15=11 2:18=21 "},
+       "1:15=30 1:18=25 2:0=14 2:3=14 2:15=11 2:18=21 ", 0},
       {"single-urn per-step", "circles", 4, {90, 80, 70, 60}, {}, 0.0,
        DenseMode::kPerStep, false, 500'000'000, 37,
        "interactions=43270 state_changes=1043 last_change_step=43269 "
        "silent=1 epochs=0 mvhg_draws=0 ff_jumps=0 ff_interactions=0 "
-       "counts=0:0=10 0:4=80 0:16=10 0:24=70 0:32=10 0:44=60 0:48=60 "},
+       "counts=0:0=10 0:4=80 0:16=10 0:24=70 0:32=10 0:44=60 0:48=60 ", 0},
       {"4-urn batched, forced-sparse kernel", "circles", 4, {700, 600, 500, 400},
        {800, 600, 500, 300}, 0.05, DenseMode::kBatched, true, 500'000'000,
        41,
-       "interactions=639178 state_changes=7696 "
-       "last_change_step=639177 silent=1 epochs=570 mvhg_draws=6032 "
-       "ff_jumps=3468 ff_interactions=618761 counts=0:0=30 0:4=232 "
-       "0:16=72 0:24=164 0:32=10 0:44=141 0:48=151 1:0=24 1:4=162 "
-       "1:16=22 1:24=145 1:32=24 1:44=112 1:48=111 2:0=27 2:4=130 "
-       "2:16=6 2:24=125 2:32=39 2:44=88 2:48=85 3:0=19 3:4=76 3:24=66 "
-       "3:32=27 3:44=59 3:48=53 "},
+       "interactions=1901378 state_changes=7527 last_change_step=1901377 "
+       "silent=1 epochs=548 mvhg_draws=12 ff_jumps=3321 "
+       "ff_interactions=1881790 counts=0:0=30 0:4=232 0:16=72 0:24=164 0:32=8 "
+       "0:44=143 0:48=151 1:0=18 1:4=168 1:16=26 1:24=141 1:32=26 1:44=110 "
+       "1:48=111 2:0=31 2:4=126 2:16=2 2:24=129 2:32=41 2:44=86 2:48=85 "
+       "3:0=21 3:4=74 3:24=66 3:32=25 3:44=61 3:48=53 ", 547},
       // Protocols whose same-state pairs can be non-null, so the diagonal
       // blocks' own-agent correction is exercised.
       {"unordered_circles single-urn batched", "unordered_circles", 3,
        {120, 100, 80}, {}, 0.0, DenseMode::kBatched, false, 500'000'000, 43,
-       "interactions=369716 state_changes=13821 "
-       "last_change_step=369715 silent=1 epochs=475 mvhg_draws=950 "
-       "ff_jumps=11282 ff_interactions=352893 counts=0:4=119 0:31=1 "
-       "0:64=75 0:67=22 0:70=2 0:91=1 0:127=79 0:154=1 "},
+       "interactions=307610 state_changes=29670 last_change_step=307609 "
+       "silent=1 epochs=438 mvhg_draws=2 ff_jumps=27313 "
+       "ff_interactions=275243 counts=0:4=119 0:31=1 0:73=40 0:76=29 0:79=30 "
+       "0:100=1 0:124=79 0:151=1 ", 437},
       {"unordered_circles 4-urn batched", "unordered_circles", 3,
        {120, 100, 80}, {100, 80, 70, 50}, 0.05, DenseMode::kBatched, false,
        500'000'000, 47,
-       "interactions=3083581 state_changes=38898 "
-       "last_change_step=3083580 silent=1 epochs=523 mvhg_draws=4210 "
-       "ff_jumps=36247 ff_interactions=3041284 counts=0:16=43 0:73=26 "
-       "0:79=1 0:112=2 0:115=28 1:16=30 1:73=21 1:79=5 1:115=23 "
-       "1:142=1 2:16=28 2:73=26 2:79=6 2:112=1 2:115=9 3:16=18 3:43=1 "
-       "3:73=14 3:100=1 3:112=1 3:115=15 "},
+       "interactions=6818789 state_changes=20620 last_change_step=6818788 "
+       "silent=1 epochs=566 mvhg_draws=8 ff_jumps=17695 "
+       "ff_interactions=6794511 counts=0:0=11 0:3=32 0:72=26 0:99=1 0:123=30 "
+       "1:0=6 1:3=23 1:6=1 1:72=26 1:123=24 2:0=5 2:3=5 2:6=17 2:30=1 2:72=32 "
+       "2:123=9 2:150=1 3:0=7 3:3=12 3:72=15 3:123=16 ", 565},
+      // Three states leave almost no epoch short enough to deal agent by
+      // agent; this run has none, so it pins the contingency path's stream.
+      {"approx_majority single-urn batched", "approx_majority_3state", 2,
+       {101000, 99000}, {}, 0.0, DenseMode::kBatched, false, 500'000'000, 63,
+       "interactions=4909347 state_changes=1584344 "
+       "last_change_step=4909346 silent=1 epochs=12064 mvhg_draws=24128 "
+       "ff_jumps=2217 ff_interactions=1505761 counts=0:0=200000 ",
+       0},
       {"ordering 3-urn per-step", "ordering", 3, {40, 30, 20}, {40, 30, 20},
        0.1, DenseMode::kPerStep, false, 500'000'000, 53,
        "interactions=133995 state_changes=568 last_change_step=133994 "
        "silent=1 epochs=0 mvhg_draws=0 ff_jumps=0 ff_interactions=0 "
        "counts=0:0=17 0:7=12 0:14=10 0:17=1 1:0=13 1:3=1 1:7=10 "
-       "1:14=6 2:0=9 2:7=7 2:10=1 2:14=3 "},
+       "1:14=6 2:0=9 2:7=7 2:10=1 2:14=3 ", 0},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -572,6 +590,7 @@ TEST(DenseGoldenTest, ActivePairBookkeepingKeepsEveryDraw) {
       }
     }
     EXPECT_EQ(summary.str(), c.golden);
+    EXPECT_EQ(registry.counter("dense.agent_epochs").value(), c.agent_epochs);
   }
 }
 

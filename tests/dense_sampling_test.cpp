@@ -323,5 +323,47 @@ TEST(LastSpecialSlotTest, MatchesExactDistribution) {
   EXPECT_NEAR(freq[5], 0.4, 0.01);
 }
 
+TEST(AgentDealTest, ExhaustingTheUrnDrawsEveryAgentOnce) {
+  // Categories with zero agents (including the first and the last, which
+  // bound the Fenwick descent) are never drawn; a full deal returns each
+  // category exactly as often as it holds agents.
+  const std::vector<std::uint64_t> counts{0, 3, 0, 1, 5, 0, 2, 0, 0};
+  AgentDeal deal;
+  util::Rng rng(17);
+  for (int rep = 0; rep < 50; ++rep) {
+    std::vector<std::uint32_t> order(11);
+    deal.deal(rng, counts, order);
+    std::vector<std::uint64_t> seen(counts.size(), 0);
+    for (const std::uint32_t c : order) seen.at(c) += 1;
+    EXPECT_EQ(seen, counts);
+  }
+}
+
+TEST(AgentDealTest, FirstDrawIsProportionalToCounts) {
+  const std::vector<std::uint64_t> counts{6, 1, 3};
+  AgentDeal deal;
+  util::Rng rng(23);
+  std::vector<double> freq(3, 0.0);
+  const int reps = 100'000;
+  for (int rep = 0; rep < reps; ++rep) {
+    std::uint32_t first = 0;
+    deal.deal(rng, counts, std::span<std::uint32_t>(&first, 1));
+    freq[first] += 1.0 / reps;
+  }
+  EXPECT_NEAR(freq[0], 0.6, 0.01);
+  EXPECT_NEAR(freq[1], 0.1, 0.01);
+  EXPECT_NEAR(freq[2], 0.3, 0.01);
+}
+
+TEST(AgentDealTest, RoleOffsetsSliceEachUrnInDealOrder) {
+  // Two urns, blocks (0,0)=2, (0,1)=1, (1,0)=3, (1,1)=0. Urn 0's order:
+  // initiators of (0,0) then (0,1), then responders of (0,0) then (1,0).
+  const std::vector<std::uint64_t> block_len{2, 1, 3, 0};
+  std::vector<std::uint64_t> init(4), resp(4);
+  role_offsets(block_len, 2, init, resp);
+  EXPECT_EQ(init, (std::vector<std::uint64_t>{0, 2, 0, 3}));
+  EXPECT_EQ(resp, (std::vector<std::uint64_t>{3, 3, 5, 4}));
+}
+
 }  // namespace
 }  // namespace circles::dense

@@ -344,6 +344,10 @@ TEST(MetricsBatchTest, DenseCountersFlow) {
   EXPECT_GT(registry.counter("dense.interactions").value(), 0u);
   EXPECT_GT(registry.counter("dense.epochs").value(), 0u);
   EXPECT_GT(registry.counter("dense.mvhg_draws").value(), 0u);
+  // This spec mixes both epoch samplers.
+  EXPECT_GT(registry.counter("dense.agent_epochs").value(), 0u);
+  EXPECT_LT(registry.counter("dense.agent_epochs").value(),
+            registry.counter("dense.epochs").value());
 }
 
 TEST(MetricsBatchTest, FluidCountersFlow) {
