@@ -831,9 +831,9 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     const std::uint64_t remaining =
         options_.max_interactions - result.interactions;
 
-    // Sparse-activity fast-forward: an epoch costs a fixed O(present^2)
-    // deal and pairing regardless of how many of its interactions change
-    // state, while the geometric path pays O(U^2 + present + deg) per
+    // Sparse-activity fast-forward: an epoch costs its deal and pairing
+    // (O(min(present^2, L log present))) regardless of how many of its
+    // interactions change state, while the geometric path pays O(U^2 + present + deg) per
     // *change* (block and pair draws plus the delta update; the null run in
     // between is one log). The ~3 expected changes per epoch crossover was
     // tuned when every change rebuilt all U^2 blocks' active counts, so it

@@ -4,10 +4,11 @@
 // The batched engine advances ~sqrt(n) interactions per epoch; turning an
 // epoch into O(present_states^2) work instead of O(sqrt(n)) requires draws
 // from hypergeometric distributions ("how many of the 2L distinct agents of
-// this epoch hold state s?"). Everything here is built directly on util::Rng
-// inversion, so results are deterministic per seed; the only platform
-// dependence is ordinary double arithmetic, the same caliber as the
-// Gillespie module's exponential clocks.
+// this epoch hold state s?"). When an epoch has fewer agents than that, it
+// draws them one by one instead (AgentDeal). Everything here is built
+// directly on util::Rng inversion, so results are deterministic per seed;
+// the only platform dependence is ordinary double arithmetic, the same
+// caliber as the Gillespie module's exponential clocks.
 #pragma once
 
 #include <cstdint>

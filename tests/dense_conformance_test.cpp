@@ -13,8 +13,8 @@
 //    two-sample KS tests compare last_change_step and state_changes, on
 //    single-urn and 4-urn clustered inputs.
 //
-// A null pair (one engine against itself on a second seed set) runs through
-// the same end-to-end harness, and the KS p-value is checked for
+// A null pair (dense_batched against itself on a second seed set) runs
+// through the same end-to-end harness, and the KS p-value is checked for
 // calibration, so the stated false-alarm rate is measured, not assumed.
 // Every seed is fixed, so each test is deterministic; on a fresh seed set a
 // correct engine fails a family with probability at most kFamilyAlpha.
@@ -482,20 +482,19 @@ TEST(DenseConformanceTest, AgentAndBatchedAgreeInDistribution) {
   expect_family_quiet(names, p);
 }
 
-/// The null pair: each engine against itself on a second seed set, through
-/// the same harness. Both sides sample one law, so any rejection here is a
-/// false alarm; the family rejects with probability at most kFamilyAlpha.
+/// The null pair: dense_batched against itself on a second seed set,
+/// through the same harness. Both sides sample one law, so any rejection
+/// here is a false alarm; the family rejects with probability at most
+/// kFamilyAlpha.
 TEST(DenseConformanceTest, NullPairStaysQuiet) {
   std::vector<std::string> names;
   std::vector<double> p;
   for (const ConformanceSpec& c : conformance_specs()) {
-    for (const sim::EngineKind backend :
-         {sim::EngineKind::kAgentArray, sim::EngineKind::kDenseBatched}) {
-      const Samples a = run_samples(c, backend, 20261018, kTrials);
-      const Samples b = run_samples(c, backend, 9031, kTrials);
-      add_ks(c.name + " " + sim::to_string(backend) + " null", a, b, names,
-             p);
-    }
+    const Samples a =
+        run_samples(c, sim::EngineKind::kDenseBatched, 20261018, kTrials);
+    const Samples b =
+        run_samples(c, sim::EngineKind::kDenseBatched, 9031, kTrials);
+    add_ks(c.name + " null", a, b, names, p);
   }
   expect_family_quiet(names, p);
 }
