@@ -18,6 +18,9 @@
 // compute even on the dense backend). fluid_n sizes additionally run on the
 // mean-field fluid backend, whose cost is independent of n — big_n cells get
 // a fluid twin too, so the curves overlap where both tiers can run.
+// Margin-1 cells (--margin1_k, --margin1_n) run circles at the paper's k^3
+// states on its hardest input, on the batched dense backend only; they time
+// the count tier where its cost grows with k.
 // --smoke shrinks the grid for CI.
 #include <chrono>
 #include <cmath>
@@ -65,6 +68,11 @@ int main(int argc, char** argv) {
       "protocols to sweep (baselines default to their fixed k)");
   const auto k = static_cast<std::uint32_t>(
       cli.int_flag("k", 3, "colors for protocols with variable k"));
+  auto margin1_ks = cli.int_list_flag(
+      "margin1_k", "12",
+      "circles color counts for the margin-1 dense_batched cells");
+  auto margin1_ns = cli.int_list_flag(
+      "margin1_n", "100000", "population sizes for the margin-1 cells");
   auto trials =
       static_cast<std::uint32_t>(cli.int_flag("trials", 5, "trials per cell"));
   const auto seed =
@@ -107,6 +115,7 @@ int main(int argc, char** argv) {
     trials = 3;
     agent_cap = 10'000;
     perstep_cap = 10'000;
+    margin1_ns = {10'000};
   }
 
   bench::print_header(
@@ -118,6 +127,7 @@ int main(int argc, char** argv) {
     std::string protocol;
     std::uint64_t n;
     sim::EngineKind backend;
+    std::uint32_t margin1_k = 0;  // > 0: a circles margin-1 cell at this k
   };
   std::vector<Cell> cells;
   for (const auto& protocol : protocols) {
@@ -142,6 +152,13 @@ int main(int argc, char** argv) {
     for (const auto n : fluid_ns) {
       cells.push_back({protocol, static_cast<std::uint64_t>(n),
                        sim::EngineKind::kFluid});
+    }
+  }
+  for (const auto mk : margin1_ks) {
+    for (const auto n : margin1_ns) {
+      cells.push_back({"circles", static_cast<std::uint64_t>(n),
+                       sim::EngineKind::kDenseBatched,
+                       static_cast<std::uint32_t>(mk)});
     }
   }
 
@@ -169,8 +186,17 @@ int main(int argc, char** argv) {
     spec.n = cell.n;
     spec.backend = cell.backend;
     spec.trials = trials;
+    if (cell.margin1_k > 0) {
+      spec.params.k = cell.margin1_k;
+      spec.workload = sim::WorkloadSpec::close_margin();
+    }
     if (budget > 0) {
       spec.engine.max_interactions = budget;
+    } else if (cell.margin1_k > 0) {
+      // Margin-1 inputs take ~5-8 n^2 interactions to silence.
+      const double nd = static_cast<double>(cell.n);
+      spec.engine.max_interactions =
+          static_cast<std::uint64_t>(std::min(100.0 * nd * nd, 9.0e18));
     } else {
       // Circles' empirical interactions-to-silence grow like ~n^2/30 (with
       // large workload-to-workload spread); budget n^2/2 so "hit the
@@ -198,7 +224,8 @@ int main(int argc, char** argv) {
     results.push_back(std::move(r));
   }
 
-  util::Table table({"protocol", "k", "n", "backend", "trials", "silent",
+  util::Table table({"protocol", "k", "n", "workload", "backend", "trials",
+                     "silent",
                      "mean state changes", "mean interactions", "wall s",
                      "interactions/s"});
   bool all_silent = true;
@@ -210,7 +237,8 @@ int main(int argc, char** argv) {
     const double total_interactions = sr.interactions.mean * sr.trial_count;
     table.add_row(
         {r.spec.protocol, util::Table::num(std::uint64_t{r.spec.params.k}),
-         util::Table::num(r.spec.n), sim::to_string(r.spec.backend),
+         util::Table::num(r.spec.n), r.spec.workload.to_string(),
+         sim::to_string(r.spec.backend),
          util::Table::num(std::uint64_t{sr.trial_count}),
          util::Table::percent(sr.silent_rate(), 0),
          util::Table::num(sr.state_changes.mean, 0),
@@ -239,7 +267,11 @@ int main(int argc, char** argv) {
     const CellResult* dense = nullptr;
     const CellResult* batched = nullptr;
     for (const CellResult& b : results) {
-      if (b.spec.protocol != a.spec.protocol || b.spec.n != a.spec.n) continue;
+      if (b.spec.protocol != a.spec.protocol || b.spec.n != a.spec.n ||
+          b.spec.params.k != a.spec.params.k ||
+          b.spec.workload.to_string() != a.spec.workload.to_string()) {
+        continue;
+      }
       if (b.spec.backend == sim::EngineKind::kDense) dense = &b;
       if (b.spec.backend == sim::EngineKind::kDenseBatched) batched = &b;
     }
@@ -294,6 +326,7 @@ int main(int argc, char** argv) {
           .set("protocol", r.spec.protocol)
           .set("k", static_cast<std::uint64_t>(r.spec.params.k))
           .set("n", r.spec.n)
+          .set("workload", r.spec.workload.to_string())
           .set("backend", sim::to_string(sr.backend_resolved))
           .set("trials", static_cast<std::uint64_t>(sr.trial_count))
           .set("silent_rate", sr.silent_rate())
