@@ -151,6 +151,15 @@ struct DenseEngine::Sim {
   std::uint64_t m_mvhg_draws = 0;   // multivariate hypergeometric deals
   std::uint64_t m_agent_epochs = 0; // epochs dealt agent by agent
 
+  // Per-agent epoch scratch (agent_epoch): the deal's Fenwick tree and
+  // count row, each urn's draw order (indices into its present prefix) and
+  // where every block's roles start in it.
+  AgentDeal agent_deal;
+  std::vector<std::uint64_t> agent_pool;
+  std::vector<std::vector<std::uint32_t>> agent_order;
+  std::vector<std::uint64_t> init_offset;
+  std::vector<std::uint64_t> resp_offset;
+
   // Aggregate view for the recorder: single-urn runs alias urn 0; multi-urn
   // runs maintain summed counts incrementally (only when a recorder is
   // attached — aggregate_enabled).
@@ -818,14 +827,6 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       sim.arena.alloc<std::uint64_t>(u_count * states);
   const std::span<std::uint64_t> rem_flat =
       sim.arena.alloc<std::uint64_t>(u_count * states);
-  // Per-agent epochs: each urn's draw order (indices into its present
-  // prefix) and where every block's roles start in it.
-  AgentDeal agent_deal;
-  std::vector<std::vector<std::uint32_t>> order(u_count);
-  const std::span<std::uint64_t> init_offset =
-      sim.arena.alloc<std::uint64_t>(num_blocks);
-  const std::span<std::uint64_t> resp_offset =
-      sim.arena.alloc<std::uint64_t>(num_blocks);
 
   while (!result.silent && result.interactions < options_.max_interactions) {
     const std::uint64_t remaining =
@@ -833,13 +834,14 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
 
     // Sparse-activity fast-forward: an epoch costs its deal and pairing
     // (O(min(present^2, L log present))) regardless of how many of its
-    // interactions change state, while the geometric path pays O(U^2 + present + deg) per
-    // *change* (block and pair draws plus the delta update; the null run in
-    // between is one log). The ~3 expected changes per epoch crossover was
-    // tuned when every change rebuilt all U^2 blocks' active counts, so it
-    // likely sits low now; moving it changes which sampler consumes the
-    // stream, so retuning it is a separate, non-bitwise change. Either path
-    // is an exact sampler: the threshold is purely a performance knob.
+    // interactions change state, while the geometric path pays
+    // O(U^2 + present + deg) per *change* (block and pair draws plus the
+    // delta update; the null run in between is one log). The ~3 expected
+    // changes per epoch crossover was tuned when every change rebuilt all
+    // U^2 blocks' active counts, so it likely sits low now; moving it
+    // changes which sampler consumes the stream, so retuning it is a
+    // separate, non-bitwise change. Either path is an exact sampler: the
+    // threshold is purely a performance knob.
     double p_change = 0.0;
     for (std::size_t b = 0; b < num_blocks; ++b) {
       if (sim.rates[b] <= 0.0) continue;
@@ -981,162 +983,144 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       len = seq.size();
     }
 
-    // Participant state draws, per urn: T_u agents leave urn u this epoch
-    // (initiators of blocks (u, *) plus responders of blocks (*, u); intra
-    // blocks contribute on both sides). Single-urn runs draw on the main RNG
-    // stream (the historical order); multi-urn runs give urn u the forked
-    // sub-stream fork(u), which defines the multi-urn stream. Two exact
-    // samplers of the same uniform matching, chosen per epoch by
-    // kPerAgentSwitch:
-    //  * per agent: the T_u agents are drawn one by one (AgentDeal) and the
-    //    draw order is sliced into the roles (role_offsets); block b's i-th
-    //    initiator meets its i-th responder.
-    //  * by counts: drawn ~ multivariate hypergeometric from the urn's
-    //    counts, then sequential splits deal the drawn states across the
-    //    urn's roles, and the pairing below samples a contingency table.
+    // Deal the epoch's participants to their roles and pair them: two exact
+    // samplers of the same uniform matching, chosen per epoch. When the 2L
+    // agents are few against the urns' present states (kPerAgentSwitch),
+    // agent_epoch draws them one by one; otherwise the participants' states
+    // are dealt by counts and paired by contingency tables below.
     std::uint64_t width_sq = 0;
-    for (std::size_t u = 0; u < u_count; ++u) {
-      width[u] = sim.urns[u].present.size();
-      width_sq += width[u] * width[u];
+    for (const Sim::Urn& urn : sim.urns) {
+      width_sq += urn.present.size() * urn.present.size();
     }
-    const bool per_agent = 2.0 * static_cast<double>(len) <=
-                           kPerAgentSwitch * static_cast<double>(width_sq);
-    if (per_agent) {
-      sim.m_agent_epochs += 1;
-      role_offsets(block_len, u_count, init_offset, resp_offset);
-    }
-    for (std::size_t u = 0; u < u_count; ++u) {
-      Sim::Urn& urn = sim.urns[u];
-      const std::size_t w = width[u];
-      std::uint64_t t_u = 0;
-      for (std::size_t v = 0; v < u_count; ++v) {
-        t_u += block_len[u * u_count + v] + block_len[v * u_count + u];
-      }
-      if (t_u == 0) continue;
-
-      util::Rng forked(0);
-      util::Rng* stream = &rng;
-      if (!single) {
-        forked = rng.fork(u);
-        stream = &forked;
-      }
-
-      const std::span<std::uint64_t> pool = pool_flat.subspan(u * states, w);
-      for (std::size_t i = 0; i < w; ++i) {
-        pool[i] = urn.counts[urn.present[i]];
-      }
-      if (per_agent) {
-        order[u].resize(t_u);
-        agent_deal.deal(*stream, pool, order[u]);
-        continue;
-      }
-
-      const std::span<std::uint64_t> drawn = drawn_flat.subspan(u * states, w);
-      const std::span<std::uint64_t> rem = rem_flat.subspan(u * states, w);
-      multivariate_hypergeometric(*stream, pool, t_u, drawn);
-      sim.m_mvhg_draws += 1;
-
-      std::copy(drawn.begin(), drawn.end(), rem.begin());
-      std::uint64_t rem_total = t_u;
-      const auto deal_role = [&](std::span<std::uint64_t> target,
-                                 std::uint64_t count) {
-        if (count == 0) return;
-        if (rem_total == count) {
-          // The last live role takes the remainder outright.
-          std::copy(rem.begin(), rem.end(), target.begin());
-          rem_total = 0;
-          return;
-        }
-        multivariate_hypergeometric(*stream, rem, count, target);
-        sim.m_mvhg_draws += 1;
-        for (std::size_t i = 0; i < w; ++i) rem[i] -= target[i];
-        rem_total -= count;
-      };
-      for (std::size_t v = 0; v < u_count; ++v) {
-        const std::size_t b = u * u_count + v;
-        deal_role(init_flat.subspan(b * states, w), block_len[b]);
-      }
-      for (std::size_t v = 0; v < u_count; ++v) {
-        const std::size_t b = v * u_count + u;
-        deal_role(resp_flat.subspan(b * states, w), block_len[b]);
-      }
-    }
-
-    sim.reset_used();
-
-    // Pair initiators with responders per block: a uniformly random perfect
-    // matching. Each matched group of m (s, t) pairs is applied as it is
-    // found: it marks its participants used and, unless null, stages its
-    // count deltas. Per-agent epochs walk the block's role slices; the others
-    // sample the matching group by group as a hypergeometric contingency
-    // table, on the block's forked sub-stream fork(U + b) in multi-urn runs.
-    // Both read only the dealt roles and the present-list prefixes below
-    // `width` (present lists only grow, so those indices stay stable while
-    // groups apply); the staged deltas are netted per (urn, state) and
-    // applied once, before the collision draw reads the counts.
     std::uint64_t epoch_productive = 0;
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-      if (block_len[b] == 0) continue;
-      const std::size_t bu = b / u_count;
-      const std::size_t bv = b % u_count;
-      Sim::Urn& urn_i = sim.urns[bu];
-      Sim::Urn& urn_r = sim.urns[bv];
-      const auto apply_group = [&](pp::StateId s, pp::StateId t,
-                                   std::uint64_t m) {
-        const pp::Transition tr = transition(s, t);
-        sim.touch_used(urn_i, tr.initiator, m);
-        sim.touch_used(urn_r, tr.responder, m);
-        if (tr.initiator == s && tr.responder == t) return;
-        sim.stage(bu, s, 0 - m);
-        sim.stage(bv, t, 0 - m);
-        sim.stage(bu, tr.initiator, m);
-        sim.stage(bv, tr.responder, m);
-        sim.note_state(urn_i, tr.initiator);
-        sim.note_state(urn_r, tr.responder);
-        sim.apply_agg(s, t, tr, m);
-        block_productive[b] += m;
-      };
+    if (2.0 * static_cast<double>(len) <=
+        kPerAgentSwitch * static_cast<double>(width_sq)) {
+      epoch_productive = agent_epoch(sim, block_len, block_productive);
+    } else {
+      // Participant state draws, per urn: T_u agents leave urn u this epoch
+      // (initiators of blocks (u, *) plus responders of blocks (*, u); intra
+      // blocks contribute on both sides). drawn ~ multivariate hypergeometric
+      // from the urn's counts, then sequential splits deal the drawn states
+      // across the urn's roles. Single-urn runs draw on the main RNG stream
+      // (the historical order); multi-urn runs give urn u the forked
+      // sub-stream fork(u), which defines the multi-urn stream.
+      for (std::size_t u = 0; u < u_count; ++u) {
+        Sim::Urn& urn = sim.urns[u];
+        const std::size_t w = urn.present.size();
+        width[u] = w;
+        std::uint64_t t_u = 0;
+        for (std::size_t v = 0; v < u_count; ++v) {
+          t_u += block_len[u * u_count + v] + block_len[v * u_count + u];
+        }
+        if (t_u == 0) continue;
 
-      if (per_agent) {
-        const std::uint32_t* init = order[bu].data() + init_offset[b];
-        const std::uint32_t* resp = order[bv].data() + resp_offset[b];
-        for (std::uint64_t i = 0; i < block_len[b]; ++i) {
-          apply_group(urn_i.present[init[i]], urn_r.present[resp[i]], 1);
+        util::Rng forked(0);
+        util::Rng* stream = &rng;
+        if (!single) {
+          forked = rng.fork(u);
+          stream = &forked;
+        }
+
+        const std::span<std::uint64_t> pool = pool_flat.subspan(u * states, w);
+        const std::span<std::uint64_t> drawn =
+            drawn_flat.subspan(u * states, w);
+        const std::span<std::uint64_t> rem = rem_flat.subspan(u * states, w);
+        for (std::size_t i = 0; i < w; ++i) {
+          pool[i] = urn.counts[urn.present[i]];
+        }
+        multivariate_hypergeometric(*stream, pool, t_u, drawn);
+        sim.m_mvhg_draws += 1;
+
+        std::copy(drawn.begin(), drawn.end(), rem.begin());
+        std::uint64_t rem_total = t_u;
+        const auto deal_role = [&](std::span<std::uint64_t> target,
+                                   std::uint64_t count) {
+          if (count == 0) return;
+          if (rem_total == count) {
+            // The last live role takes the remainder outright.
+            std::copy(rem.begin(), rem.end(), target.begin());
+            rem_total = 0;
+            return;
+          }
+          multivariate_hypergeometric(*stream, rem, count, target);
+          sim.m_mvhg_draws += 1;
+          for (std::size_t i = 0; i < w; ++i) rem[i] -= target[i];
+          rem_total -= count;
+        };
+        for (std::size_t v = 0; v < u_count; ++v) {
+          const std::size_t b = u * u_count + v;
+          deal_role(init_flat.subspan(b * states, w), block_len[b]);
+        }
+        for (std::size_t v = 0; v < u_count; ++v) {
+          const std::size_t b = v * u_count + u;
+          deal_role(resp_flat.subspan(b * states, w), block_len[b]);
+        }
+      }
+
+      sim.reset_used();
+
+      // Pair initiators with responders per block: a uniformly random perfect
+      // matching, sampled group by group as a hypergeometric contingency
+      // table, on the block's forked sub-stream fork(U + b) in multi-urn
+      // runs. Each matched group of m (s, t) pairs is applied as it is drawn:
+      // it marks its participants used and, unless null, stages its count
+      // deltas. The draws read only the dealt role rows and the present-list
+      // prefixes below `width` (present lists only grow, so those indices
+      // stay stable while groups apply); the staged deltas are netted per
+      // (urn, state) and applied once, before the collision draw reads the
+      // counts.
+      for (std::size_t b = 0; b < num_blocks; ++b) {
+        if (block_len[b] == 0) continue;
+        const std::size_t bu = b / u_count;
+        const std::size_t bv = b % u_count;
+        Sim::Urn& urn_i = sim.urns[bu];
+        Sim::Urn& urn_r = sim.urns[bv];
+        const std::span<const std::uint64_t> init =
+            init_flat.subspan(b * states, width[bu]);
+        const std::span<std::uint64_t> resp =
+            resp_flat.subspan(b * states, width[bv]);
+
+        util::Rng forked(0);
+        util::Rng* stream = &rng;
+        if (!single) {
+          forked = rng.fork(u_count + b);
+          stream = &forked;
+        }
+
+        std::uint64_t resp_pool = block_len[b];
+        for (std::size_t a = 0; a < init.size(); ++a) {
+          std::uint64_t need = init[a];
+          if (need == 0) continue;
+          std::uint64_t pool_total = resp_pool;
+          for (std::size_t c = 0; c < resp.size() && need > 0; ++c) {
+            const std::uint64_t avail = resp[c];
+            if (avail == 0) continue;
+            const std::uint64_t m =
+                hypergeometric(*stream, pool_total, avail, need);
+            pool_total -= avail;
+            resp[c] -= m;
+            need -= m;
+            if (m == 0) continue;
+            const pp::StateId s = urn_i.present[a];
+            const pp::StateId t = urn_r.present[c];
+            const pp::Transition tr = transition(s, t);
+            sim.touch_used(urn_i, tr.initiator, m);
+            sim.touch_used(urn_r, tr.responder, m);
+            if (tr.initiator == s && tr.responder == t) continue;
+            sim.stage(bu, s, 0 - m);
+            sim.stage(bv, t, 0 - m);
+            sim.stage(bu, tr.initiator, m);
+            sim.stage(bv, tr.responder, m);
+            sim.note_state(urn_i, tr.initiator);
+            sim.note_state(urn_r, tr.responder);
+            sim.apply_agg(s, t, tr, m);
+            block_productive[b] += m;
+          }
+          CIRCLES_DCHECK(need == 0);
+          resp_pool -= init[a];
         }
         epoch_productive += block_productive[b];
-        continue;
       }
-
-      const std::span<const std::uint64_t> init =
-          init_flat.subspan(b * states, width[bu]);
-      const std::span<std::uint64_t> resp =
-          resp_flat.subspan(b * states, width[bv]);
-      util::Rng forked(0);
-      util::Rng* stream = &rng;
-      if (!single) {
-        forked = rng.fork(u_count + b);
-        stream = &forked;
-      }
-
-      std::uint64_t resp_pool = block_len[b];
-      for (std::size_t a = 0; a < init.size(); ++a) {
-        std::uint64_t need = init[a];
-        if (need == 0) continue;
-        std::uint64_t pool_total = resp_pool;
-        for (std::size_t c = 0; c < resp.size() && need > 0; ++c) {
-          const std::uint64_t avail = resp[c];
-          if (avail == 0) continue;
-          const std::uint64_t m =
-              hypergeometric(*stream, pool_total, avail, need);
-          pool_total -= avail;
-          resp[c] -= m;
-          need -= m;
-          if (m > 0) apply_group(urn_i.present[a], urn_r.present[c], m);
-        }
-        CIRCLES_DCHECK(need == 0);
-        resp_pool -= init[a];
-      }
-      epoch_productive += block_productive[b];
     }
     sim.flush_staged();
 
@@ -1269,6 +1253,77 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       result.last_change_step = mark.start + best - 1;
     }
   }
+}
+
+std::uint64_t DenseEngine::agent_epoch(
+    Sim& sim, std::span<const std::uint64_t> block_len,
+    std::span<std::uint64_t> block_productive) const {
+  const std::size_t u_count = sim.num_urns;
+  const std::size_t num_blocks = u_count * u_count;
+  sim.m_agent_epochs += 1;
+  sim.agent_order.resize(u_count);
+  sim.init_offset.resize(num_blocks);
+  sim.resp_offset.resize(num_blocks);
+  role_offsets(block_len, u_count, sim.init_offset, sim.resp_offset);
+
+  // Each urn's T_u participants, drawn one by one on the urn's stream (the
+  // main stream for a single urn, fork(u) otherwise) as indices into its
+  // present prefix; the draw order is sliced into roles by role_offsets.
+  for (std::size_t u = 0; u < u_count; ++u) {
+    const Sim::Urn& urn = sim.urns[u];
+    std::uint64_t t_u = 0;
+    for (std::size_t v = 0; v < u_count; ++v) {
+      t_u += block_len[u * u_count + v] + block_len[v * u_count + u];
+    }
+    if (t_u == 0) continue;
+
+    util::Rng forked(0);
+    util::Rng* stream = &sim.rng;
+    if (u_count > 1) {
+      forked = sim.rng.fork(u);
+      stream = &forked;
+    }
+    sim.agent_pool.resize(urn.present.size());
+    for (std::size_t i = 0; i < urn.present.size(); ++i) {
+      sim.agent_pool[i] = urn.counts[urn.present[i]];
+    }
+    sim.agent_order[u].resize(t_u);
+    sim.agent_deal.deal(*stream, sim.agent_pool, sim.agent_order[u]);
+  }
+
+  sim.reset_used();
+
+  // Block b's i-th initiator meets its i-th responder. Present lists only
+  // grow while the epoch applies, so the dealt indices stay valid; the
+  // staged deltas are applied by the caller.
+  std::uint64_t epoch_productive = 0;
+  for (std::size_t b = 0; b < num_blocks; ++b) {
+    if (block_len[b] == 0) continue;
+    const std::size_t bu = b / u_count;
+    const std::size_t bv = b % u_count;
+    Sim::Urn& urn_i = sim.urns[bu];
+    Sim::Urn& urn_r = sim.urns[bv];
+    const std::uint32_t* init = sim.agent_order[bu].data() + sim.init_offset[b];
+    const std::uint32_t* resp = sim.agent_order[bv].data() + sim.resp_offset[b];
+    for (std::uint64_t i = 0; i < block_len[b]; ++i) {
+      const pp::StateId s = urn_i.present[init[i]];
+      const pp::StateId t = urn_r.present[resp[i]];
+      const pp::Transition tr = transition(s, t);
+      sim.touch_used(urn_i, tr.initiator, 1);
+      sim.touch_used(urn_r, tr.responder, 1);
+      if (tr.initiator == s && tr.responder == t) continue;
+      sim.stage(bu, s, 0 - std::uint64_t{1});
+      sim.stage(bv, t, 0 - std::uint64_t{1});
+      sim.stage(bu, tr.initiator, 1);
+      sim.stage(bv, tr.responder, 1);
+      sim.note_state(urn_i, tr.initiator);
+      sim.note_state(urn_r, tr.responder);
+      sim.apply_agg(s, t, tr, 1);
+      block_productive[b] += 1;
+    }
+    epoch_productive += block_productive[b];
+  }
+  return epoch_productive;
 }
 
 }  // namespace circles::dense

@@ -69,6 +69,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "dense/dense_config.hpp"
@@ -155,6 +156,12 @@ class DenseEngine {
                     obs::Recorder* recorder) const;
   void run_batched(Sim& sim, pp::RunResult& result,
                    obs::Recorder* recorder) const;
+  /// The per-agent sampler of one batched epoch: deals each urn's
+  /// participants one by one, pairs every block's i-th initiator with its
+  /// i-th responder and stages the resulting count deltas. Returns the
+  /// epoch's state changes (also added to block_productive).
+  std::uint64_t agent_epoch(Sim& sim, std::span<const std::uint64_t> block_len,
+                            std::span<std::uint64_t> block_productive) const;
 
   pp::Transition transition(pp::StateId a, pp::StateId b) const {
     return kernel_->transition(a, b);
