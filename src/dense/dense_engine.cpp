@@ -151,15 +151,6 @@ struct DenseEngine::Sim {
   std::uint64_t m_mvhg_draws = 0;   // multivariate hypergeometric deals
   std::uint64_t m_agent_epochs = 0; // epochs dealt agent by agent
 
-  // Per-agent epoch scratch (agent_epoch): the deal's Fenwick tree and
-  // count row, each urn's draw order (indices into its present prefix) and
-  // where every block's roles start in it.
-  AgentDeal agent_deal;
-  std::vector<std::uint64_t> agent_pool;
-  std::vector<std::vector<std::uint32_t>> agent_order;
-  std::vector<std::uint64_t> init_offset;
-  std::vector<std::uint64_t> resp_offset;
-
   // Aggregate view for the recorder: single-urn runs alias urn 0; multi-urn
   // runs maintain summed counts incrementally (only when a recorder is
   // attached — aggregate_enabled).
@@ -169,6 +160,15 @@ struct DenseEngine::Sim {
   std::vector<std::uint8_t> agg_in_present;
   std::vector<std::uint64_t> urn_sizes;
   std::vector<std::span<const std::uint64_t>> urn_spans;
+
+  // Per-agent epoch scratch (agent_epoch): the deal's Fenwick tree and
+  // count row, each urn's draw order (indices into its present prefix) and
+  // where every block's roles start in it.
+  AgentDeal agent_deal;
+  std::vector<std::uint64_t> agent_pool;
+  std::vector<std::vector<std::uint32_t>> agent_order;
+  std::vector<std::uint64_t> init_offset;
+  std::vector<std::uint64_t> resp_offset;
 
   Sim(const DenseEngine& engine, std::span<std::span<std::uint64_t>> counts,
       std::span<const double> rate_matrix, util::Rng& rng, bool want_aggregate)
