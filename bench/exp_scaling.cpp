@@ -18,9 +18,9 @@
 // compute even on the dense backend). fluid_n sizes additionally run on the
 // mean-field fluid backend, whose cost is independent of n — big_n cells get
 // a fluid twin too, so the curves overlap where both tiers can run.
-// Margin-1 cells (--margin1_k, --margin1_n) run circles at the paper's k^3
-// states on its hardest input, on the batched dense backend only; they time
-// the count tier where its cost grows with k.
+// One margin-1 cell (circles k=12, n=10^5; n=10^4 under --smoke) runs the
+// paper's k^3 states on its hardest input, on the batched dense backend
+// only; it times the count tier where its cost grows with k.
 // --smoke shrinks the grid for CI.
 #include <chrono>
 #include <cmath>
@@ -68,11 +68,6 @@ int main(int argc, char** argv) {
       "protocols to sweep (baselines default to their fixed k)");
   const auto k = static_cast<std::uint32_t>(
       cli.int_flag("k", 3, "colors for protocols with variable k"));
-  auto margin1_ks = cli.int_list_flag(
-      "margin1_k", "12",
-      "circles color counts for the margin-1 dense_batched cells");
-  auto margin1_ns = cli.int_list_flag(
-      "margin1_n", "100000", "population sizes for the margin-1 cells");
   auto trials =
       static_cast<std::uint32_t>(cli.int_flag("trials", 5, "trials per cell"));
   const auto seed =
@@ -96,6 +91,9 @@ int main(int argc, char** argv) {
       "stderr heartbeat every 2s: trials done, interactions/sec");
   auto batch = bench::batch_options(cli, seed);
   cli.finish();
+  // The margin-1 cell's circles color count and population size.
+  constexpr std::uint32_t kMargin1K = 12;
+  std::uint64_t margin1_n = 100'000;
   if (progress) {
     batch.progress = [](const sim::BatchProgress& p) {
       std::fprintf(stderr,
@@ -115,7 +113,7 @@ int main(int argc, char** argv) {
     trials = 3;
     agent_cap = 10'000;
     perstep_cap = 10'000;
-    margin1_ns = {10'000};
+    margin1_n = 10'000;
   }
 
   bench::print_header(
@@ -127,7 +125,7 @@ int main(int argc, char** argv) {
     std::string protocol;
     std::uint64_t n;
     sim::EngineKind backend;
-    std::uint32_t margin1_k = 0;  // > 0: a circles margin-1 cell at this k
+    bool margin1 = false;  // circles at kMargin1K on the margin-1 workload
   };
   std::vector<Cell> cells;
   for (const auto& protocol : protocols) {
@@ -154,13 +152,8 @@ int main(int argc, char** argv) {
                        sim::EngineKind::kFluid});
     }
   }
-  for (const auto mk : margin1_ks) {
-    for (const auto n : margin1_ns) {
-      cells.push_back({"circles", static_cast<std::uint64_t>(n),
-                       sim::EngineKind::kDenseBatched,
-                       static_cast<std::uint32_t>(mk)});
-    }
-  }
+  cells.push_back(
+      {"circles", margin1_n, sim::EngineKind::kDenseBatched, true});
 
   // Run cells one at a time so each gets its own wall clock. Trials within
   // a cell still use the BatchRunner's thread pool.
@@ -186,13 +179,13 @@ int main(int argc, char** argv) {
     spec.n = cell.n;
     spec.backend = cell.backend;
     spec.trials = trials;
-    if (cell.margin1_k > 0) {
-      spec.params.k = cell.margin1_k;
+    if (cell.margin1) {
+      spec.params.k = kMargin1K;
       spec.workload = sim::WorkloadSpec::close_margin();
     }
     if (budget > 0) {
       spec.engine.max_interactions = budget;
-    } else if (cell.margin1_k > 0) {
+    } else if (cell.margin1) {
       // Margin-1 inputs take ~5-8 n^2 interactions to silence.
       const double nd = static_cast<double>(cell.n);
       spec.engine.max_interactions =
@@ -225,9 +218,8 @@ int main(int argc, char** argv) {
   }
 
   util::Table table({"protocol", "k", "n", "workload", "backend", "trials",
-                     "silent",
-                     "mean state changes", "mean interactions", "wall s",
-                     "interactions/s"});
+                     "silent", "mean state changes", "mean interactions",
+                     "wall s", "interactions/s"});
   bool all_silent = true;
   std::vector<sim::SpecResult> spec_results;
   spec_results.reserve(results.size());
