@@ -8,10 +8,13 @@
 //    chi-square test with the exact law, found by enumerating every ordered
 //    choice of the epoch's agents on tiny urns. The enumeration assigns
 //    agents in interaction order, independent of how a sampler lays out
-//    roles.
+//    roles. This layer checks the two epoch algorithms, not the engine's
+//    code: each runs here as a reference copy built on the library's
+//    samplers (the hypergeometric draws; AgentDeal and role_offsets).
 //  * End to end. The agent array and dense_batched run the same specs, and
 //    two-sample KS tests compare last_change_step and state_changes, on
-//    single-urn and 4-urn clustered inputs.
+//    single-urn and 4-urn clustered inputs. Only this layer runs
+//    DenseEngine itself, so a fault in its epoch loop shows here.
 //
 // A null pair (dense_batched against itself on a second seed set) runs
 // through the same end-to-end harness, and the KS p-value is checked for
@@ -261,8 +264,8 @@ std::vector<EpochShape> epoch_shapes() {
   };
 }
 
-/// The hypergeometric deal and contingency pairing, as the batched engine
-/// runs them: each urn draws its agents' states as a multivariate
+/// A reference copy of the batched engine's hypergeometric deal and
+/// contingency pairing: each urn draws its agents' states as a multivariate
 /// hypergeometric and splits them over its roles (initiators of (u, *),
 /// then responders of (*, u)), and each block pairs its initiator row with
 /// its responder row by a hypergeometric contingency table.
@@ -323,8 +326,8 @@ TEST(DenseConformanceTest, ContingencyEpochsFollowTheExactPairLaw) {
   expect_family_quiet(names, p);
 }
 
-/// The per-agent deal and index pairing, as the batched engine runs them:
-/// each urn's agents are drawn one by one (AgentDeal), role_offsets slices
+/// A reference copy of the batched engine's per-agent deal and index
+/// pairing: each urn's agents are drawn one by one (AgentDeal), role_offsets slices
 /// the draw orders into roles, and block b's i-th initiator meets its i-th
 /// responder.
 Outcome per_agent_epoch(util::Rng& rng, const EpochShape& shape,
