@@ -536,6 +536,37 @@ TEST(DenseGoldenTest, ActivePairBookkeepingKeepsEveryDraw) {
        "last_change_step=4909346 silent=1 epochs=12064 mvhg_draws=24128 "
        "ff_jumps=2217 ff_interactions=1505761 counts=0:0=200000 ",
        0},
+      // Circles at k >= 8: hundreds of states, so nearly every epoch is
+      // dealt agent by agent and fast-forward changes compact long present
+      // lists.
+      {"circles k=8 single-urn batched margin-1", "circles", 8,
+       {101, 100, 100, 100, 100, 100, 100, 100}, {}, 0.0, DenseMode::kBatched,
+       false, 500'000'000, 67,
+       "interactions=3410712 state_changes=4633 last_change_step=3410711 "
+       "silent=1 epochs=190 mvhg_draws=0 ff_jumps=3128 "
+       "ff_interactions=3403779 counts=0:0=1 0:8=100 0:80=100 0:152=100 "
+       "0:224=100 0:296=100 0:368=100 0:440=100 0:448=100 ",
+       190},
+      {"circles k=8 8-urn clustered batched", "circles", 8,
+       {300, 200, 150, 110, 80, 60, 50, 50},
+       {125, 125, 125, 125, 125, 125, 125, 125}, 0.02, DenseMode::kBatched,
+       false, 500'000'000, 71,
+       "interactions=65310155 state_changes=3223 last_change_step=65310154 "
+       "silent=1 epochs=239 mvhg_draws=0 ff_jumps=1474 "
+       "ff_interactions=65303850 counts=0:0=8 0:8=25 0:64=6 0:80=19 0:128=6 "
+       "0:152=13 0:192=2 0:224=11 0:256=7 0:296=3 0:368=3 0:440=7 0:448=15 "
+       "1:0=17 1:8=21 1:64=1 1:80=19 1:128=4 1:152=16 1:192=4 1:224=10 "
+       "1:296=8 1:320=1 1:368=8 1:440=8 1:448=8 2:8=26 2:64=7 2:80=21 "
+       "2:128=11 2:152=10 2:224=11 2:256=5 2:296=12 2:320=1 2:368=9 2:440=9 "
+       "2:448=3 3:0=23 3:8=28 3:64=16 3:80=13 3:152=11 3:192=3 3:224=9 "
+       "3:256=2 3:296=7 3:368=5 3:440=3 3:448=5 4:0=22 4:8=21 4:64=3 4:80=17 "
+       "4:128=1 4:152=15 4:192=6 4:224=9 4:296=10 4:320=3 4:368=9 4:440=5 "
+       "4:448=4 5:0=13 5:8=24 5:64=3 5:80=20 5:128=2 5:152=19 5:192=8 "
+       "5:224=11 5:256=5 5:296=4 5:368=4 5:440=8 5:448=4 6:0=13 6:8=26 6:64=9 "
+       "6:80=17 6:128=4 6:152=12 6:192=3 6:224=10 6:256=1 6:296=9 6:320=4 "
+       "6:368=5 6:440=6 6:448=6 7:0=4 7:8=29 7:64=5 7:80=24 7:128=12 7:152=14 "
+       "7:192=4 7:224=9 7:296=7 7:320=1 7:368=7 7:440=4 7:448=5 ",
+       239},
       {"ordering 3-urn per-step", "ordering", 3, {40, 30, 20}, {40, 30, 20},
        0.1, DenseMode::kPerStep, false, 500'000'000, 53,
        "interactions=133995 state_changes=568 last_change_step=133994 "
