@@ -88,6 +88,9 @@ struct DenseEngine::Sim {
     std::uint64_t n = 0;  // fixed urn size (counts always sum to this)
     std::vector<pp::StateId> present;
     std::span<std::uint8_t> in_present;  // arena slab row
+    // Set by add_count when a count reaches zero: only then can `present`
+    // hold a stale entry, so compact() of an unflagged urn is skipped.
+    bool has_zero = false;
     // Epoch scratch: post-transition state histogram of this epoch's
     // participants, reset via `touched`.
     std::span<std::uint64_t> used;  // arena slab row
@@ -281,6 +284,8 @@ struct DenseEngine::Sim {
   }
 
   void compact(Urn& urn) {
+    if (!urn.has_zero) return;
+    urn.has_zero = false;
     std::size_t w = 0;
     for (const pp::StateId s : urn.present) {
       if (urn.counts[s] > 0) {
@@ -352,7 +357,9 @@ struct DenseEngine::Sim {
       init_mass[t * u_count + w] += delta;
     }
     if (self_active[x]) bump(w * u_count + w, 0 - delta);
-    urns[w].counts[x] += delta;
+    Urn& urn = urns[w];
+    urn.counts[x] += delta;
+    if (urn.counts[x] == 0) urn.has_zero = true;
   }
 
   /// Stages an epoch count delta; flush_staged() applies the net per
