@@ -794,20 +794,10 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     epoch_mean = 0.886 * std::sqrt(2.0 / inv);
   }
 
-  // The live blocks (positive rate) in row-major order with their
-  // cumulative rate intervals [start, end), accumulated in the same order
-  // and with the same roundings as a linear walk over the rate matrix, so a
-  // binary search over the ends picks the block such a walk would.
-  std::vector<std::size_t> live_blocks;
-  std::vector<double> live_start, live_end;
-  double acc = 0.0;
-  for (std::size_t b = 0; b < num_blocks; ++b) {
-    if (sim.rates[b] <= 0.0) continue;
-    live_blocks.push_back(b);
-    live_start.push_back(acc);
-    acc += sim.rates[b];
-    live_end.push_back(acc);
-  }
+  // The live blocks' cumulative rate intervals, with the roundings of a
+  // linear walk over the rate matrix, so a draw picks the block such a walk
+  // would.
+  const BlockDraw block_draw(sim.rates);
 
   LastChangeMark mark;
 
@@ -948,14 +938,12 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
         const double r = rng.uniform01();
         // The first live block whose cumulative end exceeds r; past the
         // last end (rounding), the final live block with r_in = 0.
-        const std::size_t j = static_cast<std::size_t>(
-            std::upper_bound(live_end.begin(), live_end.end(), r) -
-            live_end.begin());
-        std::size_t b = live_blocks.back();
+        const std::size_t j = block_draw.find(r);
+        std::size_t b = block_draw.last_block();
         double r_in = 0.0;
-        if (j < live_blocks.size()) {
-          b = live_blocks[j];
-          r_in = (r - live_start[j]) / sim.rates[b];
+        if (j < block_draw.size()) {
+          b = block_draw.block(j);
+          r_in = (r - block_draw.start(j)) / sim.rates[b];
         }
         const std::size_t u = b / u_count;
         const std::size_t v = b % u_count;

@@ -297,6 +297,26 @@ void role_offsets(std::span<const std::uint64_t> block_len,
   }
 }
 
+BlockDraw::BlockDraw(std::span<const double> rates) {
+  double acc = 0.0;
+  for (std::size_t b = 0; b < rates.size(); ++b) {
+    if (rates[b] <= 0.0) continue;
+    blocks_.push_back(b);
+    start_.push_back(acc);
+    acc += rates[b];
+    end_.push_back(acc);
+  }
+  CIRCLES_CHECK_MSG(!blocks_.empty(), "block draw needs a positive rate");
+  guide_.resize(kBuckets);
+  std::size_t j = 0;
+  for (std::size_t g = 0; g < kBuckets; ++g) {
+    // g / kBuckets is exact, and so is floor(r * kBuckets) in find().
+    const double edge = static_cast<double>(g) / kBuckets;
+    while (j < end_.size() && end_[j] <= edge) ++j;
+    guide_[g] = static_cast<std::uint32_t>(j);
+  }
+}
+
 CollisionFreeRunLength::CollisionFreeRunLength(std::uint64_t n) {
   CIRCLES_CHECK_MSG(n >= 2, "collision-free run length needs n >= 2");
   const double denom =

@@ -89,6 +89,38 @@ void role_offsets(std::span<const std::uint64_t> block_len,
                   std::size_t num_urns, std::span<std::uint64_t> init_offset,
                   std::span<std::uint64_t> resp_offset);
 
+/// The block draw of a multi-urn scheduler: the live blocks (positive
+/// rate) of a row-major rate matrix in order, with cumulative rate
+/// intervals [start, end) accumulated in that order (the roundings of a
+/// linear walk over the matrix), and a kBuckets-entry guide over the ends.
+/// find(r) scans from guide[floor(r * kBuckets)] to the block a binary
+/// search over the ends returns, in O(1) expected steps. Built once per
+/// run.
+class BlockDraw {
+ public:
+  explicit BlockDraw(std::span<const double> rates);
+
+  /// The first live index whose cumulative end exceeds r in [0, 1), or
+  /// size() when r lies past the last end (rounding).
+  std::size_t find(double r) const {
+    std::size_t j = guide_[static_cast<std::size_t>(r * kBuckets)];
+    while (j < end_.size() && end_[j] <= r) ++j;
+    return j;
+  }
+
+  std::size_t size() const { return blocks_.size(); }
+  /// The block of live index j, and where its rate interval starts.
+  std::size_t block(std::size_t j) const { return blocks_[j]; }
+  double start(std::size_t j) const { return start_[j]; }
+  std::size_t last_block() const { return blocks_.back(); }
+
+ private:
+  static constexpr std::size_t kBuckets = 256;
+  std::vector<std::size_t> blocks_;
+  std::vector<double> start_, end_;
+  std::vector<std::uint32_t> guide_;  // guide_[g]: first end above g / kBuckets
+};
+
 /// Distribution of the collision-free prefix of the uniform scheduler over n
 /// agents: P(the first j interactions touch 2j distinct agents) =
 /// prod_{i<j} (n-2i)(n-2i-1) / (n(n-1)). One instance precomputes this

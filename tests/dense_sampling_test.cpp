@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
@@ -321,6 +322,47 @@ TEST(LastSpecialSlotTest, MatchesExactDistribution) {
   EXPECT_NEAR(freq[3], 0.2, 0.01);
   EXPECT_NEAR(freq[4], 0.3, 0.01);
   EXPECT_NEAR(freq[5], 0.4, 0.01);
+}
+
+TEST(BlockDrawTest, FindMatchesABinarySearchOverTheEnds) {
+  // Random rate matrices with dead (zero-rate) blocks, first and last
+  // included: find(r) must return what upper_bound over the cumulative ends
+  // does, for random r and for r on every guide edge and every end.
+  util::Rng rng(31);
+  for (int rep = 0; rep < 200; ++rep) {
+    const std::size_t blocks = 1 + rng.uniform_below(80);
+    std::vector<double> rates(blocks, 0.0);
+    double sum = 0.0;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      if (rng.uniform_below(3) == 0) continue;
+      rates[b] = rng.uniform01() * (rng.uniform_below(4) == 0 ? 1e-3 : 1.0);
+      sum += rates[b];
+    }
+    if (sum == 0.0) rates[blocks / 2] = sum = 1.0;
+    for (double& r : rates) r /= sum;
+    const BlockDraw draw(rates);
+    std::vector<double> ends;
+    double acc = 0.0;
+    for (const double r : rates) {
+      if (r <= 0.0) continue;
+      acc += r;
+      ends.push_back(acc);
+    }
+    ASSERT_EQ(draw.size(), ends.size());
+    std::vector<double> probes;
+    for (int i = 0; i < 500; ++i) probes.push_back(rng.uniform01());
+    for (int g = 0; g < 256; ++g) probes.push_back(g / 256.0);
+    for (const double e : ends) {
+      for (const double r : {e, std::nextafter(e, 0.0)}) {
+        if (r < 1.0) probes.push_back(r);  // uniform01 is below 1
+      }
+    }
+    for (const double r : probes) {
+      const auto expected = static_cast<std::size_t>(
+          std::upper_bound(ends.begin(), ends.end(), r) - ends.begin());
+      EXPECT_EQ(draw.find(r), expected) << "r=" << r;
+    }
+  }
 }
 
 TEST(AgentDealTest, ExhaustingTheUrnDrawsEveryAgentOnce) {
