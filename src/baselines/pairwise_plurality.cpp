@@ -177,7 +177,9 @@ pp::Transition PairwisePlurality::transition(pp::StateId initiator,
 
 std::string PairwisePlurality::state_name(pp::StateId state) const {
   const Decoded d = decode(state);
-  std::string out = "c" + std::to_string(d.color) + "[";
+  std::string out = "c";
+  out += std::to_string(d.color);
+  out += "[";
   for (std::uint32_t g = 0; g < games_.size(); ++g) {
     if (g > 0) out += ",";
     if (plays(d.color, g)) {
@@ -186,14 +188,17 @@ std::string PairwisePlurality::state_name(pp::StateId state) const {
           out += "S";
           break;
         case PlayerSub::kWeakLo:
-          out += "w" + std::to_string(games_[g].lo);
+          out += "w";
+          out += std::to_string(games_[g].lo);
           break;
         case PlayerSub::kWeakHi:
-          out += "w" + std::to_string(games_[g].hi);
+          out += "w";
+          out += std::to_string(games_[g].hi);
           break;
       }
     } else {
-      out += "b" + std::to_string(belief(d, g));
+      out += "b";
+      out += std::to_string(belief(d, g));
     }
   }
   out += "]";

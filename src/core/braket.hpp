@@ -46,8 +46,14 @@ inline bool exchange_decreases_min(BraKet a, BraKet b, std::uint32_t k) {
 }
 
 inline std::string to_string(BraKet braket) {
-  return "<" + std::to_string(braket.bra) + "|" + std::to_string(braket.ket) +
-         ">";
+  // Appended piece by piece: GCC 12 flags `"<" + std::string&&` with a
+  // false -Wrestrict.
+  std::string out = "<";
+  out += std::to_string(braket.bra);
+  out += '|';
+  out += std::to_string(braket.ket);
+  out += '>';
+  return out;
 }
 
 inline std::ostream& operator<<(std::ostream& os, BraKet braket) {

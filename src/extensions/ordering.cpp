@@ -60,7 +60,8 @@ pp::Transition OrderingProtocol::transition(pp::StateId initiator,
 
 std::string OrderingProtocol::state_name(pp::StateId state) const {
   const Fields f = decode(state);
-  std::string out = "c" + std::to_string(f.color);
+  std::string out = "c";
+  out += std::to_string(f.color);
   out += f.leader ? "L" : "f";
   out += std::to_string(f.label);
   return out;

@@ -222,7 +222,9 @@ pp::OutputSymbol TieAwarePairwise::output(pp::StateId state) const {
 
 std::string TieAwarePairwise::output_name(pp::OutputSymbol symbol) const {
   if (symbol == tie_symbol()) return "TIE";
-  return "c" + std::to_string(symbol);
+  std::string name = "c";
+  name += std::to_string(symbol);
+  return name;
 }
 
 }  // namespace circles::ext

@@ -80,7 +80,9 @@ std::string TieReportProtocol::state_name(pp::StateId state) const {
 
 std::string TieReportProtocol::output_name(pp::OutputSymbol symbol) const {
   if (symbol == tie_symbol()) return "TIE";
-  return "c" + std::to_string(symbol);
+  std::string name = "c";
+  name += std::to_string(symbol);
+  return name;
 }
 
 }  // namespace circles::ext

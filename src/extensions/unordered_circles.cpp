@@ -98,9 +98,14 @@ pp::Transition UnorderedCirclesProtocol::transition(
 
 std::string UnorderedCirclesProtocol::state_name(pp::StateId state) const {
   const Fields f = decode(state);
-  std::string out = "c" + std::to_string(f.color);
+  std::string out = "c";
+  out += std::to_string(f.color);
   out += f.leader ? "L" : "f";
-  out += "<" + std::to_string(f.label) + "|" + std::to_string(f.ket) + ">:";
+  out += "<";
+  out += std::to_string(f.label);
+  out += "|";
+  out += std::to_string(f.ket);
+  out += ">:";
   out += std::to_string(f.out);
   return out;
 }
