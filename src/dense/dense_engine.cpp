@@ -26,14 +26,16 @@ constexpr std::uint64_t kNoExclude = ~std::uint64_t{0};
 constexpr std::uint64_t kTraceFullEpochs = 512;
 constexpr std::uint64_t kTraceStride = 256;
 
-/// Epoch sampler switch: an epoch of L interactions deals its 2L agents one
-/// by one when 2L <= kPerAgentSwitch * sum_u w_u^2 (w_u = urn u's present
+/// Epoch sampler switch, decided before the epoch from its expected length
+/// E[L]: the epoch is sampled interaction by interaction by agent identity
+/// when 2 E[L] <= kPerAgentSwitch * sum_u w_u^2 (w_u = urn u's present
 /// states), and by multivariate hypergeometric deals and contingency pairing
-/// otherwise. The per-agent path costs O(w_u + T_u log w_u) per urn; the
-/// contingency pairing costs O(P_i * P_r) per block. Both are exact
-/// samplers of the same uniform matching, so the constant only moves time.
-/// Calibrated on margin-1 and 8-urn clustered circles cells (EXPERIMENTS.md).
-constexpr double kPerAgentSwitch = 0.5;
+/// otherwise. The per-agent path costs O(L) plus an O(w_u) renumbering of
+/// each urn whose counts moved; the contingency pairing costs O(P_i * P_r)
+/// per block. Both are exact samplers of the same epoch, so the constant
+/// only moves time. Calibrated on margin-1 and 8-urn clustered circles cells
+/// (EXPERIMENTS.md).
+constexpr double kPerAgentSwitch = 2.0;
 
 /// Where the most recent state change happened, at epoch granularity. The
 /// exact step index inside the epoch is only sampled once, at the end of the
@@ -91,6 +93,9 @@ struct DenseEngine::Sim {
     // Set by add_count when a count reaches zero: only then can `present`
     // hold a stale entry, so compact() of an unflagged urn is skipped.
     bool has_zero = false;
+    // Set by add_count on any count change: the per-agent numbering of the
+    // urn's agents (agent_urns) must be rebuilt before its next use.
+    bool index_stale = true;
     // Epoch scratch: post-transition state histogram of this epoch's
     // participants, reset via `touched`.
     std::span<std::uint64_t> used;  // arena slab row
@@ -152,7 +157,7 @@ struct DenseEngine::Sim {
   std::uint64_t m_ff_jumps = 0;     // sparse-activity fast-forward jumps
   std::uint64_t m_ff_skipped = 0;   // null interactions skipped by them
   std::uint64_t m_mvhg_draws = 0;   // multivariate hypergeometric deals
-  std::uint64_t m_agent_epochs = 0; // epochs dealt agent by agent
+  std::uint64_t m_agent_epochs = 0; // epochs sampled agent by agent
 
   // Aggregate view for the recorder: single-urn runs alias urn 0; multi-urn
   // runs maintain summed counts incrementally (only when a recorder is
@@ -164,14 +169,10 @@ struct DenseEngine::Sim {
   std::vector<std::uint64_t> urn_sizes;
   std::vector<std::span<const std::uint64_t>> urn_spans;
 
-  // Per-agent epoch scratch (agent_epoch): the deal's Fenwick tree and
-  // count row, each urn's draw order (indices into its present prefix) and
-  // where every block's roles start in it.
-  AgentDeal agent_deal;
-  std::vector<std::uint64_t> agent_pool;
-  std::vector<std::vector<std::uint32_t>> agent_order;
-  std::vector<std::uint64_t> init_offset;
-  std::vector<std::uint64_t> resp_offset;
+  // Per-agent epoch scratch (agent_epoch): per urn, its agents numbered
+  // over the present list and the indices the epoch has taken. Sized by
+  // run_batched before the first per-agent epoch.
+  std::vector<AgentUrn> agent_urns;
 
   Sim(const DenseEngine& engine, std::span<std::span<std::uint64_t>> counts,
       std::span<const double> rate_matrix, util::Rng& rng, bool want_aggregate)
@@ -360,6 +361,7 @@ struct DenseEngine::Sim {
     Urn& urn = urns[w];
     urn.counts[x] += delta;
     if (urn.counts[x] == 0) urn.has_zero = true;
+    urn.index_stale = true;
   }
 
   /// Stages an epoch count delta; flush_staged() applies the net per
@@ -556,6 +558,50 @@ struct DenseEngine::Sim {
     }
     CIRCLES_CHECK_MSG(false, "fresh-agent draw walked past the epoch");
     return urn.present.back();
+  }
+
+  /// One per-agent epoch (sample_agent_epoch) over the urns' pre-epoch
+  /// agent numbering, rebuilt for urns whose counts moved. Each interaction
+  /// marks its participants used and, unless null, stages its count deltas
+  /// as it is drawn; `productive` counts the state changes and `last_change`
+  /// is the epoch step of the final one.
+  AgentEpochEnd agent_epoch(const BlockDraw* blocks, std::uint64_t budget,
+                            std::uint64_t& productive,
+                            std::uint64_t& last_change) {
+    m_agent_epochs += 1;
+    for (std::size_t u = 0; u < num_urns; ++u) {
+      Urn& urn = urns[u];
+      if (!urn.index_stale) continue;
+      agent_urns[u].index.build(urn.present, urn.counts);
+      urn.index_stale = false;
+    }
+    reset_used();
+    // Present lists only grow while the epoch stages its deltas, so the
+    // categories stay valid indices into them.
+    return sample_agent_epoch(
+        rng, blocks, std::span<AgentUrn>(agent_urns), budget,
+        [&](std::uint64_t step, std::size_t b, std::uint32_t ci,
+            std::uint32_t cr) {
+          const std::size_t bu = b / num_urns;
+          const std::size_t bv = b % num_urns;
+          Urn& urn_i = urns[bu];
+          Urn& urn_r = urns[bv];
+          const pp::StateId s = urn_i.present[ci];
+          const pp::StateId t = urn_r.present[cr];
+          const pp::Transition tr = engine.transition(s, t);
+          touch_used(urn_i, tr.initiator, 1);
+          touch_used(urn_r, tr.responder, 1);
+          if (tr.initiator == s && tr.responder == t) return;
+          stage(bu, s, 0 - std::uint64_t{1});
+          stage(bv, t, 0 - std::uint64_t{1});
+          stage(bu, tr.initiator, 1);
+          stage(bv, tr.responder, 1);
+          note_state(urn_i, tr.initiator);
+          note_state(urn_r, tr.responder);
+          apply_agg(s, t, tr, 1);
+          productive += 1;
+          last_change = step;
+        });
   }
 
   // --- recorder views ------------------------------------------------------
@@ -768,31 +814,29 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
   const std::size_t num_blocks = u_count * u_count;
   const bool single = u_count == 1;
 
-  // Single-urn epochs sample their length from the precomputed survival
-  // table (one uniform draw — the historical engine's stream, preserved
-  // bitwise). Multi-urn epochs have no closed-form length distribution (the
-  // collision hazard depends on the drawn block sequence), so they sample
-  // the exact sequential chain instead.
+  // Contingency epochs on a single urn sample their length from the
+  // precomputed survival table (one uniform draw). Multi-urn epochs have no
+  // closed-form length distribution (the collision hazard depends on the
+  // drawn block sequence), so they sample the exact sequential chain
+  // instead; per-agent epochs find their collision themselves.
   std::optional<CollisionFreeRunLength> run_length;
   if (single) run_length.emplace(sim.n);
 
-  // Expected epoch length, for the fast-forward threshold only (any value
-  // yields an exact sampler; this is purely a performance knob). Multi-urn:
+  // Agents urn u gives up per interaction on average (2 for a single urn),
+  // and the expected epoch length, for the fast-forward threshold, the
+  // sampler switch and the per-agent scratch sizes only (any value yields
+  // an exact sampler; these are purely performance knobs). Multi-urn:
   // birthday heuristic — collisions appear once sum_u (drawn_u^2 / n_u) ~ 2.
-  double epoch_mean;
-  if (single) {
-    epoch_mean = run_length->mean_length();
-  } else {
-    double inv = 0.0;
-    for (std::size_t u = 0; u < u_count; ++u) {
-      double r_u = 0.0;
-      for (std::size_t v = 0; v < u_count; ++v) {
-        r_u += sim.rates[u * u_count + v] + sim.rates[v * u_count + u];
-      }
-      inv += r_u * r_u / static_cast<double>(sim.urns[u].n);
+  std::vector<double> urn_draws(u_count, 0.0);
+  double inv = 0.0;
+  for (std::size_t u = 0; u < u_count; ++u) {
+    for (std::size_t v = 0; v < u_count; ++v) {
+      urn_draws[u] += sim.rates[u * u_count + v] + sim.rates[v * u_count + u];
     }
-    epoch_mean = 0.886 * std::sqrt(2.0 / inv);
+    inv += urn_draws[u] * urn_draws[u] / static_cast<double>(sim.urns[u].n);
   }
+  const double epoch_mean = single ? run_length->mean_length()
+                                   : 0.886 * std::sqrt(2.0 / inv);
 
   // The live blocks' cumulative rate intervals, with the roundings of a
   // linear walk over the rate matrix, so a draw picks the block such a walk
@@ -830,7 +874,7 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
         options_.max_interactions - result.interactions;
 
     // Sparse-activity fast-forward: an epoch costs its deal and pairing
-    // (O(min(present^2, L log present))) regardless of how many of its
+    // (O(min(present^2, L + present))) regardless of how many of its
     // interactions change state, while the geometric path pays
     // O(U^2 + present + deg) per *change* (block and pair draws plus the
     // delta update; the null run in between is one log). The ~3 expected
@@ -912,86 +956,103 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     } else if (sim.trace != nullptr && sim.m_epochs % kTraceStride == 0) {
       sim.trace->instant("dense.epochs", "stride", kTraceStride);
     }
-    std::fill(block_len.begin(), block_len.end(), 0);
-    std::fill(block_productive.begin(), block_productive.end(), 0);
     std::uint64_t len = 0;
     bool collided = false;
     std::size_t col_block = 0;
+    std::uint64_t epoch_productive = 0;
+    std::uint64_t last_change = 0;  // per-agent epochs: step of the last change
 
-    if (single) {
-      len = run_length->sample(rng);
-      collided = true;
-      if (len >= remaining) {
-        len = remaining;
-        collided = false;  // budget cut the epoch before any collision
-      }
-      block_len[0] = len;
-    } else {
-      // Exact sequential chain: each step draws its block from the rate
-      // matrix and collides with the probability that a uniform agent draw
-      // in the block's urns re-touches a used agent; one uniform drives
-      // both decisions (the conditional remainder within the block's rate
-      // interval is itself uniform).
-      seq.clear();
-      std::fill(phase1_used.begin(), phase1_used.end(), 0);
-      while (static_cast<std::uint64_t>(seq.size()) < remaining) {
-        const double r = rng.uniform01();
-        // The first live block whose cumulative end exceeds r; past the
-        // last end (rounding), the final live block with r_in = 0.
-        const std::size_t j = block_draw.find(r);
-        std::size_t b = block_draw.last_block();
-        double r_in = 0.0;
-        if (j < block_draw.size()) {
-          b = block_draw.block(j);
-          r_in = (r - block_draw.start(j)) / sim.rates[b];
-        }
-        const std::size_t u = b / u_count;
-        const std::size_t v = b % u_count;
-        double p_col;
-        if (u == v) {
-          const double fresh =
-              static_cast<double>(sim.urns[u].n - phase1_used[u]);
-          p_col = 1.0 - fresh * (fresh - 1.0) /
-                            (static_cast<double>(sim.urns[u].n) *
-                             static_cast<double>(sim.urns[u].n - 1));
-        } else {
-          p_col = 1.0 -
-                  (static_cast<double>(sim.urns[u].n - phase1_used[u]) /
-                   static_cast<double>(sim.urns[u].n)) *
-                      (static_cast<double>(sim.urns[v].n - phase1_used[v]) /
-                       static_cast<double>(sim.urns[v].n));
-        }
-        if (r_in < p_col) {
-          collided = true;
-          col_block = b;
-          break;
-        }
-        seq.push_back(static_cast<std::uint32_t>(b));
-        block_len[b] += 1;
-        if (u == v) {
-          phase1_used[u] += 2;
-        } else {
-          phase1_used[u] += 1;
-          phase1_used[v] += 1;
-        }
-      }
-      len = seq.size();
-    }
-
-    // Deal the epoch's participants to their roles and pair them: two exact
-    // samplers of the same uniform matching, chosen per epoch. When the 2L
-    // agents are few against the urns' present states (kPerAgentSwitch),
-    // agent_epoch draws them one by one; otherwise the participants' states
-    // are dealt by counts and paired by contingency tables below.
+    // Two exact samplers of the same epoch, chosen before it from its
+    // expected length. When the 2 E[L] agents are few against the urns'
+    // present states (kPerAgentSwitch), agent_epoch samples the
+    // interactions one by one by agent identity and finds the collision
+    // itself; otherwise the collision-free length is drawn first, the
+    // participants' states are dealt by counts and paired by contingency
+    // tables below.
     std::uint64_t width_sq = 0;
     for (const Sim::Urn& urn : sim.urns) {
       width_sq += urn.present.size() * urn.present.size();
     }
-    std::uint64_t epoch_productive = 0;
-    if (2.0 * static_cast<double>(len) <=
-        kPerAgentSwitch * static_cast<double>(width_sq)) {
-      epoch_productive = agent_epoch(sim, block_len, block_productive);
+    const bool per_agent =
+        2.0 * epoch_mean <= kPerAgentSwitch * static_cast<double>(width_sq);
+    if (per_agent) {
+      if (sim.agent_urns.empty()) {
+        sim.agent_urns.resize(u_count);
+        for (std::size_t u = 0; u < u_count; ++u) {
+          sim.agent_urns[u].reserve(static_cast<std::uint64_t>(
+              std::ceil(epoch_mean * urn_draws[u])));
+        }
+      }
+      const AgentEpochEnd end = sim.agent_epoch(
+          single ? nullptr : &block_draw, remaining, epoch_productive,
+          last_change);
+      len = end.length;
+      collided = end.collided;
+      col_block = end.block;
     } else {
+      std::fill(block_len.begin(), block_len.end(), 0);
+      std::fill(block_productive.begin(), block_productive.end(), 0);
+
+      if (single) {
+        len = run_length->sample(rng);
+        collided = true;
+        if (len >= remaining) {
+          len = remaining;
+          collided = false;  // budget cut the epoch before any collision
+        }
+        block_len[0] = len;
+      } else {
+        // Exact sequential chain: each step draws its block from the rate
+        // matrix and collides with the probability that a uniform agent draw
+        // in the block's urns re-touches a used agent; one uniform drives
+        // both decisions (the conditional remainder within the block's rate
+        // interval is itself uniform).
+        seq.clear();
+        std::fill(phase1_used.begin(), phase1_used.end(), 0);
+        while (static_cast<std::uint64_t>(seq.size()) < remaining) {
+          const double r = rng.uniform01();
+          // The first live block whose cumulative end exceeds r; past the
+          // last end (rounding), the final live block with r_in = 0.
+          const std::size_t j = block_draw.find(r);
+          std::size_t b = block_draw.last_block();
+          double r_in = 0.0;
+          if (j < block_draw.size()) {
+            b = block_draw.block(j);
+            r_in = (r - block_draw.start(j)) / sim.rates[b];
+          }
+          const std::size_t u = b / u_count;
+          const std::size_t v = b % u_count;
+          double p_col;
+          if (u == v) {
+            const double fresh =
+                static_cast<double>(sim.urns[u].n - phase1_used[u]);
+            p_col = 1.0 - fresh * (fresh - 1.0) /
+                              (static_cast<double>(sim.urns[u].n) *
+                               static_cast<double>(sim.urns[u].n - 1));
+          } else {
+            p_col = 1.0 -
+                    (static_cast<double>(sim.urns[u].n - phase1_used[u]) /
+                     static_cast<double>(sim.urns[u].n)) *
+                        (static_cast<double>(sim.urns[v].n - phase1_used[v]) /
+                         static_cast<double>(sim.urns[v].n));
+          }
+          if (r_in < p_col) {
+            collided = true;
+            col_block = b;
+            break;
+          }
+          seq.push_back(static_cast<std::uint32_t>(b));
+          block_len[b] += 1;
+          if (u == v) {
+            phase1_used[u] += 2;
+          } else {
+            phase1_used[u] += 1;
+            phase1_used[v] += 1;
+          }
+        }
+        len = seq.size();
+      }
+
       // Participant state draws, per urn: T_u agents leave urn u this epoch
       // (initiators of blocks (u, *) plus responders of blocks (*, u); intra
       // blocks contribute on both sides). drawn ~ multivariate hypergeometric
@@ -1122,7 +1183,12 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     const std::uint64_t epoch_start = result.interactions;
     result.interactions += len;
     result.state_changes += epoch_productive;
-    if (epoch_productive > 0) {
+    if (epoch_productive > 0 && per_agent) {
+      // Sampled step by step, so the final change's step is known exactly.
+      mark.valid = true;
+      mark.exact = true;
+      mark.index = epoch_start + last_change;
+    } else if (epoch_productive > 0) {
       mark.valid = true;
       mark.exact = false;
       mark.start = epoch_start;
@@ -1248,77 +1314,6 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       result.last_change_step = mark.start + best - 1;
     }
   }
-}
-
-std::uint64_t DenseEngine::agent_epoch(
-    Sim& sim, std::span<const std::uint64_t> block_len,
-    std::span<std::uint64_t> block_productive) const {
-  const std::size_t u_count = sim.num_urns;
-  const std::size_t num_blocks = u_count * u_count;
-  sim.m_agent_epochs += 1;
-  sim.agent_order.resize(u_count);
-  sim.init_offset.resize(num_blocks);
-  sim.resp_offset.resize(num_blocks);
-  role_offsets(block_len, u_count, sim.init_offset, sim.resp_offset);
-
-  // Each urn's T_u participants, drawn one by one on the urn's stream (the
-  // main stream for a single urn, fork(u) otherwise) as indices into its
-  // present prefix; the draw order is sliced into roles by role_offsets.
-  for (std::size_t u = 0; u < u_count; ++u) {
-    const Sim::Urn& urn = sim.urns[u];
-    std::uint64_t t_u = 0;
-    for (std::size_t v = 0; v < u_count; ++v) {
-      t_u += block_len[u * u_count + v] + block_len[v * u_count + u];
-    }
-    if (t_u == 0) continue;
-
-    util::Rng forked(0);
-    util::Rng* stream = &sim.rng;
-    if (u_count > 1) {
-      forked = sim.rng.fork(u);
-      stream = &forked;
-    }
-    sim.agent_pool.resize(urn.present.size());
-    for (std::size_t i = 0; i < urn.present.size(); ++i) {
-      sim.agent_pool[i] = urn.counts[urn.present[i]];
-    }
-    sim.agent_order[u].resize(t_u);
-    sim.agent_deal.deal(*stream, sim.agent_pool, sim.agent_order[u]);
-  }
-
-  sim.reset_used();
-
-  // Block b's i-th initiator meets its i-th responder. Present lists only
-  // grow while the epoch applies, so the dealt indices stay valid; the
-  // staged deltas are applied by the caller.
-  std::uint64_t epoch_productive = 0;
-  for (std::size_t b = 0; b < num_blocks; ++b) {
-    if (block_len[b] == 0) continue;
-    const std::size_t bu = b / u_count;
-    const std::size_t bv = b % u_count;
-    Sim::Urn& urn_i = sim.urns[bu];
-    Sim::Urn& urn_r = sim.urns[bv];
-    const std::uint32_t* init = sim.agent_order[bu].data() + sim.init_offset[b];
-    const std::uint32_t* resp = sim.agent_order[bv].data() + sim.resp_offset[b];
-    for (std::uint64_t i = 0; i < block_len[b]; ++i) {
-      const pp::StateId s = urn_i.present[init[i]];
-      const pp::StateId t = urn_r.present[resp[i]];
-      const pp::Transition tr = transition(s, t);
-      sim.touch_used(urn_i, tr.initiator, 1);
-      sim.touch_used(urn_r, tr.responder, 1);
-      if (tr.initiator == s && tr.responder == t) continue;
-      sim.stage(bu, s, 0 - std::uint64_t{1});
-      sim.stage(bv, t, 0 - std::uint64_t{1});
-      sim.stage(bu, tr.initiator, 1);
-      sim.stage(bv, tr.responder, 1);
-      sim.note_state(urn_i, tr.initiator);
-      sim.note_state(urn_r, tr.responder);
-      sim.apply_agg(s, t, tr, 1);
-      block_productive[b] += 1;
-    }
-    epoch_productive += block_productive[b];
-  }
-  return epoch_productive;
 }
 
 }  // namespace circles::dense

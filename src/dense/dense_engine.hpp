@@ -23,29 +23,32 @@
 //    counts move by exact integer deltas. All of it is independent of n.
 //    This is the reference semantics used by the cross-validation tests.
 //
-//  * kBatched — the sqrt(n) batching of Berenbrink et al. (arXiv:1805.05157,
-//    "Simulating Population Protocols in Sub-Constant Time per
-//    Interaction") generalized across the block structure: sample the exact
-//    collision-free prefix (single urn: precomputed survival table, one
-//    uniform; multi-urn: the exact sequential block/collision chain — all
-//    participants distinct *within each urn*), deal the participants to
-//    their initiator/responder roles and pair them uniformly, apply all
-//    transitions to the counts at once, then resolve the single colliding
-//    interaction explicitly and start the next epoch. The deal and pairing
-//    have two exact samplers, chosen per epoch: when an epoch's 2L agents
-//    are few against the urns' present states (2L <= c * sum_u w_u^2), each
-//    urn's agents are drawn one by one and block b's i-th initiator meets
-//    its i-th responder, O(L log w); otherwise the participants' states are
-//    drawn per urn via multivariate hypergeometrics, split across the roles,
-//    and paired by hypergeometric contingency sampling per block,
-//    O(w + P_i * P_r) whatever L is. When activity is sparse (fewer
-//    than ~3 expected state changes per epoch) the engine switches to
-//    geometric fast-forward: the number of null interactions before the next
-//    state change is Geometric(p) with p = sum_b rate_b * active_b /
-//    pairs_b, so null-dominated phases — the dominant regime of slow-mixing
-//    clustered runs — cost O(U^2 + present + deg) per state change (the
-//    block draw, the pair draw and the delta update) instead of O(1) per
-//    interaction.
+//  * kBatched — the sqrt(n) batching of Berenbrink, Hammer, Kaaser, Meyer,
+//    Penschuck and Tran ("Simulating Population Protocols in Sub-Constant
+//    Time per Interaction", ESA 2020) generalized across the block
+//    structure: an epoch is the exact collision-free prefix of the
+//    scheduler (all participants distinct *within each urn*); all of its
+//    transitions are applied to the counts at once, then the single
+//    colliding interaction is resolved explicitly and the next epoch
+//    starts. Two exact samplers, chosen before each epoch from its expected
+//    length E[L]: when the epoch's ~2 E[L] agents are few against the urns'
+//    present states (2 E[L] <= c * sum_u w_u^2), its interactions are
+//    sampled one at a time by agent identity (block, then uniform agent
+//    indices mapped to states through the pre-epoch counts) until the
+//    first index the epoch already took, O(L) plus an O(w) renumbering of
+//    each urn whose counts moved; otherwise the collision-free length is
+//    drawn first (single urn: precomputed survival table, one uniform;
+//    multi-urn: the exact sequential block/collision chain), the
+//    participants' states are drawn per urn via multivariate
+//    hypergeometrics, split across the roles, and paired by hypergeometric
+//    contingency sampling per block, O(w + P_i * P_r) whatever L is. When
+//    activity is sparse (fewer than ~3 expected state changes per epoch)
+//    the engine switches to geometric fast-forward: the number of null
+//    interactions before the next state change is Geometric(p) with
+//    p = sum_b rate_b * active_b / pairs_b, so null-dominated phases — the
+//    dominant regime of slow-mixing clustered runs — cost
+//    O(U^2 + present + deg) per state change (the block draw, the pair draw
+//    and the delta update) instead of O(1) per interaction.
 //
 // Both modes sample the same lumped Markov chain as pp::Engine under the
 // corresponding scheduler (agents within an urn are anonymous, so the
@@ -56,11 +59,10 @@
 // so a silent run reports interactions = last_change_step + 1, without the
 // agent engine's streak-heuristic detection overhead.
 //
-// Determinism: single-urn runs consume the main RNG stream exactly as the
-// historical single-urn engine did (bitwise-identical results). Multi-urn
-// epochs give every urn and every urn-pair block a sub-stream derived with
-// util::Rng::fork, so per-block draws are reproducible regardless of block
-// iteration order.
+// Determinism: every draw comes from the run's RNG stream in a fixed order;
+// multi-urn contingency epochs give every urn and every urn-pair block a
+// sub-stream derived with util::Rng::fork, so their per-block draws are
+// reproducible regardless of block iteration order.
 //
 // A run is serial: epochs follow each other and each multi-urn epoch is
 // only U urn deals and U^2 small block pairings, so parallelism lives
@@ -156,12 +158,6 @@ class DenseEngine {
                     obs::Recorder* recorder) const;
   void run_batched(Sim& sim, pp::RunResult& result,
                    obs::Recorder* recorder) const;
-  /// The per-agent sampler of one batched epoch: deals each urn's
-  /// participants one by one, pairs every block's i-th initiator with its
-  /// i-th responder and stages the resulting count deltas. Returns the
-  /// epoch's state changes (also added to block_productive).
-  std::uint64_t agent_epoch(Sim& sim, std::span<const std::uint64_t> block_len,
-                            std::span<std::uint64_t> block_productive) const;
 
   pp::Transition transition(pp::StateId a, pp::StateId b) const {
     return kernel_->transition(a, b);

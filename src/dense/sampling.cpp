@@ -249,51 +249,69 @@ void multivariate_hypergeometric(util::Rng& rng,
   CIRCLES_DCHECK(need == 0);
 }
 
-void AgentDeal::deal(util::Rng& rng, std::span<const std::uint64_t> counts,
-                     std::span<std::uint32_t> order) {
-  const std::size_t w = counts.size();
-  tree_.assign(w + 1, 0);
+void AgentIndex::reserve(std::uint64_t expected_draws) {
+  buckets_ = std::bit_ceil(std::max<std::uint64_t>(expected_draws, 1));
+}
+
+void AgentIndex::build(std::span<const std::uint32_t> ids,
+                       std::span<const std::uint64_t> counts) {
+  const std::size_t w = ids.size();
+  cum_.resize(w + 1);
   std::uint64_t total = 0;
-  for (std::size_t i = 1; i <= w; ++i) {
-    tree_[i] += counts[i - 1];
-    total += counts[i - 1];
-    const std::size_t parent = i + (i & (0 - i));
-    if (parent <= w) tree_[parent] += tree_[i];
+  for (std::size_t c = 0; c < w; ++c) {
+    total += counts[ids[c]];
+    cum_[c + 1] = total;
   }
-  CIRCLES_CHECK_MSG(order.size() <= total, "agent deal overdraws the urn");
-  const std::size_t top = std::bit_floor(w);
-  for (std::uint32_t& slot : order) {
-    // Descend to the largest prefix of categories holding <= r agents; the
-    // next category holds agent r.
-    std::uint64_t r = rng.uniform_below(total);
-    std::size_t pos = 0;
-    for (std::size_t step = top; step > 0; step >>= 1) {
-      const std::size_t next = pos + step;
-      if (next <= w && tree_[next] <= r) {
-        pos = next;
-        r -= tree_[next];
-      }
-    }
-    slot = static_cast<std::uint32_t>(pos);
-    for (std::size_t i = pos + 1; i <= w; i += i & (0 - i)) tree_[i] -= 1;
-    --total;
+  guide_.clear();
+  if (total == 0) return;
+  // The fewest buckets of width 2^shift_ that cover every index, at most
+  // buckets_ of them.
+  const unsigned bits = static_cast<unsigned>(std::bit_width(total - 1));
+  const unsigned guide_bits =
+      static_cast<unsigned>(std::countr_zero(buckets_));
+  shift_ = bits > guide_bits ? bits - guide_bits : 0;
+  guide_.resize(((total - 1) >> shift_) + 1);
+  std::uint32_t c = 0;
+  for (std::size_t g = 0; g < guide_.size(); ++g) {
+    const std::uint64_t first = static_cast<std::uint64_t>(g) << shift_;
+    while (cum_[c + 1] <= first) ++c;
+    guide_[g] = c;
   }
 }
 
-void role_offsets(std::span<const std::uint64_t> block_len,
-                  std::size_t num_urns, std::span<std::uint64_t> init_offset,
-                  std::span<std::uint64_t> resp_offset) {
-  CIRCLES_DCHECK(block_len.size() == num_urns * num_urns);
-  for (std::size_t u = 0; u < num_urns; ++u) {
-    std::uint64_t pos = 0;
-    for (std::size_t v = 0; v < num_urns; ++v) {
-      init_offset[u * num_urns + v] = pos;
-      pos += block_len[u * num_urns + v];
-    }
-    for (std::size_t v = 0; v < num_urns; ++v) {
-      resp_offset[v * num_urns + u] = pos;
-      pos += block_len[v * num_urns + u];
-    }
+void TakenSet::reserve(std::uint64_t expected_draws) {
+  // Load at most 1/4 at the expected draws, 1/2 before it doubles.
+  const std::uint64_t slots =
+      std::bit_ceil(std::max<std::uint64_t>(4 * expected_draws, 16));
+  if (slots <= slots_.size()) return;
+  slots_.assign(slots, 0);
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+  stamp_ = 1;
+  size_ = 0;
+}
+
+void TakenSet::clear() {
+  size_ = 0;
+  if (++stamp_ == std::uint64_t{1} << 32) {
+    // The stamp would wrap into old entries: empty the table for real.
+    std::fill(slots_.begin(), slots_.end(), 0);
+    stamp_ = 1;
+  }
+}
+
+void TakenSet::grow() {
+  std::vector<std::uint64_t> old;
+  old.swap(slots_);
+  const std::size_t slots = std::max<std::size_t>(2 * old.size(), 16);
+  slots_.assign(slots, 0);
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+  size_ = 0;
+  for (const std::uint64_t entry : old) {
+    if (entry >> 32 != stamp_) continue;
+    std::size_t i = slot(entry & 0xffffffffu);
+    while (slots_[i] >> 32 == stamp_) i = (i + 1) & (slots - 1);
+    slots_[i] = entry;
+    ++size_;
   }
 }
 

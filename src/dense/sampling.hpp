@@ -5,10 +5,13 @@
 // epoch into O(present_states^2) work instead of O(sqrt(n)) requires draws
 // from hypergeometric distributions ("how many of the 2L distinct agents of
 // this epoch hold state s?"). When an epoch has fewer agents than that, it
-// draws them one by one instead (AgentDeal). Everything here is built
-// directly on util::Rng inversion, so results are deterministic per seed;
-// the only platform dependence is ordinary double arithmetic, the same
-// caliber as the Gillespie module's exponential clocks.
+// samples its interactions one at a time by agent identity instead
+// (sample_agent_epoch over AgentIndex numberings and TakenSets, with the
+// block drawn by BlockDraw); the engine and the conformance test call the
+// same code. Everything here is built directly on util::Rng inversion, so
+// results are deterministic per seed; the only platform dependence is
+// ordinary double arithmetic, the same caliber as the Gillespie module's
+// exponential clocks.
 #pragma once
 
 #include <cstdint>
@@ -60,35 +63,6 @@ void multivariate_hypergeometric(util::Rng& rng,
                                  std::uint64_t draws,
                                  std::span<std::uint64_t> out);
 
-/// Per-agent deal: draws agents one at a time without replacement from the
-/// categories of `counts`, each draw uniform over the agents still in the
-/// urn. A Fenwick tree over the counts, rebuilt per deal, makes a deal of T
-/// agents over w categories cost O(w + T log w) and one uniform draw per
-/// agent. The draw order is exchangeable, so any fixed assignment of draw
-/// positions to roles deals each role a uniform random set of the urn's
-/// agents.
-class AgentDeal {
- public:
-  /// Writes the category index of each drawn agent, in draw order, to
-  /// `order`. Requires order.size() <= sum(counts).
-  void deal(util::Rng& rng, std::span<const std::uint64_t> counts,
-            std::span<std::uint32_t> order);
-
- private:
-  std::vector<std::uint64_t> tree_;  // 1-based Fenwick partial sums
-};
-
-/// Role layout of a per-agent epoch over `num_urns` urns, given the
-/// row-major block lengths (block (u, v): initiators from urn u, responders
-/// from urn v). Urn u's draw order is sliced in the multivariate deal's role
-/// order: initiators of blocks (u, 0..U-1), then responders of blocks
-/// (0..U-1, u). Block b = (u, v) finds its initiators at init_offset[b]
-/// onward in urn u's order and its responders at resp_offset[b] onward in
-/// urn v's; its i-th interaction pairs the i-th of each.
-void role_offsets(std::span<const std::uint64_t> block_len,
-                  std::size_t num_urns, std::span<std::uint64_t> init_offset,
-                  std::span<std::uint64_t> resp_offset);
-
 /// The block draw of a multi-urn scheduler: the live blocks (positive
 /// rate) of a row-major rate matrix in order, with cumulative rate
 /// intervals [start, end) accumulated in that order (the roundings of a
@@ -120,6 +94,103 @@ class BlockDraw {
   std::vector<double> start_, end_;
   std::vector<std::uint32_t> guide_;  // guide_[g]: first end above g / kBuckets
 };
+
+/// Agent numbering of one urn for per-agent epochs: the agents of category
+/// c (which holds counts[ids[c]] of them) get the indices cum[c] ..
+/// cum[c + 1] - 1, and category(i) maps an index back through the
+/// cumulative counts and a guide table over index buckets of width
+/// 2^shift: guide[g] is the category of index g << shift, and the lookup
+/// scans forward from there, O(1 + categories / buckets) expected steps.
+/// reserve() sizes the guide from the draws an epoch is expected to make
+/// (about that many buckets), not from the urn's size; build() costs
+/// O(categories + buckets).
+class AgentIndex {
+ public:
+  void reserve(std::uint64_t expected_draws);
+  void build(std::span<const std::uint32_t> ids,
+             std::span<const std::uint64_t> counts);
+
+  std::uint64_t total() const { return cum_.back(); }
+  std::uint32_t category(std::uint64_t index) const {
+    std::uint32_t c = guide_[index >> shift_];
+    while (cum_[c + 1] <= index) ++c;
+    return c;
+  }
+
+ private:
+  std::uint64_t buckets_ = 1;      // guide size target, a power of two
+  unsigned shift_ = 0;
+  std::vector<std::uint64_t> cum_{0};  // cum_[c]: agents in categories < c
+  std::vector<std::uint32_t> guide_;
+};
+
+/// The agent indices of one urn taken in the current epoch: an
+/// open-addressed set with linear probing. Entries carry the epoch's stamp,
+/// so clear() is O(1); reserve() sizes it from the draws an epoch is
+/// expected to make, and it doubles once it is half full. Indices are
+/// below 2^32 (the dense engine's population bound).
+class TakenSet {
+ public:
+  void reserve(std::uint64_t expected_draws);
+  void clear();
+  /// Adds `index`; false (and no change) if the epoch already took it.
+  bool insert(std::uint64_t index) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    const std::uint64_t entry = stamp_ << 32 | index;
+    std::size_t i = slot(index);
+    while (slots_[i] >> 32 == stamp_) {
+      if (slots_[i] == entry) return false;
+      i = (i + 1) & (slots_.size() - 1);
+    }
+    slots_[i] = entry;
+    ++size_;
+    return true;
+  }
+
+ private:
+  std::size_t slot(std::uint64_t index) const {
+    return static_cast<std::size_t>((index * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+  void grow();
+
+  std::vector<std::uint64_t> slots_;  // stamp << 32 | index
+  std::uint64_t stamp_ = 1;           // entries of older stamps are empty
+  std::uint64_t size_ = 0;
+  unsigned shift_ = 64;               // 64 - log2(slots_.size())
+};
+
+/// One urn as the per-agent epoch sampler sees it: its agents numbered
+/// from the pre-epoch counts, and the indices the epoch has taken.
+struct AgentUrn {
+  AgentIndex index;
+  TakenSet taken;
+  void reserve(std::uint64_t expected_draws) {
+    index.reserve(expected_draws);
+    taken.reserve(expected_draws);
+  }
+};
+
+/// How a per-agent epoch ended.
+struct AgentEpochEnd {
+  std::uint64_t length = 0;  // collision-free interactions
+  bool collided = false;     // false: the budget ended the epoch
+  std::size_t block = 0;     // block of the colliding interaction
+};
+
+/// The per-agent epoch: samples the scheduler's interactions one at a time
+/// by agent identity until the first one that re-touches an agent of this
+/// epoch, or until `budget` interactions. Each step draws its block from
+/// `blocks` (null for a single urn: block 0), a uniform initiator index in
+/// urn u and a uniform responder index in urn v (on diagonal blocks one of
+/// the other n_u - 1 agents); an index already in its urn's taken set ends
+/// the epoch, and that step is the colliding interaction, returned in
+/// AgentEpochEnd. Otherwise `pair(step, block, ci, cr)` receives both
+/// agents' categories in their urns' index; every urn's index must have
+/// been built from the pre-epoch counts. O(1) expected work per step.
+template <typename Pair>
+AgentEpochEnd sample_agent_epoch(util::Rng& rng, const BlockDraw* blocks,
+                                 std::span<AgentUrn> urns,
+                                 std::uint64_t budget, Pair&& pair);
 
 /// Distribution of the collision-free prefix of the uniform scheduler over n
 /// agents: P(the first j interactions touch 2j distinct agents) =
@@ -154,5 +225,42 @@ class CollisionFreeRunLength {
 /// epoch. Requires 1 <= special <= slots.
 std::uint64_t last_special_slot(util::Rng& rng, std::uint64_t slots,
                                 std::uint64_t special);
+
+template <typename Pair>
+AgentEpochEnd sample_agent_epoch(util::Rng& rng, const BlockDraw* blocks,
+                                 std::span<AgentUrn> urns,
+                                 std::uint64_t budget, Pair&& pair) {
+  const std::size_t num_urns = urns.size();
+  for (AgentUrn& urn : urns) urn.taken.clear();
+  AgentEpochEnd end;
+  for (; end.length < budget; ++end.length) {
+    std::size_t b = 0;
+    if (blocks != nullptr) {
+      const std::size_t j = blocks->find(rng.uniform01());
+      b = j < blocks->size() ? blocks->block(j) : blocks->last_block();
+    }
+    AgentUrn& urn_i = urns[b / num_urns];
+    AgentUrn& urn_r = urns[b % num_urns];
+    const std::uint64_t i = rng.uniform_below(urn_i.index.total());
+    bool fresh = urn_i.taken.insert(i);
+    std::uint64_t r = 0;
+    if (fresh) {
+      if (&urn_i == &urn_r) {
+        r = rng.uniform_below(urn_i.index.total() - 1);
+        if (r >= i) ++r;
+      } else {
+        r = rng.uniform_below(urn_r.index.total());
+      }
+      fresh = urn_r.taken.insert(r);
+    }
+    if (!fresh) {
+      end.collided = true;
+      end.block = b;
+      return end;
+    }
+    pair(end.length, b, urn_i.index.category(i), urn_r.index.category(r));
+  }
+  return end;
+}
 
 }  // namespace circles::dense

@@ -3,18 +3,24 @@
 // Two layers, each a family of tests under Holm's step-down correction at
 // family-wise level kFamilyAlpha:
 //
-//  * Epoch law. The pair counts one epoch produces (how many of its
-//    interactions pair state s with state t, per block) are compared by a
-//    chi-square test with the exact law, found by enumerating every ordered
-//    choice of the epoch's agents on tiny urns. The enumeration assigns
-//    agents in interaction order, independent of how a sampler lays out
-//    roles. This layer checks the two epoch algorithms, not the engine's
-//    code: each runs here as a reference copy built on the library's
-//    samplers (the hypergeometric draws; AgentDeal and role_offsets).
+//  * Epoch law. What one epoch produces on tiny urns is compared by a
+//    chi-square test with its exact law, found by enumeration.
+//    - Per-agent epochs: the length L, the colliding block and the
+//      per-block pair counts (how many interactions pair state s with
+//      state t), against every sequence of scheduler draws up to the first
+//      collision. The sampler under test is the engine's own:
+//      sample_agent_epoch over AgentUrn numberings and a BlockDraw, the
+//      calls DenseEngine makes. Draws with replacement, an off-by-one at a
+//      category boundary of the index lookup and a responder allowed to be
+//      its own initiator each fail it.
+//    - Contingency epochs: the per-block pair counts for given block
+//      lengths, against every ordered choice of the epoch's agents. This
+//      runs a reference copy of the engine's deal and pairing loop built
+//      on the library's hypergeometric draws.
 //  * End to end. The agent array and dense_batched run the same specs, and
 //    two-sample KS tests compare last_change_step and state_changes, on
-//    single-urn and 4-urn clustered inputs. Only this layer runs
-//    DenseEngine itself, so a fault in its epoch loop shows here.
+//    single-urn and 4-urn clustered inputs, so a fault in the engine's
+//    epoch loop around the samplers shows here.
 //
 // A null pair (dense_batched against itself on a second seed set) runs
 // through the same end-to-end harness, and the KS p-value is checked for
@@ -210,13 +216,12 @@ std::map<Outcome, double> exact_pair_law(const EpochShape& shape) {
   return law;
 }
 
-/// Chi-square p-value of `draws` sampled outcomes against the exact law.
+/// Chi-square p-value of `draws` sampled outcomes against an exact law.
 /// Outcomes expected fewer than five times are pooled into one cell; an
 /// outcome outside the law's support gives p = 0.
-double epoch_law_p_value(const EpochShape& shape,
-                         const std::function<Outcome(util::Rng&)>& sample,
-                         std::uint64_t seed, std::uint64_t draws) {
-  const std::map<Outcome, double> law = exact_pair_law(shape);
+double law_p_value(const std::map<Outcome, double>& law,
+                   const std::function<Outcome(util::Rng&)>& sample,
+                   std::uint64_t seed, std::uint64_t draws) {
   std::map<Outcome, std::uint64_t> seen;
   util::Rng rng(seed);
   for (std::uint64_t i = 0; i < draws; ++i) {
@@ -247,6 +252,12 @@ double epoch_law_p_value(const EpochShape& shape,
   }
   if (cells < 2) return 1.0;
   return chi_square_p_value(chi2, cells - 1);
+}
+
+double epoch_law_p_value(const EpochShape& shape,
+                         const std::function<Outcome(util::Rng&)>& sample,
+                         std::uint64_t seed, std::uint64_t draws) {
+  return law_p_value(exact_pair_law(shape), sample, seed, draws);
 }
 
 /// The tiny epochs the law is enumerated on: one urn holding {3, 2, 2}
@@ -326,44 +337,135 @@ TEST(DenseConformanceTest, ContingencyEpochsFollowTheExactPairLaw) {
   expect_family_quiet(names, p);
 }
 
-/// A reference copy of the batched engine's per-agent deal and index
-/// pairing: each urn's agents are drawn one by one (AgentDeal), role_offsets slices
-/// the draw orders into roles, and block b's i-th initiator meets its i-th
-/// responder.
-Outcome per_agent_epoch(util::Rng& rng, const EpochShape& shape,
-                        AgentDeal& deal) {
+/// A per-agent epoch on tiny urns: per-urn state counts and the row-major
+/// block rate matrix. The epoch runs to its first collision, so its length
+/// is part of the outcome.
+struct AgentEpochShape {
+  std::string name;
+  std::vector<CountVector> urns;
+  std::vector<double> rates;
+
+  std::size_t num_urns() const { return urns.size(); }
+  std::size_t num_states() const { return urns[0].size(); }
+};
+
+/// Collision-free interactions per epoch are at most 5 on these shapes; a
+/// sampler that runs into this budget has missed a collision.
+constexpr std::uint64_t kAgentEpochBudget = 16;
+
+/// An epoch outcome: {L, collided, colliding block}, then the per-block pair
+/// counts as in Outcome.
+Outcome agent_outcome(const AgentEpochEnd& end, const Outcome& pairs) {
+  Outcome out{end.length, end.collided ? 1u : 0u,
+              end.collided ? end.block : 0u};
+  out.insert(out.end(), pairs.begin(), pairs.end());
+  return out;
+}
+
+/// The exact law of a per-agent epoch under the lumped scheduler: each step
+/// draws block (u, v) with its rate, then a uniform initiator of urn u and a
+/// uniform other responder of urn v; the epoch ends at the first step that
+/// re-touches one of its agents. Enumerated over the states of the fresh
+/// agents, which is all a step's probabilities depend on.
+std::map<Outcome, double> exact_agent_epoch_law(const AgentEpochShape& shape) {
   const std::size_t u_count = shape.num_urns();
   const std::size_t states = shape.num_states();
-  const std::size_t blocks = u_count * u_count;
-  std::vector<std::uint64_t> init_offset(blocks), resp_offset(blocks);
-  role_offsets(shape.block_len, u_count, init_offset, resp_offset);
-  std::vector<std::vector<std::uint32_t>> order(u_count);
+  std::vector<double> n(u_count, 0.0);
   for (std::size_t u = 0; u < u_count; ++u) {
-    order[u].resize(shape.takes(u));
-    deal.deal(rng, shape.urns[u], order[u]);
+    for (const std::uint64_t c : shape.urns[u]) n[u] += static_cast<double>(c);
   }
-  Outcome out(blocks * states * states, 0);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t u = b / u_count, v = b % u_count;
-    for (std::uint64_t i = 0; i < shape.block_len[b]; ++i) {
-      const std::uint32_t s = order[u].at(init_offset[b] + i);
-      const std::uint32_t t = order[v].at(resp_offset[b] + i);
-      out[(b * states + s) * states + t] += 1;
+  std::map<Outcome, double> law;
+  std::vector<CountVector> fresh = shape.urns;
+  Outcome pairs(u_count * u_count * states * states, 0);
+  std::function<void(std::uint64_t, double)> step = [&](std::uint64_t len,
+                                                        double mass) {
+    for (std::size_t b = 0; b < u_count * u_count; ++b) {
+      if (shape.rates[b] <= 0.0) continue;
+      const std::size_t u = b / u_count, v = b % u_count;
+      const double cap = u == v ? n[u] * (n[u] - 1.0) : n[u] * n[v];
+      double fresh_mass = 0.0;
+      for (std::size_t s = 0; s < states; ++s) {
+        if (fresh[u][s] == 0) continue;
+        const double fs = static_cast<double>(fresh[u][s]);
+        fresh[u][s] -= 1;  // the initiator is no longer a responder
+        for (std::size_t t = 0; t < states; ++t) {
+          const double ways = fs * static_cast<double>(fresh[v][t]);
+          if (ways == 0.0) continue;
+          fresh_mass += ways;
+          fresh[v][t] -= 1;
+          pairs[(b * states + s) * states + t] += 1;
+          step(len + 1, mass * shape.rates[b] * ways / cap);
+          pairs[(b * states + s) * states + t] -= 1;
+          fresh[v][t] += 1;
+        }
+        fresh[u][s] += 1;
+      }
+      const double collide = mass * shape.rates[b] * (1.0 - fresh_mass / cap);
+      if (collide > 0.0) {
+        law[agent_outcome({len, true, b}, pairs)] += collide;
+      }
     }
+  };
+  step(0, 1.0);
+  return law;
+}
+
+/// The engine's per-agent sampler (sample_agent_epoch, with the engine's
+/// AgentUrn numbering and BlockDraw) on one epoch of `shape`.
+Outcome engine_agent_epoch(util::Rng& rng, const AgentEpochShape& shape,
+                           const BlockDraw& blocks,
+                           std::vector<AgentUrn>& urns) {
+  const std::size_t u_count = shape.num_urns();
+  const std::size_t states = shape.num_states();
+  std::vector<std::uint32_t> ids(states);
+  for (std::size_t s = 0; s < states; ++s) {
+    ids[s] = static_cast<std::uint32_t>(s);
   }
-  return out;
+  for (std::size_t u = 0; u < u_count; ++u) {
+    urns[u].index.build(ids, shape.urns[u]);
+  }
+  Outcome pairs(u_count * u_count * states * states, 0);
+  const AgentEpochEnd end = sample_agent_epoch(
+      rng, u_count == 1 ? nullptr : &blocks, std::span<AgentUrn>(urns),
+      kAgentEpochBudget,
+      [&](std::uint64_t, std::size_t b, std::uint32_t s, std::uint32_t t) {
+        pairs[(b * states + s) * states + t] += 1;
+      });
+  return agent_outcome(end, pairs);
+}
+
+/// One urn holding {3, 2, 2}; two urns {2,2,1}/{1,2,2} with every kind of
+/// block live (an intra block, both cross blocks), and with a dead block.
+std::vector<AgentEpochShape> agent_epoch_shapes() {
+  return {
+      {"one urn {3,2,2}", {{3, 2, 2}}, {1.0}},
+      {"two urns {2,2,1}/{1,2,2}, rates .35/.15/.2/.3",
+       {{2, 2, 1}, {1, 2, 2}},
+       {0.35, 0.15, 0.2, 0.3}},
+      {"two urns {2,2,1}/{1,2,2}, rates .5/.25/.25/0",
+       {{2, 2, 1}, {1, 2, 2}},
+       {0.5, 0.25, 0.25, 0.0}},
+  };
 }
 
 TEST(DenseConformanceTest, PerAgentEpochsFollowTheExactPairLaw) {
   std::vector<std::string> names;
   std::vector<double> p;
   std::uint64_t seed = 201;
-  AgentDeal deal;
-  for (const EpochShape& shape : epoch_shapes()) {
+  for (const AgentEpochShape& shape : agent_epoch_shapes()) {
+    const std::map<Outcome, double> law = exact_agent_epoch_law(shape);
+    double total = 0.0;
+    for (const auto& [outcome, mass] : law) total += mass;
+    ASSERT_NEAR(total, 1.0, 1e-12) << shape.name;
+    const BlockDraw blocks(shape.rates);
+    std::vector<AgentUrn> urns(shape.num_urns());
+    for (AgentUrn& urn : urns) urn.reserve(1);
     names.push_back(shape.name);
-    p.push_back(epoch_law_p_value(
-        shape,
-        [&](util::Rng& rng) { return per_agent_epoch(rng, shape, deal); },
+    p.push_back(law_p_value(
+        law,
+        [&](util::Rng& rng) {
+          return engine_agent_epoch(rng, shape, blocks, urns);
+        },
         seed++, 20'000));
   }
   expect_family_quiet(names, p);

@@ -237,20 +237,20 @@ TEST(DenseGoldenTest, SingleUrnStreamsMatchThePreRefactorEngine) {
   const std::vector<Golden> goldens{
       {3, {40, 30, 20}, 123ull, false, 4226ull, 203ull, 4225ull,
        0xe9f6ad22c0cb1cffull, 0},
-      {3, {40, 30, 20}, 123ull, true, 3370ull, 234ull, 3369ull,
-       0xe9f6ad22c0cb1cffull, 8},
+      {3, {40, 30, 20}, 123ull, true, 1666ull, 224ull, 1665ull,
+       0xe9f6ad22c0cb1cffull, 7},
       {3, {400, 350, 250}, 777ull, false, 73594ull, 3203ull, 73593ull,
        0x69d34e9a4a4821b9ull, 0},
-      {3, {400, 350, 250}, 777ull, true, 90730ull, 3284ull, 90729ull,
-       0x69d34e9a4a4821b9ull, 258},
+      {3, {400, 350, 250}, 777ull, true, 90401ull, 3196ull, 90400ull,
+       0x69d34e9a4a4821b9ull, 233},
       {2, {6, 5}, 9ull, false, 135ull, 18ull, 134ull,
        0x580ddf4a9b4b380aull, 0},
       {2, {6, 5}, 9ull, true, 156ull, 22ull, 155ull, 0x580ddf4a9b4b380aull,
        0},
       {4, {2000, 1500, 900, 600}, 20260728ull, false, 338900ull, 12617ull,
        338899ull, 0x542d5bf6e303879bull, 0},
-      {4, {2000, 1500, 900, 600}, 20260728ull, true, 244753ull, 12508ull,
-       244752ull, 0x542d5bf6e303879bull, 1020},
+      {4, {2000, 1500, 900, 600}, 20260728ull, true, 236621ull, 12303ull,
+       236620ull, 0x542d5bf6e303879bull, 1066},
   };
   for (const Golden& g : goldens) {
     const auto protocol =
@@ -460,38 +460,36 @@ TEST(DenseGoldenTest, ActivePairBookkeepingKeepsEveryDraw) {
   const std::vector<Case> cases{
       {"single-urn batched margin-1", "circles", 3, {3001, 3000, 1500}, {}, 0.0,
        DenseMode::kBatched, false, 500'000'000, 17,
-       "interactions=204659802 state_changes=53462 last_change_step=204659801 "
-       "silent=1 epochs=2064 mvhg_draws=816 ff_jumps=35121 "
-       "ff_interactions=204508897 counts=0:0=1 0:3=3000 0:9=1500 0:15=1500 "
-       "0:18=1500 ", 1656},
+       "interactions=272980139 state_changes=73570 last_change_step=272980138 "
+       "silent=1 epochs=2130 mvhg_draws=2 ff_jumps=54908 "
+       "ff_interactions=272808008 counts=0:0=1 0:3=3000 0:9=1500 0:15=1500 "
+       "0:18=1500 ", 2129},
       {"8-urn clustered batched", "circles", 3, {1900, 1300, 800},
        {500, 500, 500, 500, 500, 500, 500, 500}, 0.02, DenseMode::kBatched,
        false, 500'000'000, 23,
-       "interactions=150738 state_changes=8249 last_change_step=150737 "
-       "silent=1 epochs=723 mvhg_draws=20 ff_jumps=1418 "
-       "ff_interactions=119984 counts=0:0=65 0:3=178 0:9=85 0:15=86 0:18=86 "
-       "1:0=90 1:3=157 1:9=59 1:15=97 1:18=97 2:0=80 2:3=164 2:9=74 2:15=90 "
-       "2:18=92 3:0=97 3:3=146 3:9=42 3:15=107 3:18=108 4:0=67 4:3=162 4:9=60 "
-       "4:15=105 4:18=106 5:0=63 5:3=177 5:9=93 5:15=85 5:18=82 6:0=87 "
-       "6:3=148 6:9=34 6:15=116 6:18=115 7:0=51 7:3=168 7:9=53 7:15=114 "
-       "7:18=114 ", 722},
+       "interactions=130175 state_changes=8107 last_change_step=130174 "
+       "silent=1 epochs=744 mvhg_draws=0 ff_jumps=1303 ff_interactions=98648 "
+       "counts=0:0=74 0:3=169 0:9=82 0:15=89 0:18=86 1:0=88 1:3=159 1:9=54 "
+       "1:15=102 1:18=97 2:0=78 2:3=166 2:9=75 2:15=89 2:18=92 3:0=91 3:3=152 "
+       "3:9=43 3:15=106 3:18=108 4:0=63 4:3=166 4:9=60 4:15=105 4:18=106 "
+       "5:0=68 5:3=172 5:9=91 5:15=87 5:18=82 6:0=89 6:3=146 6:9=36 6:15=114 "
+       "6:18=115 7:0=49 7:3=170 7:9=59 7:15=108 7:18=114 ", 744},
       {"8-urn clustered batched, budget cut", "circles", 3, {260, 200, 180},
        {80, 80, 80, 80, 80, 80, 80, 80}, 0.01, DenseMode::kBatched, false,
        6'000, 29,
-       "interactions=6000 state_changes=1258 last_change_step=5998 silent=0 "
-       "epochs=163 mvhg_draws=0 ff_jumps=338 ff_interactions=3078 "
-       "counts=0:0=3 0:3=19 0:4=4 0:5=1 0:6=1 0:9=2 0:10=1 0:15=16 0:16=7 "
-       "0:17=1 0:18=14 0:19=5 0:20=6 1:3=8 1:4=10 1:5=8 1:9=1 1:10=3 1:15=4 "
-       "1:16=11 1:17=9 1:18=6 1:19=7 1:20=10 1:23=1 1:26=2 2:0=19 2:3=12 "
-       "2:4=1 2:6=11 2:15=13 2:18=24 3:0=7 3:3=18 3:4=3 3:5=3 3:6=3 3:8=1 "
-       "3:9=5 3:15=14 3:16=2 3:17=2 3:18=12 3:19=3 3:20=7 4:0=1 4:3=12 4:4=15 "
-       "4:5=1 4:9=1 4:10=8 4:13=4 4:15=5 4:16=14 4:18=4 4:19=14 4:20=1 5:3=6 "
-       "5:4=16 5:5=3 5:6=1 5:8=1 5:9=2 5:10=1 5:13=5 5:15=1 5:16=16 5:17=4 "
-       "5:18=4 5:19=14 5:20=4 5:22=1 5:26=1 6:0=13 6:3=22 6:5=1 6:6=2 6:9=5 "
-       "6:10=1 6:15=14 6:16=3 6:18=16 6:19=2 6:20=1 7:0=7 7:3=16 7:4=7 7:5=2 "
-       "7:6=2 7:9=2 7:10=3 7:13=1 7:15=15 7:16=3 7:17=1 7:18=11 7:19=5 "
-       "7:20=5 ",
-       163},
+       "interactions=6000 state_changes=1222 last_change_step=5998 silent=0 "
+       "epochs=151 mvhg_draws=0 ff_jumps=367 ff_interactions=3295 "
+       "counts=0:0=2 0:3=14 0:4=6 0:5=3 0:6=1 0:8=2 0:9=1 0:10=1 0:13=3 "
+       "0:15=13 0:16=8 0:17=1 0:18=9 0:19=10 0:20=4 0:22=1 0:23=1 1:0=3 "
+       "1:3=15 1:4=2 1:5=5 1:6=1 1:10=2 1:13=2 1:15=12 1:16=7 1:17=5 1:18=8 "
+       "1:19=7 1:20=7 1:22=1 1:23=2 1:26=1 2:0=18 2:3=14 2:6=11 2:15=13 "
+       "2:18=24 3:0=8 3:3=20 3:4=2 3:5=2 3:6=3 3:9=4 3:10=1 3:15=17 3:17=1 "
+       "3:18=17 3:19=1 3:20=4 4:0=3 4:3=11 4:4=15 4:9=2 4:10=3 4:13=7 4:15=6 "
+       "4:16=14 4:18=2 4:19=14 4:20=2 4:23=1 5:0=3 5:3=13 5:4=6 5:5=5 5:9=2 "
+       "5:10=2 5:13=2 5:15=6 5:16=13 5:17=4 5:18=8 5:19=9 5:20=5 5:23=1 "
+       "5:26=1 6:0=13 6:3=21 6:4=2 6:6=2 6:9=6 6:15=16 6:16=1 6:18=19 7:0=10 "
+       "7:3=17 7:4=1 7:5=5 7:6=1 7:9=6 7:15=17 7:16=1 7:17=1 7:18=16 7:19=1 "
+       "7:20=3 7:26=1 ", 151},
       {"3-urn per-step", "circles", 3, {110, 90, 70}, {120, 90, 60}, 0.1,
        DenseMode::kPerStep, false, 500'000'000, 31,
        "interactions=30864 state_changes=849 last_change_step=30863 "
@@ -506,28 +504,28 @@ TEST(DenseGoldenTest, ActivePairBookkeepingKeepsEveryDraw) {
       {"4-urn batched, forced-sparse kernel", "circles", 4, {700, 600, 500, 400},
        {800, 600, 500, 300}, 0.05, DenseMode::kBatched, true, 500'000'000,
        41,
-       "interactions=1901378 state_changes=7527 last_change_step=1901377 "
-       "silent=1 epochs=548 mvhg_draws=12 ff_jumps=3321 "
-       "ff_interactions=1881790 counts=0:0=30 0:4=232 0:16=72 0:24=164 0:32=8 "
-       "0:44=143 0:48=151 1:0=18 1:4=168 1:16=26 1:24=141 1:32=26 1:44=110 "
-       "1:48=111 2:0=31 2:4=126 2:16=2 2:24=129 2:32=41 2:44=86 2:48=85 "
-       "3:0=21 3:4=74 3:24=66 3:32=25 3:44=61 3:48=53 ", 547},
+       "interactions=602147 state_changes=7679 last_change_step=602146 "
+       "silent=1 epochs=661 mvhg_draws=0 ff_jumps=3117 ff_interactions=580371 "
+       "counts=0:0=33 0:4=229 0:16=68 0:24=168 0:32=11 0:44=140 0:48=151 "
+       "1:0=23 1:4=163 1:16=22 1:24=145 1:32=31 1:44=105 1:48=111 2:0=26 "
+       "2:4=131 2:16=10 2:24=121 2:32=33 2:44=94 2:48=85 3:0=18 3:4=77 "
+       "3:24=66 3:32=25 3:44=61 3:48=53 ", 661},
       // Protocols whose same-state pairs can be non-null, so the diagonal
       // blocks' own-agent correction is exercised.
       {"unordered_circles single-urn batched", "unordered_circles", 3,
        {120, 100, 80}, {}, 0.0, DenseMode::kBatched, false, 500'000'000, 43,
-       "interactions=307610 state_changes=29670 last_change_step=307609 "
-       "silent=1 epochs=438 mvhg_draws=2 ff_jumps=27313 "
-       "ff_interactions=275243 counts=0:4=119 0:31=1 0:73=40 0:76=29 0:79=30 "
-       "0:100=1 0:124=79 0:151=1 ", 437},
+       "interactions=331672 state_changes=20277 last_change_step=331671 "
+       "silent=1 epochs=620 mvhg_draws=2 ff_jumps=17215 "
+       "ff_interactions=307229 counts=0:10=6 0:16=113 0:43=1 0:55=16 0:58=83 "
+       "0:85=1 0:127=79 0:154=1 ", 619},
       {"unordered_circles 4-urn batched", "unordered_circles", 3,
        {120, 100, 80}, {100, 80, 70, 50}, 0.05, DenseMode::kBatched, false,
        500'000'000, 47,
-       "interactions=6818789 state_changes=20620 last_change_step=6818788 "
-       "silent=1 epochs=566 mvhg_draws=8 ff_jumps=17695 "
-       "ff_interactions=6794511 counts=0:0=11 0:3=32 0:72=26 0:99=1 0:123=30 "
-       "1:0=6 1:3=23 1:6=1 1:72=26 1:123=24 2:0=5 2:3=5 2:6=17 2:30=1 2:72=32 "
-       "2:123=9 2:150=1 3:0=7 3:3=12 3:72=15 3:123=16 ", 565},
+       "interactions=5907131 state_changes=81364 last_change_step=5907130 "
+       "silent=1 epochs=491 mvhg_draws=0 ff_jumps=78814 "
+       "ff_interactions=5822755 counts=0:15=43 0:57=27 0:126=1 0:129=29 "
+       "1:12=6 1:15=24 1:57=26 1:126=1 1:129=22 1:156=1 2:15=27 2:42=1 "
+       "2:57=31 2:84=1 2:126=1 2:129=9 3:15=19 3:57=15 3:129=16 ", 491},
       // Three states leave almost no epoch short enough to deal agent by
       // agent; this run has none, so it pins the contingency path's stream.
       {"approx_majority single-urn batched", "approx_majority_3state", 2,
@@ -542,31 +540,29 @@ TEST(DenseGoldenTest, ActivePairBookkeepingKeepsEveryDraw) {
       {"circles k=8 single-urn batched margin-1", "circles", 8,
        {101, 100, 100, 100, 100, 100, 100, 100}, {}, 0.0, DenseMode::kBatched,
        false, 500'000'000, 67,
-       "interactions=3410712 state_changes=4633 last_change_step=3410711 "
-       "silent=1 epochs=190 mvhg_draws=0 ff_jumps=3128 "
-       "ff_interactions=3403779 counts=0:0=1 0:8=100 0:80=100 0:152=100 "
-       "0:224=100 0:296=100 0:368=100 0:440=100 0:448=100 ",
-       190},
+       "interactions=2398705 state_changes=5147 last_change_step=2398704 "
+       "silent=1 epochs=201 mvhg_draws=0 ff_jumps=3699 "
+       "ff_interactions=2391441 counts=0:0=1 0:8=100 0:80=100 0:152=100 "
+       "0:224=100 0:296=100 0:368=100 0:440=100 0:448=100 ", 201},
       {"circles k=8 8-urn clustered batched", "circles", 8,
        {300, 200, 150, 110, 80, 60, 50, 50},
        {125, 125, 125, 125, 125, 125, 125, 125}, 0.02, DenseMode::kBatched,
        false, 500'000'000, 71,
-       "interactions=65310155 state_changes=3223 last_change_step=65310154 "
-       "silent=1 epochs=239 mvhg_draws=0 ff_jumps=1474 "
-       "ff_interactions=65303850 counts=0:0=8 0:8=25 0:64=6 0:80=19 0:128=6 "
-       "0:152=13 0:192=2 0:224=11 0:256=7 0:296=3 0:368=3 0:440=7 0:448=15 "
-       "1:0=17 1:8=21 1:64=1 1:80=19 1:128=4 1:152=16 1:192=4 1:224=10 "
-       "1:296=8 1:320=1 1:368=8 1:440=8 1:448=8 2:8=26 2:64=7 2:80=21 "
-       "2:128=11 2:152=10 2:224=11 2:256=5 2:296=12 2:320=1 2:368=9 2:440=9 "
-       "2:448=3 3:0=23 3:8=28 3:64=16 3:80=13 3:152=11 3:192=3 3:224=9 "
-       "3:256=2 3:296=7 3:368=5 3:440=3 3:448=5 4:0=22 4:8=21 4:64=3 4:80=17 "
-       "4:128=1 4:152=15 4:192=6 4:224=9 4:296=10 4:320=3 4:368=9 4:440=5 "
-       "4:448=4 5:0=13 5:8=24 5:64=3 5:80=20 5:128=2 5:152=19 5:192=8 "
-       "5:224=11 5:256=5 5:296=4 5:368=4 5:440=8 5:448=4 6:0=13 6:8=26 6:64=9 "
-       "6:80=17 6:128=4 6:152=12 6:192=3 6:224=10 6:256=1 6:296=9 6:320=4 "
-       "6:368=5 6:440=6 6:448=6 7:0=4 7:8=29 7:64=5 7:80=24 7:128=12 7:152=14 "
-       "7:192=4 7:224=9 7:296=7 7:320=1 7:368=7 7:440=4 7:448=5 ",
-       239},
+       "interactions=44365661 state_changes=3261 last_change_step=44365660 "
+       "silent=1 epochs=229 mvhg_draws=0 ff_jumps=1446 "
+       "ff_interactions=44359104 counts=0:0=9 0:8=24 0:64=6 0:80=19 0:128=5 "
+       "0:152=14 0:192=3 0:224=10 0:256=6 0:296=4 0:368=3 0:440=7 0:448=15 "
+       "1:0=17 1:8=21 1:80=20 1:128=6 1:152=14 1:192=4 1:224=10 1:256=1 "
+       "1:296=7 1:320=1 1:368=8 1:440=8 1:448=8 2:8=26 2:64=8 2:80=20 "
+       "2:128=11 2:152=10 2:224=11 2:256=7 2:296=10 2:320=1 2:368=9 2:440=9 "
+       "2:448=3 3:0=24 3:8=27 3:64=17 3:80=12 3:152=11 3:192=2 3:224=10 "
+       "3:256=3 3:296=6 3:368=5 3:440=3 3:448=5 4:0=22 4:8=21 4:64=4 4:80=16 "
+       "4:128=1 4:152=15 4:192=4 4:224=11 4:296=10 4:320=4 4:368=8 4:440=5 "
+       "4:448=4 5:0=14 5:8=23 5:64=2 5:80=21 5:128=4 5:152=17 5:192=10 "
+       "5:224=9 5:256=2 5:296=7 5:368=4 5:440=8 5:448=4 6:0=10 6:8=29 6:64=8 "
+       "6:80=18 6:128=3 6:152=13 6:192=3 6:224=10 6:256=1 6:296=9 6:320=2 "
+       "6:368=7 6:440=6 6:448=6 7:0=4 7:8=29 7:64=5 7:80=24 7:128=10 7:152=16 "
+       "7:192=4 7:224=9 7:296=7 7:320=2 7:368=6 7:440=4 7:448=5 ", 229},
       {"ordering 3-urn per-step", "ordering", 3, {40, 30, 20}, {40, 30, 20},
        0.1, DenseMode::kPerStep, false, 500'000'000, 53,
        "interactions=133995 state_changes=568 last_change_step=133994 "

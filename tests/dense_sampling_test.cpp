@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -365,46 +366,61 @@ TEST(BlockDrawTest, FindMatchesABinarySearchOverTheEnds) {
   }
 }
 
-TEST(AgentDealTest, ExhaustingTheUrnDrawsEveryAgentOnce) {
-  // Categories with zero agents (including the first and the last, which
-  // bound the Fenwick descent) are never drawn; a full deal returns each
-  // category exactly as often as it holds agents.
-  const std::vector<std::uint64_t> counts{0, 3, 0, 1, 5, 0, 2, 0, 0};
-  AgentDeal deal;
-  util::Rng rng(17);
-  for (int rep = 0; rep < 50; ++rep) {
-    std::vector<std::uint32_t> order(11);
-    deal.deal(rng, counts, order);
-    std::vector<std::uint64_t> seen(counts.size(), 0);
-    for (const std::uint32_t c : order) seen.at(c) += 1;
-    EXPECT_EQ(seen, counts);
+TEST(AgentIndexTest, GuideLookupMatchesALinearWalkOverEveryIndex) {
+  // Random count rows whose zero-count categories include the first, the
+  // last and interior ones, numbered through a shuffled id list, with guides
+  // from one bucket to more buckets than agents: every agent index must map
+  // to the category a linear walk over the cumulative counts finds.
+  util::Rng rng(41);
+  AgentIndex index;
+  for (int rep = 0; rep < 300; ++rep) {
+    const std::size_t w = 2 + rng.uniform_below(40);
+    std::vector<std::uint64_t> counts(w, 0);
+    for (std::size_t c = 1; c + 1 < w; ++c) {
+      if (rng.uniform_below(3) != 0) counts[c] = 1 + rng.uniform_below(30);
+    }
+    counts[w / 2] += 1;  // at least one agent
+    if (rep % 2 == 0) counts[0] = 1 + rng.uniform_below(5);
+    if (rep % 3 == 0) counts[w - 1] = 1 + rng.uniform_below(5);
+    std::vector<std::uint32_t> ids(w);
+    for (std::size_t c = 0; c < w; ++c) ids[c] = static_cast<std::uint32_t>(c);
+    rng.shuffle(std::span<std::uint32_t>(ids));
+    std::uint64_t total = 0;
+    for (const std::uint64_t c : counts) total += c;
+
+    index.reserve(rng.uniform_below(2 * total + 2));
+    index.build(ids, counts);
+    ASSERT_EQ(index.total(), total);
+    std::size_t c = 0;
+    std::uint64_t below = 0;  // agents in categories before c
+    for (std::uint64_t i = 0; i < total; ++i) {
+      while (below + counts[ids[c]] <= i) below += counts[ids[c++]];
+      ASSERT_EQ(index.category(i), c) << "rep " << rep << " index " << i;
+    }
   }
 }
 
-TEST(AgentDealTest, FirstDrawIsProportionalToCounts) {
-  const std::vector<std::uint64_t> counts{6, 1, 3};
-  AgentDeal deal;
-  util::Rng rng(23);
-  std::vector<double> freq(3, 0.0);
-  const int reps = 100'000;
-  for (int rep = 0; rep < reps; ++rep) {
-    std::uint32_t first = 0;
-    deal.deal(rng, counts, std::span<std::uint32_t>(&first, 1));
-    freq[first] += 1.0 / reps;
+TEST(TakenSetTest, InsertReportsRepeatsAcrossGrowthAndEpochs) {
+  // Against std::set: insert() is false exactly for indices already taken
+  // this epoch, also after the table doubles past its reservation, and
+  // clear() forgets every index.
+  util::Rng rng(43);
+  TakenSet taken;
+  taken.reserve(4);
+  for (int epoch = 0; epoch < 50; ++epoch) {
+    taken.clear();
+    std::set<std::uint64_t> reference;
+    const std::uint64_t range = 1 + rng.uniform_below(300);
+    const int draws = static_cast<int>(rng.uniform_below(200));
+    for (int d = 0; d < draws; ++d) {
+      const std::uint64_t i = rng.uniform_below(range) * 0x100003ull;
+      EXPECT_EQ(taken.insert(i), reference.insert(i).second);
+    }
   }
-  EXPECT_NEAR(freq[0], 0.6, 0.01);
-  EXPECT_NEAR(freq[1], 0.1, 0.01);
-  EXPECT_NEAR(freq[2], 0.3, 0.01);
-}
-
-TEST(AgentDealTest, RoleOffsetsSliceEachUrnInDealOrder) {
-  // Two urns, blocks (0,0)=2, (0,1)=1, (1,0)=3, (1,1)=0. Urn 0's order:
-  // initiators of (0,0) then (0,1), then responders of (0,0) then (1,0).
-  const std::vector<std::uint64_t> block_len{2, 1, 3, 0};
-  std::vector<std::uint64_t> init(4), resp(4);
-  role_offsets(block_len, 2, init, resp);
-  EXPECT_EQ(init, (std::vector<std::uint64_t>{0, 2, 0, 3}));
-  EXPECT_EQ(resp, (std::vector<std::uint64_t>{3, 3, 5, 4}));
+  taken.clear();
+  EXPECT_TRUE(taken.insert(0xffffffffull));  // the largest agent index
+  EXPECT_FALSE(taken.insert(0xffffffffull));
+  EXPECT_TRUE(taken.insert(0));
 }
 
 }  // namespace
