@@ -281,13 +281,8 @@ void AgentIndex::build(std::span<const std::uint32_t> ids,
 
 void TakenSet::reserve(std::uint64_t expected_draws) {
   // Load at most 1/4 at the expected draws, 1/2 before it doubles.
-  const std::uint64_t slots =
-      std::bit_ceil(std::max<std::uint64_t>(4 * expected_draws, 16));
-  if (slots <= slots_.size()) return;
-  slots_.assign(slots, 0);
-  shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
-  stamp_ = 1;
-  size_ = 0;
+  const std::uint64_t slots = 4 * std::max<std::uint64_t>(expected_draws, 4);
+  if (slots > slots_.size()) rehash(std::bit_ceil(slots));
 }
 
 void TakenSet::clear() {
@@ -299,19 +294,14 @@ void TakenSet::clear() {
   }
 }
 
-void TakenSet::grow() {
-  std::vector<std::uint64_t> old;
+void TakenSet::rehash(std::size_t slots) {
+  slots = std::max<std::size_t>(slots, 16);
+  std::vector<std::uint64_t> old(slots, 0);
   old.swap(slots_);
-  const std::size_t slots = std::max<std::size_t>(2 * old.size(), 16);
-  slots_.assign(slots, 0);
   shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
   size_ = 0;
   for (const std::uint64_t entry : old) {
-    if (entry >> 32 != stamp_) continue;
-    std::size_t i = slot(entry & 0xffffffffu);
-    while (slots_[i] >> 32 == stamp_) i = (i + 1) & (slots - 1);
-    slots_[i] = entry;
-    ++size_;
+    if (entry >> 32 == stamp_) place(entry);
   }
 }
 

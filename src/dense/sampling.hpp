@@ -135,9 +135,15 @@ class TakenSet {
   void clear();
   /// Adds `index`; false (and no change) if the epoch already took it.
   bool insert(std::uint64_t index) {
-    if (2 * (size_ + 1) > slots_.size()) grow();
-    const std::uint64_t entry = stamp_ << 32 | index;
-    std::size_t i = slot(index);
+    if (2 * (size_ + 1) > slots_.size()) rehash(2 * slots_.size());
+    return place(stamp_ << 32 | index);
+  }
+
+ private:
+  bool place(std::uint64_t entry) {
+    const std::uint64_t index = entry & 0xffffffffu;
+    std::size_t i =
+        static_cast<std::size_t>((index * 0x9e3779b97f4a7c15ull) >> shift_);
     while (slots_[i] >> 32 == stamp_) {
       if (slots_[i] == entry) return false;
       i = (i + 1) & (slots_.size() - 1);
@@ -146,12 +152,9 @@ class TakenSet {
     ++size_;
     return true;
   }
-
- private:
-  std::size_t slot(std::uint64_t index) const {
-    return static_cast<std::size_t>((index * 0x9e3779b97f4a7c15ull) >> shift_);
-  }
-  void grow();
+  /// Moves the current epoch's entries into a table of `slots` (a power of
+  /// two, at least 16).
+  void rehash(std::size_t slots);
 
   std::vector<std::uint64_t> slots_;  // stamp << 32 | index
   std::uint64_t stamp_ = 1;           // entries of older stamps are empty
@@ -190,7 +193,39 @@ struct AgentEpochEnd {
 template <typename Pair>
 AgentEpochEnd sample_agent_epoch(util::Rng& rng, const BlockDraw* blocks,
                                  std::span<AgentUrn> urns,
-                                 std::uint64_t budget, Pair&& pair);
+                                 std::uint64_t budget, Pair&& pair) {
+  const std::size_t num_urns = urns.size();
+  for (AgentUrn& urn : urns) urn.taken.clear();
+  AgentEpochEnd end;
+  for (; end.length < budget; ++end.length) {
+    std::size_t b = 0;
+    if (blocks != nullptr) {
+      const std::size_t j = blocks->find(rng.uniform01());
+      b = j < blocks->size() ? blocks->block(j) : blocks->last_block();
+    }
+    AgentUrn& urn_i = urns[b / num_urns];
+    AgentUrn& urn_r = urns[b % num_urns];
+    const std::uint64_t i = rng.uniform_below(urn_i.index.total());
+    bool fresh = urn_i.taken.insert(i);
+    std::uint64_t r = 0;
+    if (fresh) {
+      if (&urn_i == &urn_r) {
+        r = rng.uniform_below(urn_i.index.total() - 1);
+        if (r >= i) ++r;
+      } else {
+        r = rng.uniform_below(urn_r.index.total());
+      }
+      fresh = urn_r.taken.insert(r);
+    }
+    if (!fresh) {
+      end.collided = true;
+      end.block = b;
+      return end;
+    }
+    pair(end.length, b, urn_i.index.category(i), urn_r.index.category(r));
+  }
+  return end;
+}
 
 /// Distribution of the collision-free prefix of the uniform scheduler over n
 /// agents: P(the first j interactions touch 2j distinct agents) =
@@ -225,42 +260,5 @@ class CollisionFreeRunLength {
 /// epoch. Requires 1 <= special <= slots.
 std::uint64_t last_special_slot(util::Rng& rng, std::uint64_t slots,
                                 std::uint64_t special);
-
-template <typename Pair>
-AgentEpochEnd sample_agent_epoch(util::Rng& rng, const BlockDraw* blocks,
-                                 std::span<AgentUrn> urns,
-                                 std::uint64_t budget, Pair&& pair) {
-  const std::size_t num_urns = urns.size();
-  for (AgentUrn& urn : urns) urn.taken.clear();
-  AgentEpochEnd end;
-  for (; end.length < budget; ++end.length) {
-    std::size_t b = 0;
-    if (blocks != nullptr) {
-      const std::size_t j = blocks->find(rng.uniform01());
-      b = j < blocks->size() ? blocks->block(j) : blocks->last_block();
-    }
-    AgentUrn& urn_i = urns[b / num_urns];
-    AgentUrn& urn_r = urns[b % num_urns];
-    const std::uint64_t i = rng.uniform_below(urn_i.index.total());
-    bool fresh = urn_i.taken.insert(i);
-    std::uint64_t r = 0;
-    if (fresh) {
-      if (&urn_i == &urn_r) {
-        r = rng.uniform_below(urn_i.index.total() - 1);
-        if (r >= i) ++r;
-      } else {
-        r = rng.uniform_below(urn_r.index.total());
-      }
-      fresh = urn_r.taken.insert(r);
-    }
-    if (!fresh) {
-      end.collided = true;
-      end.block = b;
-      return end;
-    }
-    pair(end.length, b, urn_i.index.category(i), urn_r.index.category(r));
-  }
-  return end;
-}
 
 }  // namespace circles::dense
