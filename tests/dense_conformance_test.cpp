@@ -365,8 +365,9 @@ Outcome agent_outcome(const AgentEpochEnd& end, const Outcome& pairs) {
 /// The exact law of a per-agent epoch under the lumped scheduler: each step
 /// draws block (u, v) with its rate, then a uniform initiator of urn u and a
 /// uniform other responder of urn v; the epoch ends at the first step that
-/// re-touches one of its agents. Enumerated over the states of the fresh
-/// agents, which is all a step's probabilities depend on.
+/// re-touches one of its agents. A step's probabilities depend only on the
+/// states of the fresh agents, which the pair counts so far determine, so
+/// the epochs still running after each step are merged by pair counts.
 std::map<Outcome, double> exact_agent_epoch_law(const AgentEpochShape& shape) {
   const std::size_t u_count = shape.num_urns();
   const std::size_t states = shape.num_states();
@@ -375,38 +376,43 @@ std::map<Outcome, double> exact_agent_epoch_law(const AgentEpochShape& shape) {
     for (const std::uint64_t c : shape.urns[u]) n[u] += static_cast<double>(c);
   }
   std::map<Outcome, double> law;
-  std::vector<CountVector> fresh = shape.urns;
-  Outcome pairs(u_count * u_count * states * states, 0);
-  std::function<void(std::uint64_t, double)> step = [&](std::uint64_t len,
-                                                        double mass) {
-    for (std::size_t b = 0; b < u_count * u_count; ++b) {
-      if (shape.rates[b] <= 0.0) continue;
-      const std::size_t u = b / u_count, v = b % u_count;
-      const double cap = u == v ? n[u] * (n[u] - 1.0) : n[u] * n[v];
-      double fresh_mass = 0.0;
-      for (std::size_t s = 0; s < states; ++s) {
-        if (fresh[u][s] == 0) continue;
-        const double fs = static_cast<double>(fresh[u][s]);
-        fresh[u][s] -= 1;  // the initiator is no longer a responder
-        for (std::size_t t = 0; t < states; ++t) {
-          const double ways = fs * static_cast<double>(fresh[v][t]);
-          if (ways == 0.0) continue;
-          fresh_mass += ways;
-          fresh[v][t] -= 1;
-          pairs[(b * states + s) * states + t] += 1;
-          step(len + 1, mass * shape.rates[b] * ways / cap);
-          pairs[(b * states + s) * states + t] -= 1;
-          fresh[v][t] += 1;
-        }
-        fresh[u][s] += 1;
+  std::map<Outcome, double> running{
+      {Outcome(u_count * u_count * states * states, 0), 1.0}};
+  for (std::uint64_t len = 0; !running.empty(); ++len) {
+    std::map<Outcome, double> next;
+    for (const auto& [pairs, mass] : running) {
+      std::vector<CountVector> fresh = shape.urns;
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const std::size_t b = i / (states * states);
+        fresh[b / u_count][i / states % states] -= pairs[i];
+        fresh[b % u_count][i % states] -= pairs[i];
       }
-      const double collide = mass * shape.rates[b] * (1.0 - fresh_mass / cap);
-      if (collide > 0.0) {
-        law[agent_outcome({len, true, b}, pairs)] += collide;
+      for (std::size_t b = 0; b < u_count * u_count; ++b) {
+        if (shape.rates[b] <= 0.0) continue;
+        const std::size_t u = b / u_count, v = b % u_count;
+        const double cap = u == v ? n[u] * (n[u] - 1.0) : n[u] * n[v];
+        double fresh_mass = 0.0;
+        for (std::size_t s = 0; s < states; ++s) {
+          if (fresh[u][s] == 0) continue;
+          const double fs = static_cast<double>(fresh[u][s]);
+          fresh[u][s] -= 1;  // the initiator is no longer a responder
+          for (std::size_t t = 0; t < states; ++t) {
+            const double ways = fs * static_cast<double>(fresh[v][t]);
+            if (ways == 0.0) continue;
+            fresh_mass += ways;
+            Outcome longer = pairs;
+            longer[(b * states + s) * states + t] += 1;
+            next[longer] += mass * shape.rates[b] * ways / cap;
+          }
+          fresh[u][s] += 1;
+        }
+        const double collide =
+            mass * shape.rates[b] * (1.0 - fresh_mass / cap);
+        if (collide > 0.0) law[agent_outcome({len, true, b}, pairs)] += collide;
       }
     }
-  };
-  step(0, 1.0);
+    running.swap(next);
+  }
   return law;
 }
 
