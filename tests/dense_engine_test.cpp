@@ -563,6 +563,17 @@ TEST(DenseGoldenTest, ActivePairBookkeepingKeepsEveryDraw) {
        "6:80=18 6:128=3 6:152=13 6:192=3 6:224=10 6:256=1 6:296=9 6:320=2 "
        "6:368=7 6:440=6 6:448=6 7:0=4 7:8=29 7:64=5 7:80=24 7:128=10 7:152=16 "
        "7:192=4 7:224=9 7:296=7 7:320=2 7:368=6 7:440=4 7:448=5 ", 229},
+      // Few present states against ~sqrt(n) agents per epoch: every epoch
+      // takes the multi-urn contingency path (the block chain, mvhg deals
+      // and block pairings), and the budget cuts the run inside one, so
+      // the final change is placed per block.
+      {"circles k=2 2-urn clustered batched, contingency epochs", "circles",
+       2, {10500, 9500}, {12000, 8000}, 0.05, DenseMode::kBatched, false,
+       240'000, 59,
+       "interactions=240000 state_changes=40832 last_change_step=239969 "
+       "silent=0 epochs=2693 mvhg_draws=19616 ff_jumps=0 ff_interactions=0 "
+       "counts=0:0=926 0:2=3798 0:3=1594 0:4=3418 0:5=1962 0:7=302 1:0=478 "
+       "1:2=2828 1:3=876 1:4=2634 1:5=1082 1:7=102 ", 0},
       {"ordering 3-urn per-step", "ordering", 3, {40, 30, 20}, {40, 30, 20},
        0.1, DenseMode::kPerStep, false, 500'000'000, 53,
        "interactions=133995 state_changes=568 last_change_step=133994 "
