@@ -514,16 +514,19 @@ struct ConformanceSpec {
   double max_agent_share;
 };
 
-/// Single-urn and 4-urn clustered inputs. The k = 3 specs have many present
+/// Single-urn and clustered inputs. The k = 3 specs have many present
 /// states per agent in an epoch, so nearly every epoch is dealt agent by
-/// agent; the k = 2 spec has few, so nearly none is. Sizes stay small
-/// because Debug builds recount every block's active pairs after each
-/// change.
+/// agent; the k = 2 specs have few, so nearly none is, and the 2-urn one
+/// runs the multi-urn contingency path end to end (the block chain, the
+/// per-urn deals, the block pairings and the per-block last-change
+/// placement). Sizes stay small because Debug builds recount every block's
+/// active pairs after each change.
 std::vector<ConformanceSpec> conformance_specs() {
   return {
       {"one urn, k=3 n=300", 3, {120, 100, 80}, 0, 0.9, 1.0},
       {"one urn, k=2 n=4000", 2, {2100, 1900}, 0, 0.0, 0.1},
       {"4 urns, k=3 n=400", 3, {160, 130, 110}, 4, 0.9, 1.0},
+      {"2 urns, k=2 n=16000", 2, {12000, 4000}, 2, 0.0, 0.1},
   };
 }
 
