@@ -173,7 +173,7 @@ TEST(OrderingSimulationTest, SingleColorPopulation) {
 // advances it mod k.
 // ---------------------------------------------------------------------------
 
-using LabelMultiset = std::vector<std::uint8_t>;  // occupancy per slot
+using LabelMultiset = std::vector<std::uint32_t>;  // occupancy per slot
 
 std::vector<LabelMultiset> moves(const LabelMultiset& m) {
   std::vector<LabelMultiset> out;
@@ -211,13 +211,13 @@ void enumerate_multisets(std::size_t k, std::uint32_t chips,
                          LabelMultiset& prefix,
                          std::vector<LabelMultiset>& out) {
   if (prefix.size() + 1 == k) {
-    prefix.push_back(static_cast<std::uint8_t>(chips));
+    prefix.push_back(chips);
     out.push_back(prefix);
     prefix.pop_back();
     return;
   }
   for (std::uint32_t c = 0; c <= chips; ++c) {
-    prefix.push_back(static_cast<std::uint8_t>(c));
+    prefix.push_back(c);
     enumerate_multisets(k, chips - c, prefix, out);
     prefix.pop_back();
   }
