@@ -37,20 +37,16 @@ constexpr std::uint64_t kTraceStride = 256;
 /// (EXPERIMENTS.md).
 constexpr double kPerAgentSwitch = 2.0;
 
-/// Where the most recent state change happened, at epoch granularity. The
-/// exact step index inside the epoch is only sampled once, at the end of the
-/// run, for the epoch that turned out to contain the final change. Single-urn
-/// epochs need only (length, productive); multi-urn epochs also snapshot the
-/// block sequence so the last productive slot can be placed per block.
+/// Where the most recent state change happened. Single changes and
+/// per-agent epochs know its step; a contingency epoch knows only how many
+/// of each block's slots changed state, so the step inside it is sampled
+/// once, at the end of the run, for the epoch that turned out to contain the
+/// final change. A single urn is block 0 with an empty block sequence.
 struct LastChangeMark {
   bool valid = false;
-  bool exact = false;           // index holds the step directly
-  std::uint64_t index = 0;      // exact: the step of the change
-  std::uint64_t start = 0;      // else: epoch start step ...
-  std::uint64_t length = 0;     // ... its collision-free slot count ...
-  std::uint64_t productive = 0; // ... and how many slots changed state
-  bool multi = false;           // multi-urn epoch: the fields below are live
-  std::vector<std::uint32_t> seq;              // block id per epoch slot
+  bool exact = false;       // index is the step of the change
+  std::uint64_t index = 0;  // else: the epoch's start step
+  std::vector<std::uint32_t> seq;              // block id per slot, multi-urn
   std::vector<std::uint64_t> block_len;        // per-block slot counts
   std::vector<std::uint64_t> block_productive; // per-block state changes
 };
@@ -105,6 +101,7 @@ struct DenseEngine::Sim {
 
   const DenseEngine& engine;
   util::Rng& rng;
+  obs::Recorder* recorder;  // null: no probes
   util::Arena arena;  // backs every flat slab below; append-only, run-local
   std::vector<Urn> urns;
   std::size_t num_urns = 0;
@@ -112,9 +109,11 @@ struct DenseEngine::Sim {
 
   // Block structure: row-major num_urns x num_urns. rates sums to 1;
   // pair_capacity[b] is the number of ordered agent pairs block b can
-  // schedule (n_u * n_v off-diagonal, n_u * (n_u - 1) on it).
+  // schedule (n_u * n_v off-diagonal, n_u * (n_u - 1) on it). block_draw
+  // draws a block by rate, for every caller.
   std::vector<double> rates;
   std::vector<double> pair_capacity;
+  const BlockDraw block_draw;
 
   // Number of ordered agent pairs per block whose interaction would change
   // a state; live_active sums the blocks with positive rate. live_active is
@@ -159,13 +158,9 @@ struct DenseEngine::Sim {
   std::uint64_t m_mvhg_draws = 0;   // multivariate hypergeometric deals
   std::uint64_t m_agent_epochs = 0; // epochs sampled agent by agent
 
-  // Aggregate view for the recorder: single-urn runs alias urn 0; multi-urn
-  // runs maintain summed counts incrementally (only when a recorder is
-  // attached — aggregate_enabled).
-  bool aggregate_enabled = false;
-  std::vector<std::uint64_t> agg_counts;
-  std::vector<pp::StateId> agg_present;
-  std::vector<std::uint8_t> agg_in_present;
+  // Recorder views: single-urn runs show urn 0; multi-urn runs sum the urns
+  // into `aggregate` when a probe is due (sum_aggregate).
+  std::vector<std::uint64_t> aggregate;
   std::vector<std::uint64_t> urn_sizes;
   std::vector<std::span<const std::uint64_t>> urn_spans;
 
@@ -175,12 +170,16 @@ struct DenseEngine::Sim {
   std::vector<AgentUrn> agent_urns;
 
   Sim(const DenseEngine& engine, std::span<std::span<std::uint64_t>> counts,
-      std::span<const double> rate_matrix, util::Rng& rng, bool want_aggregate)
-      : engine(engine), rng(rng) {
+      std::span<const double> rate_matrix, util::Rng& rng,
+      obs::Recorder* recorder)
+      : engine(engine),
+        rng(rng),
+        recorder(recorder),
+        rates(rate_matrix.begin(), rate_matrix.end()),
+        block_draw(rate_matrix) {
     num_urns = counts.size();
     const std::size_t states = engine.num_states_;
     const std::size_t num_blocks = num_urns * num_urns;
-    rates.assign(rate_matrix.begin(), rate_matrix.end());
 
     const std::span<std::uint64_t> counts_flat =
         arena.alloc<std::uint64_t>(num_urns * states);
@@ -230,22 +229,6 @@ struct DenseEngine::Sim {
         pair_capacity[u * num_urns + v] = u == v ? nu * (nv - 1.0) : nu * nv;
       }
     }
-    aggregate_enabled = want_aggregate && num_urns > 1;
-    if (aggregate_enabled) {
-      agg_counts.assign(engine.num_states_, 0);
-      agg_in_present.assign(engine.num_states_, 0);
-      for (const Urn& urn : urns) {
-        for (std::size_t s = 0; s < urn.counts.size(); ++s) {
-          agg_counts[s] += urn.counts[s];
-        }
-      }
-      for (std::size_t s = 0; s < agg_counts.size(); ++s) {
-        if (agg_counts[s] > 0) {
-          agg_present.push_back(static_cast<pp::StateId>(s));
-          agg_in_present[s] = 1;
-        }
-      }
-    }
     check_active();
   }
 
@@ -263,25 +246,6 @@ struct DenseEngine::Sim {
       urn.in_present[s] = 1;
       urn.present.push_back(s);
     }
-  }
-
-  void note_agg(pp::StateId s) {
-    if (!agg_in_present[s]) {
-      agg_in_present[s] = 1;
-      agg_present.push_back(s);
-    }
-  }
-
-  /// Mirrors one applied transition group onto the aggregate view.
-  void apply_agg(pp::StateId si, pp::StateId sr, const pp::Transition& tr,
-                 std::uint64_t m) {
-    if (!aggregate_enabled) return;
-    agg_counts[si] -= m;
-    agg_counts[sr] -= m;
-    agg_counts[tr.initiator] += m;
-    agg_counts[tr.responder] += m;
-    note_agg(tr.initiator);
-    note_agg(tr.responder);
   }
 
   void compact(Urn& urn) {
@@ -422,20 +386,36 @@ struct DenseEngine::Sim {
     check_active();
   }
 
-  /// Weighted draw of a state from an urn's counts; `exclude` (a StateId,
-  /// or kNoExclude) has its count reduced by one — the "responder cannot be
-  /// the initiator" correction on intra blocks. `total` must equal the
+  /// Weighted draw of one of `states`, state s weighing weight(s); the state
+  /// `exclude` (or kNoExclude) weighs one less — the "responder cannot be
+  /// the initiator" correction on diagonal blocks. `total` must equal the
   /// walked mass.
-  pp::StateId pick_state(Urn& urn, std::uint64_t total, std::uint64_t exclude) {
+  template <typename Weight>
+  pp::StateId pick(std::span<const pp::StateId> states, std::uint64_t total,
+                   std::uint64_t exclude, Weight&& weight) {
     std::uint64_t r = rng.uniform_below(total);
-    for (const pp::StateId s : urn.present) {
-      std::uint64_t c = urn.counts[s];
+    for (const pp::StateId s : states) {
+      std::uint64_t c = weight(s);
       if (s == exclude) c -= 1;
       if (r < c) return s;
       r -= c;
     }
-    CIRCLES_CHECK_MSG(false, "dense state draw walked past the population");
-    return urn.present.back();
+    CIRCLES_CHECK_MSG(false, "dense state draw walked past its mass");
+    return states.back();
+  }
+
+  /// A uniform ordered agent pair of block (bu, bv), by state: the
+  /// initiator from urn bu's counts, the responder from urn bv's less the
+  /// initiator on a diagonal block.
+  void pick_pair(std::size_t bu, std::size_t bv, pp::StateId& si,
+                 pp::StateId& sr) {
+    const Urn& urn_i = urns[bu];
+    const Urn& urn_r = urns[bv];
+    const std::uint64_t own = bu == bv ? 1 : 0;
+    si = pick(urn_i.present, urn_i.n, kNoExclude,
+              [&](pp::StateId s) { return urn_i.counts[s]; });
+    sr = pick(urn_r.present, urn_r.n - own, own ? si : kNoExclude,
+              [&](pp::StateId s) { return urn_r.counts[s]; });
   }
 
   /// Applies one non-null transition of the (si, sr) pair in block
@@ -452,23 +432,6 @@ struct DenseEngine::Sim {
     }
     note_state(urns[bu], tr.initiator);
     note_state(urns[bv], tr.responder);
-    apply_agg(si, sr, tr, 1);
-  }
-
-  /// Draw an ordered block with probability proportional to its rate.
-  /// Callers skip this for single-urn runs (there is nothing to draw), so
-  /// the single-urn RNG stream matches the historical engine's.
-  std::size_t pick_block_by_rate() {
-    const double r = rng.uniform01();
-    double acc = 0.0;
-    std::size_t last = 0;
-    for (std::size_t b = 0; b < rates.size(); ++b) {
-      if (rates[b] <= 0.0) continue;
-      last = b;
-      if (r < acc + rates[b]) return b;
-      acc += rates[b];
-    }
-    return last;  // numeric fallback for r at the rounded-off tail
   }
 
   /// Draw the block containing the next state change: weights
@@ -537,36 +500,68 @@ struct DenseEngine::Sim {
     }
   }
 
-  pp::StateId pick_used(Urn& urn, std::uint64_t total, std::uint64_t exclude) {
-    std::uint64_t r = rng.uniform_below(total);
-    for (const pp::StateId s : urn.touched) {
-      std::uint64_t c = urn.used[s];
-      if (s == exclude) c -= 1;
-      if (r < c) return s;
-      r -= c;
+  /// The interaction that ended an epoch in block (bu, bv): a uniform
+  /// ordered pair of the block conditioned on at least one participant
+  /// being used this epoch, drawn from the urns' used and fresh masses (on
+  /// a diagonal block the responder is not the initiator).
+  void pick_colliding_pair(std::size_t bu, std::size_t bv, pp::StateId& si,
+                           pp::StateId& sr) {
+    const Urn& urn_i = urns[bu];
+    const Urn& urn_r = urns[bv];
+    const std::uint64_t own = bu == bv ? 1 : 0;
+    const std::uint64_t mu = urn_i.used_total;
+    const std::uint64_t mv = urn_r.used_total;
+    const std::uint64_t fu = urn_i.n - mu;
+    const std::uint64_t fv = urn_r.n - mv;
+    const std::uint64_t w_both = mu * (mv - own);
+    const std::uint64_t w_used_fresh = mu * fv;
+    const auto used = [&](const Urn& urn, std::uint64_t total,
+                          std::uint64_t exclude) {
+      return pick(urn.touched, total, exclude,
+                  [&](pp::StateId s) { return urn.used[s]; });
+    };
+    const auto fresh = [&](const Urn& urn, std::uint64_t total) {
+      return pick(urn.present, total, kNoExclude,
+                  [&](pp::StateId s) { return urn.counts[s] - urn.used[s]; });
+    };
+    const std::uint64_t r = rng.uniform_below(w_both + w_used_fresh + fu * mv);
+    if (r < w_both) {
+      si = used(urn_i, mu, kNoExclude);
+      sr = used(urn_r, mv - own, own ? si : kNoExclude);
+    } else if (r < w_both + w_used_fresh) {
+      si = used(urn_i, mu, kNoExclude);
+      sr = fresh(urn_r, fv);
+    } else {
+      si = fresh(urn_i, fu);
+      sr = used(urn_r, mv, kNoExclude);
     }
-    CIRCLES_CHECK_MSG(false, "used-agent draw walked past the epoch");
-    return urn.touched.back();
   }
 
-  pp::StateId pick_fresh(Urn& urn, std::uint64_t total) {
-    std::uint64_t r = rng.uniform_below(total);
-    for (const pp::StateId s : urn.present) {
-      const std::uint64_t c = urn.counts[s] - urn.used[s];
-      if (r < c) return s;
-      r -= c;
-    }
-    CIRCLES_CHECK_MSG(false, "fresh-agent draw walked past the epoch");
-    return urn.present.back();
+  /// Applies m epoch interactions of the (s, t) pair in block (bu, bv):
+  /// marks the participants used and, unless the pair is null, stages its
+  /// count deltas. Returns whether the pair changes state.
+  bool apply_group(std::size_t bu, std::size_t bv, pp::StateId s,
+                   pp::StateId t, std::uint64_t m) {
+    Urn& urn_i = urns[bu];
+    Urn& urn_r = urns[bv];
+    const pp::Transition tr = engine.transition(s, t);
+    touch_used(urn_i, tr.initiator, m);
+    touch_used(urn_r, tr.responder, m);
+    if (tr.initiator == s && tr.responder == t) return false;
+    stage(bu, s, 0 - m);
+    stage(bv, t, 0 - m);
+    stage(bu, tr.initiator, m);
+    stage(bv, tr.responder, m);
+    note_state(urn_i, tr.initiator);
+    note_state(urn_r, tr.responder);
+    return true;
   }
 
   /// One per-agent epoch (sample_agent_epoch) over the urns' pre-epoch
   /// agent numbering, rebuilt for urns whose counts moved. Each interaction
-  /// marks its participants used and, unless null, stages its count deltas
-  /// as it is drawn; `productive` counts the state changes and `last_change`
-  /// is the epoch step of the final one.
-  AgentEpochEnd agent_epoch(const BlockDraw* blocks, std::uint64_t budget,
-                            std::uint64_t& productive,
+  /// is applied as a group of one as it is drawn; `productive` counts the
+  /// state changes and `last_change` is the epoch step of the final one.
+  AgentEpochEnd agent_epoch(std::uint64_t budget, std::uint64_t& productive,
                             std::uint64_t& last_change) {
     m_agent_epochs += 1;
     for (std::size_t u = 0; u < num_urns; ++u) {
@@ -579,26 +574,16 @@ struct DenseEngine::Sim {
     // Present lists only grow while the epoch stages its deltas, so the
     // categories stay valid indices into them.
     return sample_agent_epoch(
-        rng, blocks, std::span<AgentUrn>(agent_urns), budget,
+        rng, num_urns == 1 ? nullptr : &block_draw,
+        std::span<AgentUrn>(agent_urns), budget,
         [&](std::uint64_t step, std::size_t b, std::uint32_t ci,
             std::uint32_t cr) {
           const std::size_t bu = b / num_urns;
           const std::size_t bv = b % num_urns;
-          Urn& urn_i = urns[bu];
-          Urn& urn_r = urns[bv];
-          const pp::StateId s = urn_i.present[ci];
-          const pp::StateId t = urn_r.present[cr];
-          const pp::Transition tr = engine.transition(s, t);
-          touch_used(urn_i, tr.initiator, 1);
-          touch_used(urn_r, tr.responder, 1);
-          if (tr.initiator == s && tr.responder == t) return;
-          stage(bu, s, 0 - std::uint64_t{1});
-          stage(bv, t, 0 - std::uint64_t{1});
-          stage(bu, tr.initiator, 1);
-          stage(bv, tr.responder, 1);
-          note_state(urn_i, tr.initiator);
-          note_state(urn_r, tr.responder);
-          apply_agg(s, t, tr, 1);
+          if (!apply_group(bu, bv, urns[bu].present[ci], urns[bv].present[cr],
+                           1)) {
+            return;
+          }
           productive += 1;
           last_change = step;
         });
@@ -606,16 +591,37 @@ struct DenseEngine::Sim {
 
   // --- recorder views ------------------------------------------------------
 
+  /// Sums the urns into `aggregate` over the reached states (no other state
+  /// holds an agent anywhere). Single-urn runs show urn 0 directly.
+  void sum_aggregate() {
+    if (num_urns == 1) return;
+    aggregate.resize(engine.num_states_, 0);
+    for (const pp::StateId s : reached) {
+      std::uint64_t c = 0;
+      for (const Urn& urn : urns) c += urn.counts[s];
+      aggregate[s] = c;
+    }
+  }
+
+  /// Offers the configuration after `interactions` to the recorder, if a
+  /// probe is due there.
+  void observe(std::uint64_t interactions) {
+    if (recorder == nullptr || !recorder->due(interactions, 0.0)) return;
+    sum_aggregate();
+    recorder->sample(interactions, 0.0, rec_counts(), live_active,
+                     rec_present(), rec_urns());
+  }
+
   std::span<const std::uint64_t> rec_counts() const {
     if (num_urns == 1) {
       return std::span<const std::uint64_t>(urns[0].counts.data(),
                                             urns[0].counts.size());
     }
-    return agg_counts;
+    return aggregate;
   }
+  /// The present-state hint: a superset of the states holding agents.
   std::span<const pp::StateId> rec_present() const {
-    return num_urns == 1 ? std::span<const pp::StateId>(urns[0].present)
-                         : std::span<const pp::StateId>(agg_present);
+    return num_urns == 1 ? urns[0].present : reached;
   }
   std::span<const std::span<const std::uint64_t>> rec_urns() const {
     if (num_urns == 1) return {};
@@ -652,13 +658,12 @@ pp::RunResult DenseEngine::run(DenseConfig& config, util::Rng& rng,
                     "UrnConfig partitioned to match");
   std::span<std::uint64_t> span(config.counts);
   Sim sim(*this, std::span<std::span<std::uint64_t>>(&span, 1),
-          std::span<const double>(&kUniformRate, 1), rng,
-          recorder != nullptr);
+          std::span<const double>(&kUniformRate, 1), rng, recorder);
   if (!lumping_.sizes.empty()) {
     CIRCLES_CHECK_MSG(sim.n == lumping_.sizes[0],
                       "configuration does not match the engine's urn sizes");
   }
-  return run_impl(sim, recorder);
+  return run_impl(sim);
 }
 
 pp::RunResult DenseEngine::run(UrnConfig& config, std::uint64_t seed,
@@ -682,23 +687,23 @@ pp::RunResult DenseEngine::run(UrnConfig& config, util::Rng& rng,
                       "construct the DenseEngine with the scheduler's "
                       "UrnLumping");
     Sim sim(*this, spans, std::span<const double>(&kUniformRate, 1), rng,
-            recorder != nullptr);
-    return run_impl(sim, recorder);
+            recorder);
+    return run_impl(sim);
   }
   CIRCLES_CHECK_MSG(config.num_urns() == lumping_.num_urns(),
                     "configuration urn count does not match the engine's "
                     "lumping");
-  Sim sim(*this, spans, lumping_.rates, rng, recorder != nullptr);
+  Sim sim(*this, spans, lumping_.rates, rng, recorder);
   for (std::size_t u = 0; u < sim.num_urns; ++u) {
     CIRCLES_CHECK_MSG(sim.urns[u].n == lumping_.sizes[u],
                       "urn population does not match the engine's lumping");
   }
-  return run_impl(sim, recorder);
+  return run_impl(sim);
 }
 
 const double DenseEngine::kUniformRate = 1.0;
 
-pp::RunResult DenseEngine::run_impl(Sim& sim, obs::Recorder* recorder) const {
+pp::RunResult DenseEngine::run_impl(Sim& sim) const {
   CIRCLES_CHECK_MSG(sim.n >= 2, "dense engine requires at least two agents");
   // The active-pair count is bounded by n(n-1), which must fit in uint64;
   // beyond 2^32 agents the arithmetic would silently wrap.
@@ -718,20 +723,22 @@ pp::RunResult DenseEngine::run_impl(Sim& sim, obs::Recorder* recorder) const {
                                        : "dense.run_per_step",
                                    "n", sim.n);
 
+  obs::Recorder* recorder = sim.recorder;
   if (recorder != nullptr) {
     obs::ProbeContext ctx;
     ctx.protocol = &protocol();
     ctx.kernel = kernel_.get();
     ctx.n = sim.n;
     if (sim.num_urns > 1) ctx.urn_sizes = sim.urn_sizes;
+    sim.sum_aggregate();
     recorder->begin(ctx, sim.rec_counts(), sim.live_active, sim.rec_present(),
                     sim.rec_urns());
   }
 
   if (mode_ == DenseMode::kPerStep) {
-    run_per_step(sim, result, recorder);
+    run_per_step(sim, result);
   } else {
-    run_batched(sim, result, recorder);
+    run_batched(sim, result);
   }
   sim.sync_out();
 
@@ -748,6 +755,7 @@ pp::RunResult DenseEngine::run_impl(Sim& sim, obs::Recorder* recorder) const {
 
   result.final_outputs = sim.output_histogram();
   if (recorder != nullptr) {
+    sim.sum_aggregate();
     recorder->finish(result.interactions, 0.0, sim.rec_counts(),
                      sim.live_active, sim.rec_present(), sim.rec_urns());
   }
@@ -766,24 +774,15 @@ pp::RunResult DenseEngine::run_impl(Sim& sim, obs::Recorder* recorder) const {
   return result;
 }
 
-void DenseEngine::run_per_step(Sim& sim, pp::RunResult& result,
-                               obs::Recorder* recorder) const {
+void DenseEngine::run_per_step(Sim& sim, pp::RunResult& result) const {
   const std::size_t u_count = sim.num_urns;
   while (!result.silent && result.interactions < options_.max_interactions) {
     std::size_t block = 0;
-    if (u_count > 1) block = sim.pick_block_by_rate();
+    if (u_count > 1) block = sim.block_draw.pick(sim.rng.uniform01());
     const std::size_t bu = block / u_count;
     const std::size_t bv = block % u_count;
-    Sim::Urn& urn_i = sim.urns[bu];
-    Sim::Urn& urn_r = sim.urns[bv];
     pp::StateId si, sr;
-    if (bu == bv) {
-      si = sim.pick_state(urn_i, urn_i.n, kNoExclude);
-      sr = sim.pick_state(urn_i, urn_i.n - 1, si);
-    } else {
-      si = sim.pick_state(urn_i, urn_i.n, kNoExclude);
-      sr = sim.pick_state(urn_r, urn_r.n, kNoExclude);
-    }
+    sim.pick_pair(bu, bv, si, sr);
     const pp::Transition tr = transition(si, sr);
     if (tr.initiator != si || tr.responder != sr) {
       sim.apply(bu, bv, si, sr, tr);
@@ -800,15 +799,11 @@ void DenseEngine::run_per_step(Sim& sim, pp::RunResult& result,
     if (sim.trace != nullptr && (result.interactions & 0xFFFF) == 0) {
       sim.trace->instant("dense.steps", "interactions", result.interactions);
     }
-    if (recorder != nullptr) {
-      recorder->advance(result.interactions, 0.0, sim.rec_counts(),
-                        sim.live_active, sim.rec_present(), sim.rec_urns());
-    }
+    sim.observe(result.interactions);
   }
 }
 
-void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
-                              obs::Recorder* recorder) const {
+void DenseEngine::run_batched(Sim& sim, pp::RunResult& result) const {
   auto& rng = sim.rng;
   const std::size_t u_count = sim.num_urns;
   const std::size_t num_blocks = u_count * u_count;
@@ -837,11 +832,7 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
   }
   const double epoch_mean = single ? run_length->mean_length()
                                    : 0.886 * std::sqrt(2.0 / inv);
-
-  // The live blocks' cumulative rate intervals, with the roundings of a
-  // linear walk over the rate matrix, so a draw picks the block such a walk
-  // would.
-  const BlockDraw block_draw(sim.rates);
+  const BlockDraw& block_draw = sim.block_draw;
 
   LastChangeMark mark;
 
@@ -933,13 +924,10 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       if (options_.stop_when_silent && sim.live_active == 0) {
         result.silent = true;
       }
-      if (recorder != nullptr) {
-        // One collapsed sample per fast-forward jump: the counts were
-        // constant across the skipped null run, so the post-change index is
-        // the exact position of this observation.
-        recorder->advance(result.interactions, 0.0, sim.rec_counts(),
-                          sim.live_active, sim.rec_present(), sim.rec_urns());
-      }
+      // One collapsed sample per fast-forward jump: the counts were constant
+      // across the skipped null run, so the post-change index is the exact
+      // position of this observation.
+      sim.observe(result.interactions);
       continue;
     }
 
@@ -983,9 +971,8 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
               std::ceil(epoch_mean * urn_draws[u])));
         }
       }
-      const AgentEpochEnd end = sim.agent_epoch(
-          single ? nullptr : &block_draw, remaining, epoch_productive,
-          last_change);
+      const AgentEpochEnd end =
+          sim.agent_epoch(remaining, epoch_productive, last_change);
       len = end.length;
       collided = end.collided;
       col_block = end.block;
@@ -1118,19 +1105,16 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
       // Pair initiators with responders per block: a uniformly random perfect
       // matching, sampled group by group as a hypergeometric contingency
       // table, on the block's forked sub-stream fork(U + b) in multi-urn
-      // runs. Each matched group of m (s, t) pairs is applied as it is drawn:
-      // it marks its participants used and, unless null, stages its count
-      // deltas. The draws read only the dealt role rows and the present-list
-      // prefixes below `width` (present lists only grow, so those indices
-      // stay stable while groups apply); the staged deltas are netted per
-      // (urn, state) and applied once, before the collision draw reads the
-      // counts.
+      // runs. Each matched group of m (s, t) pairs is applied as it is drawn
+      // (apply_group). The draws read only the dealt role rows and the
+      // present-list prefixes below `width` (present lists only grow, so
+      // those indices stay stable while groups apply); the staged deltas are
+      // netted per (urn, state) and applied once, before the collision draw
+      // reads the counts.
       for (std::size_t b = 0; b < num_blocks; ++b) {
         if (block_len[b] == 0) continue;
         const std::size_t bu = b / u_count;
         const std::size_t bv = b % u_count;
-        Sim::Urn& urn_i = sim.urns[bu];
-        Sim::Urn& urn_r = sim.urns[bv];
         const std::span<const std::uint64_t> init =
             init_flat.subspan(b * states, width[bu]);
         const std::span<std::uint64_t> resp =
@@ -1156,21 +1140,10 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
             pool_total -= avail;
             resp[c] -= m;
             need -= m;
-            if (m == 0) continue;
-            const pp::StateId s = urn_i.present[a];
-            const pp::StateId t = urn_r.present[c];
-            const pp::Transition tr = transition(s, t);
-            sim.touch_used(urn_i, tr.initiator, m);
-            sim.touch_used(urn_r, tr.responder, m);
-            if (tr.initiator == s && tr.responder == t) continue;
-            sim.stage(bu, s, 0 - m);
-            sim.stage(bv, t, 0 - m);
-            sim.stage(bu, tr.initiator, m);
-            sim.stage(bv, tr.responder, m);
-            sim.note_state(urn_i, tr.initiator);
-            sim.note_state(urn_r, tr.responder);
-            sim.apply_agg(s, t, tr, m);
-            block_productive[b] += m;
+            if (m > 0 && sim.apply_group(bu, bv, sim.urns[bu].present[a],
+                                         sim.urns[bv].present[c], m)) {
+              block_productive[b] += m;
+            }
           }
           CIRCLES_DCHECK(need == 0);
           resp_pool -= init[a];
@@ -1183,19 +1156,14 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     const std::uint64_t epoch_start = result.interactions;
     result.interactions += len;
     result.state_changes += epoch_productive;
-    if (epoch_productive > 0 && per_agent) {
-      // Sampled step by step, so the final change's step is known exactly.
+    if (epoch_productive > 0) {
+      // A per-agent epoch was sampled step by step, so its final change's
+      // step is known exactly; a contingency epoch keeps its blocks' slot
+      // counts to place it.
       mark.valid = true;
-      mark.exact = true;
+      mark.exact = per_agent;
       mark.index = epoch_start + last_change;
-    } else if (epoch_productive > 0) {
-      mark.valid = true;
-      mark.exact = false;
-      mark.start = epoch_start;
-      mark.length = len;
-      mark.productive = epoch_productive;
-      mark.multi = !single;
-      if (!single) {
+      if (!per_agent) {
         mark.seq.assign(seq.begin(), seq.end());
         mark.block_len.assign(block_len.begin(), block_len.end());
         mark.block_productive.assign(block_productive.begin(),
@@ -1204,52 +1172,10 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     }
 
     if (collided && result.interactions < options_.max_interactions) {
-      // The interaction that ended the epoch re-touches a used agent: a
-      // uniform ordered pair of its block conditioned on at least one
-      // participant being used, drawn from the per-urn used/fresh masses.
       const std::size_t bu = col_block / u_count;
       const std::size_t bv = col_block % u_count;
       pp::StateId si, sr;
-      if (bu == bv) {
-        Sim::Urn& urn = sim.urns[bu];
-        const std::uint64_t used_total = urn.used_total;
-        const std::uint64_t fresh_total = urn.n - used_total;
-        const std::uint64_t w_both = used_total * (used_total - 1);
-        const std::uint64_t w_mixed = used_total * fresh_total;
-        const std::uint64_t r = rng.uniform_below(w_both + 2 * w_mixed);
-        if (r < w_both) {
-          si = sim.pick_used(urn, used_total, kNoExclude);
-          sr = sim.pick_used(urn, used_total - 1, si);
-        } else if (r < w_both + w_mixed) {
-          si = sim.pick_used(urn, used_total, kNoExclude);
-          sr = sim.pick_fresh(urn, fresh_total);
-        } else {
-          si = sim.pick_fresh(urn, fresh_total);
-          sr = sim.pick_used(urn, used_total, kNoExclude);
-        }
-      } else {
-        Sim::Urn& urn_i = sim.urns[bu];
-        Sim::Urn& urn_r = sim.urns[bv];
-        const std::uint64_t mu = urn_i.used_total;
-        const std::uint64_t mv = urn_r.used_total;
-        const std::uint64_t fu = urn_i.n - mu;
-        const std::uint64_t fv = urn_r.n - mv;
-        const std::uint64_t w_both = mu * mv;
-        const std::uint64_t w_used_fresh = mu * fv;
-        const std::uint64_t w_fresh_used = fu * mv;
-        const std::uint64_t r =
-            rng.uniform_below(w_both + w_used_fresh + w_fresh_used);
-        if (r < w_both) {
-          si = sim.pick_used(urn_i, mu, kNoExclude);
-          sr = sim.pick_used(urn_r, mv, kNoExclude);
-        } else if (r < w_both + w_used_fresh) {
-          si = sim.pick_used(urn_i, mu, kNoExclude);
-          sr = sim.pick_fresh(urn_r, fv);
-        } else {
-          si = sim.pick_fresh(urn_i, fu);
-          sr = sim.pick_used(urn_r, mv, kNoExclude);
-        }
-      }
+      sim.pick_colliding_pair(bu, bv, si, sr);
       const pp::Transition tr = transition(si, sr);
       if (tr.initiator != si || tr.responder != sr) {
         sim.apply(bu, bv, si, sr, tr);
@@ -1268,51 +1194,40 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result,
     if (options_.stop_when_silent && sim.live_active == 0) {
       result.silent = true;
     }
-    if (recorder != nullptr) {
-      // Epoch-boundary sampling: counts are only well-defined between
-      // epochs, so the snapshot carries the boundary's exact interaction
-      // index rather than interpolating into the epoch.
-      recorder->advance(result.interactions, 0.0, sim.rec_counts(),
-                        sim.live_active, sim.rec_present(), sim.rec_urns());
-    }
+    // Epoch-boundary sampling: counts are only well-defined between epochs,
+    // so the snapshot carries the boundary's exact interaction index rather
+    // than interpolating into the epoch.
+    sim.observe(result.interactions);
     if (trace_epoch) sim.trace->end("dense.epoch");
   }
 
   // Resolve the exact step of the final change. Within an epoch each
   // block's slot assignment is exchangeable, so its productive slots form a
   // uniform subset of its occurrence positions; only the maximum matters
-  // and only for the final epoch. Single-urn epochs are one block, so one
-  // last_special_slot draw (the historical stream); multi-urn epochs place
-  // each block's last productive occurrence and take the maximum.
-  if (mark.valid) {
-    if (mark.exact) {
-      result.last_change_step = mark.index;
-    } else if (!mark.multi) {
-      const std::uint64_t slot =
-          last_special_slot(rng, mark.length, mark.productive);
-      result.last_change_step = mark.start + slot - 1;
-    } else {
-      std::uint64_t best = 0;
-      for (std::size_t b = 0; b < mark.block_len.size(); ++b) {
-        if (mark.block_productive[b] == 0) continue;
-        const std::uint64_t slot = last_special_slot(
-            rng, mark.block_len[b], mark.block_productive[b]);
-        // Position (1-based, within the epoch) of block b's slot-th
-        // occurrence in the saved sequence.
-        std::uint64_t seen = 0;
-        for (std::size_t i = 0; i < mark.seq.size(); ++i) {
-          if (mark.seq[i] == b) {
-            ++seen;
-            if (seen == slot) {
-              best = std::max(best, static_cast<std::uint64_t>(i + 1));
-              break;
-            }
-          }
+  // and only for the final epoch. Each block with a change places its last
+  // productive occurrence (one last_special_slot draw, in block order) and
+  // the latest wins; a single urn's slots are all block 0's.
+  if (mark.valid && mark.exact) {
+    result.last_change_step = mark.index;
+  } else if (mark.valid) {
+    std::uint64_t best = 0;
+    for (std::size_t b = 0; b < mark.block_len.size(); ++b) {
+      if (mark.block_productive[b] == 0) continue;
+      const std::uint64_t slot = last_special_slot(
+          rng, mark.block_len[b], mark.block_productive[b]);
+      // Position (1-based, within the epoch) of block b's slot-th
+      // occurrence in the saved sequence.
+      std::uint64_t position = slot;
+      if (!mark.seq.empty()) {
+        position = 0;
+        for (std::uint64_t seen = 0; seen < slot; ++position) {
+          if (mark.seq[position] == b) ++seen;
         }
       }
-      CIRCLES_DCHECK(best >= 1);
-      result.last_change_step = mark.start + best - 1;
+      best = std::max(best, position);
     }
+    CIRCLES_DCHECK(best >= 1);
+    result.last_change_step = mark.index + best - 1;
   }
 }
 

@@ -153,11 +153,9 @@ class DenseEngine {
   /// The 1x1 rate matrix of the uniform scheduler (single-urn runs).
   static const double kUniformRate;
 
-  pp::RunResult run_impl(Sim& sim, obs::Recorder* recorder) const;
-  void run_per_step(Sim& sim, pp::RunResult& result,
-                    obs::Recorder* recorder) const;
-  void run_batched(Sim& sim, pp::RunResult& result,
-                   obs::Recorder* recorder) const;
+  pp::RunResult run_impl(Sim& sim) const;
+  void run_per_step(Sim& sim, pp::RunResult& result) const;
+  void run_batched(Sim& sim, pp::RunResult& result) const;
 
   pp::Transition transition(pp::StateId a, pp::StateId b) const {
     return kernel_->transition(a, b);

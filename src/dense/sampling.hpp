@@ -82,6 +82,13 @@ class BlockDraw {
     return j;
   }
 
+  /// The block whose interval holds r: find(r), or past the last end the
+  /// final live block.
+  std::size_t pick(double r) const {
+    const std::size_t j = find(r);
+    return j < size() ? blocks_[j] : blocks_.back();
+  }
+
   std::size_t size() const { return blocks_.size(); }
   /// The block of live index j, and where its rate interval starts.
   std::size_t block(std::size_t j) const { return blocks_[j]; }
@@ -198,11 +205,7 @@ AgentEpochEnd sample_agent_epoch(util::Rng& rng, const BlockDraw* blocks,
   for (AgentUrn& urn : urns) urn.taken.clear();
   AgentEpochEnd end;
   for (; end.length < budget; ++end.length) {
-    std::size_t b = 0;
-    if (blocks != nullptr) {
-      const std::size_t j = blocks->find(rng.uniform01());
-      b = j < blocks->size() ? blocks->block(j) : blocks->last_block();
-    }
+    const std::size_t b = blocks != nullptr ? blocks->pick(rng.uniform01()) : 0;
     AgentUrn& urn_i = urns[b / num_urns];
     AgentUrn& urn_r = urns[b % num_urns];
     const std::uint64_t i = rng.uniform_below(urn_i.index.total());

@@ -280,15 +280,16 @@ void FluidEngine::run_ode(Sim& sim) const {
       w1 = w4;
       sim.t += step;
 
+      // Counts are rounded only for a due probe or the silence check below.
       bool projected = false;
-      if (sim.recorder != nullptr) {
+      const std::uint64_t at =
+          sim.interactions_at(sim.t, engine_.max_interactions);
+      if (sim.recorder != nullptr && sim.recorder->due(at, sim.t)) {
         sim.round_counts();
         sim.publish_counts(drift_.species());
         projected = true;
-        sim.recorder->advance(
-            sim.interactions_at(sim.t, engine_.max_interactions), sim.t,
-            sim.aggregate, obs::kUnknownActive, drift_.species(),
-            sim.urn_spans);
+        sim.recorder->sample(at, sim.t, sim.aggregate, obs::kUnknownActive,
+                             drift_.species(), sim.urn_spans);
       }
       if (engine_.stop_when_silent && inf_norm(k1) < sim.drift_tol) {
         if (!projected) sim.round_counts();

@@ -70,7 +70,7 @@ void Recorder::sample(std::uint64_t interactions, double chemical_time,
                       std::uint64_t active_pairs,
                       std::span<const pp::StateId> present,
                       std::span<const std::span<const std::uint64_t>> urns) {
-  CIRCLES_CHECK_MSG(begun_, "Recorder::advance before begin()");
+  CIRCLES_CHECK_MSG(begun_, "Recorder::sample before begin()");
   const double x = position(interactions, chemical_time);
 
   bool need_active = false;

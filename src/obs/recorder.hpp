@@ -75,9 +75,23 @@ class Recorder {
                std::uint64_t active_pairs = kUnknownActive,
                std::span<const pp::StateId> present = {},
                std::span<const std::span<const std::uint64_t>> urns = {}) {
-    if (position(interactions, chemical_time) < next_due_) return;
+    if (!due(interactions, chemical_time)) return;
     sample(interactions, chemical_time, counts, active_pairs, present, urns);
   }
+
+  /// Whether advance() at this position would sample. A host whose counts
+  /// cost work to assemble tests this first and calls sample() only when it
+  /// holds; advance() is exactly that pair.
+  bool due(std::uint64_t interactions, double chemical_time) const {
+    return position(interactions, chemical_time) >= next_due_;
+  }
+
+  /// Samples every probe due at this position (see the class comment).
+  void sample(std::uint64_t interactions, double chemical_time,
+              std::span<const std::uint64_t> counts,
+              std::uint64_t active_pairs = kUnknownActive,
+              std::span<const pp::StateId> present = {},
+              std::span<const std::span<const std::uint64_t>> urns = {});
 
   /// Final sample (if the run ended past each probe's last one) plus
   /// on_finish() fan-out. Re-callable; see Probe::on_finish.
@@ -108,12 +122,6 @@ class Recorder {
                          std::span<const pp::StateId> present,
                          std::span<const std::span<const std::uint64_t>> urns,
                          bool need_active) const;
-
-  void sample(std::uint64_t interactions, double chemical_time,
-              std::span<const std::uint64_t> counts,
-              std::uint64_t active_pairs,
-              std::span<const pp::StateId> present,
-              std::span<const std::span<const std::uint64_t>> urns);
 
   void refresh_next_due();
 

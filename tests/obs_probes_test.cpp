@@ -61,9 +61,13 @@ class SpyProbe final : public Probe {
  public:
   void on_sample(const Snapshot& snapshot) override {
     samples.push_back(snapshot.interactions);
+    rows.emplace_back(snapshot.chemical_time,
+                      std::vector<std::uint64_t>(snapshot.counts.begin(),
+                                                 snapshot.counts.end()));
   }
   void on_finish(const Snapshot&) override { finishes += 1; }
   std::vector<std::uint64_t> samples;
+  std::vector<std::pair<double, std::vector<std::uint64_t>>> rows;
   int finishes = 0;
 };
 
@@ -116,6 +120,51 @@ TEST(RecorderTest, FinishNeverEmitsNonMonotoneRow) {
   recorder.finish(31, 0.0, counts);
   EXPECT_EQ(spy.samples, (std::vector<std::uint64_t>{0, 50}));
   EXPECT_EQ(spy.finishes, 1);
+}
+
+/// advance() is due() followed by sample(): two recorders on the same grid,
+/// one driven each way over the same positions, emit the same rows, on
+/// interaction and on chemical-time clocks.
+TEST(RecorderTest, AdvanceIsDueThenSample) {
+  core::CirclesProtocol protocol(2);
+  std::vector<std::uint64_t> counts(protocol.num_states(), 0);
+  counts[protocol.input(0)] = 3;
+  counts[protocol.input(1)] = 2;
+  ProbeContext ctx;
+  ctx.protocol = &protocol;
+  ctx.n = 5;
+  for (const auto clock : {RecorderOptions::Clock::kInteractions,
+                           RecorderOptions::Clock::kChemical}) {
+    for (const char* grid : {"linear:10", "log:16", "linear:3"}) {
+      SCOPED_TRACE(grid);
+      RecorderOptions options;
+      options.clock = clock;
+      options.interaction_horizon = 1000;
+      options.chemical_horizon = 200.0;
+      Recorder advanced(options), gated(options);
+      SpyProbe a, g;
+      advanced.add(&a, GridSpec::parse(grid));
+      gated.add(&g, GridSpec::parse(grid));
+      advanced.begin(ctx, counts);
+      gated.begin(ctx, counts);
+      std::size_t due_calls = 0;
+      for (std::uint64_t x = 1; x <= 1000; x += 1 + x / 7) {
+        const double t = static_cast<double>(x) / 5.0;
+        counts[protocol.input(0)] = x % 4;  // rows must carry these counts
+        advanced.advance(x, t, counts);
+        if (gated.due(x, t)) {
+          gated.sample(x, t, counts);
+          due_calls += 1;
+        }
+      }
+      advanced.finish(1000, 200.0, counts);
+      gated.finish(1000, 200.0, counts);
+      EXPECT_EQ(a.samples, g.samples);
+      EXPECT_EQ(a.rows, g.rows);
+      EXPECT_GT(due_calls, 0u);
+      EXPECT_LT(due_calls, a.samples.size());  // x = 0 and finish are extra
+    }
+  }
 }
 
 TEST(RecorderTest, BeginIsIdempotent) {
