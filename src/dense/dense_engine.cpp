@@ -1044,9 +1044,7 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result) const {
       // (initiators of blocks (u, *) plus responders of blocks (*, u); intra
       // blocks contribute on both sides). drawn ~ multivariate hypergeometric
       // from the urn's counts, then sequential splits deal the drawn states
-      // across the urn's roles. Single-urn runs draw on the main RNG stream
-      // (the historical order); multi-urn runs give urn u the forked
-      // sub-stream fork(u), which defines the multi-urn stream.
+      // across the urn's roles.
       for (std::size_t u = 0; u < u_count; ++u) {
         Sim::Urn& urn = sim.urns[u];
         const std::size_t w = urn.present.size();
@@ -1057,13 +1055,6 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result) const {
         }
         if (t_u == 0) continue;
 
-        util::Rng forked(0);
-        util::Rng* stream = &rng;
-        if (!single) {
-          forked = rng.fork(u);
-          stream = &forked;
-        }
-
         const std::span<std::uint64_t> pool = pool_flat.subspan(u * states, w);
         const std::span<std::uint64_t> drawn =
             drawn_flat.subspan(u * states, w);
@@ -1071,7 +1062,7 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result) const {
         for (std::size_t i = 0; i < w; ++i) {
           pool[i] = urn.counts[urn.present[i]];
         }
-        multivariate_hypergeometric(*stream, pool, t_u, drawn);
+        multivariate_hypergeometric(rng, pool, t_u, drawn);
         sim.m_mvhg_draws += 1;
 
         std::copy(drawn.begin(), drawn.end(), rem.begin());
@@ -1085,7 +1076,7 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result) const {
             rem_total = 0;
             return;
           }
-          multivariate_hypergeometric(*stream, rem, count, target);
+          multivariate_hypergeometric(rng, rem, count, target);
           sim.m_mvhg_draws += 1;
           for (std::size_t i = 0; i < w; ++i) rem[i] -= target[i];
           rem_total -= count;
@@ -1104,8 +1095,7 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result) const {
 
       // Pair initiators with responders per block: a uniformly random perfect
       // matching, sampled group by group as a hypergeometric contingency
-      // table, on the block's forked sub-stream fork(U + b) in multi-urn
-      // runs. Each matched group of m (s, t) pairs is applied as it is drawn
+      // table. Each matched group of m (s, t) pairs is applied as it is drawn
       // (apply_group). The draws read only the dealt role rows and the
       // present-list prefixes below `width` (present lists only grow, so
       // those indices stay stable while groups apply); the staged deltas are
@@ -1119,14 +1109,6 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result) const {
             init_flat.subspan(b * states, width[bu]);
         const std::span<std::uint64_t> resp =
             resp_flat.subspan(b * states, width[bv]);
-
-        util::Rng forked(0);
-        util::Rng* stream = &rng;
-        if (!single) {
-          forked = rng.fork(u_count + b);
-          stream = &forked;
-        }
-
         std::uint64_t resp_pool = block_len[b];
         for (std::size_t a = 0; a < init.size(); ++a) {
           std::uint64_t need = init[a];
@@ -1136,7 +1118,7 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result) const {
             const std::uint64_t avail = resp[c];
             if (avail == 0) continue;
             const std::uint64_t m =
-                hypergeometric(*stream, pool_total, avail, need);
+                hypergeometric(rng, pool_total, avail, need);
             pool_total -= avail;
             resp[c] -= m;
             need -= m;

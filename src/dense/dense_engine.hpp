@@ -59,10 +59,14 @@
 // so a silent run reports interactions = last_change_step + 1, without the
 // agent engine's streak-heuristic detection overhead.
 //
-// Determinism: every draw comes from the run's RNG stream in a fixed order;
-// multi-urn contingency epochs give every urn and every urn-pair block a
-// sub-stream derived with util::Rng::fork, so their per-block draws are
-// reproducible regardless of block iteration order.
+// Determinism: every draw comes from the run's one RNG stream, in a fixed
+// order. Per step: the block (multi-urn only), then the two states. Per
+// fast-forward jump: the null-run length, the block (multi-urn only), then
+// the active pair. Per epoch: either its interactions one by one (per-agent
+// epochs), or its length (the survival table, or the multi-urn block
+// chain), the urn deals in urn order and the block pairings in block
+// order; then the colliding interaction. The step of the final change is
+// drawn once, at the end of the run, when a contingency epoch holds it.
 //
 // A run is serial: epochs follow each other and each multi-urn epoch is
 // only U urn deals and U^2 small block pairings, so parallelism lives

@@ -80,20 +80,6 @@ std::pair<std::uint64_t, std::uint64_t> Rng::distinct_pair(std::uint64_t n) {
   return {a, b};
 }
 
-Rng Rng::fork(std::uint64_t index) const {
-  // Hash the full 256-bit state together with the index through splitmix64;
-  // the state is read-only, so forks commute with each other and leave the
-  // parent stream untouched.
-  std::uint64_t sm = 0x6c62272e07bb0142ULL ^ index;
-  std::uint64_t seed = splitmix64(sm);
-  for (const std::uint64_t word : s_) {
-    sm ^= word;
-    seed ^= splitmix64(sm);
-    seed = rotl(seed, 17) * 0x9fb21c651e98df25ULL;
-  }
-  return Rng(seed ^ index);
-}
-
 Rng Rng::split() {
   // Derive a child seed from two outputs; the streams are not provably
   // independent, but xoshiro's mixing is far more than adequate for

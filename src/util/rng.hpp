@@ -61,13 +61,6 @@ class Rng {
   /// Advances this generator by two outputs.
   Rng split();
 
-  /// Derive the `index`-th child sub-stream of the current state WITHOUT
-  /// advancing this generator: fork(i) called twice (or in any order with
-  /// other fork calls) returns the same child. The dense urn engine uses
-  /// this to give every urn and urn-pair block its own stream, so per-block
-  /// draws are reproducible regardless of block iteration order.
-  Rng fork(std::uint64_t index) const;
-
  private:
   std::uint64_t s_[4];
 };

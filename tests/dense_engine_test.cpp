@@ -439,7 +439,9 @@ TEST(UrnEngineTest, RejectsMismatchedConfigurations) {
 /// replaced the rebuild must keep every draw, so each summary is unchanged.
 /// Batched cases that deal some epochs agent by agent (agent_epochs > 0)
 /// draw a different stream; their summaries were re-recorded when that
-/// sampler landed.
+/// sampler landed. Multi-urn contingency epochs once drew their deals and
+/// pairings from per-urn and per-block sub-streams; the one case that takes
+/// such epochs was re-recorded when they moved onto the run's own stream.
 /// Unlike the kernel-path identity tests, both sides of this comparison do
 /// not share the active-pair code.
 TEST(DenseGoldenTest, ActivePairBookkeepingKeepsEveryDraw) {
@@ -570,10 +572,10 @@ TEST(DenseGoldenTest, ActivePairBookkeepingKeepsEveryDraw) {
       {"circles k=2 2-urn clustered batched, contingency epochs", "circles",
        2, {10500, 9500}, {12000, 8000}, 0.05, DenseMode::kBatched, false,
        240'000, 59,
-       "interactions=240000 state_changes=40832 last_change_step=239969 "
-       "silent=0 epochs=2693 mvhg_draws=19616 ff_jumps=0 ff_interactions=0 "
-       "counts=0:0=926 0:2=3798 0:3=1594 0:4=3418 0:5=1962 0:7=302 1:0=478 "
-       "1:2=2828 1:3=876 1:4=2634 1:5=1082 1:7=102 ", 0},
+       "interactions=240000 state_changes=40276 last_change_step=239994 "
+       "silent=0 epochs=2664 mvhg_draws=19350 ff_jumps=0 ff_interactions=0 "
+       "counts=0:0=910 0:2=3872 0:3=1536 0:4=3420 0:5=1993 0:7=269 1:0=470 "
+       "1:2=2700 1:3=1012 1:4=2608 1:5=1099 1:7=111 ", 0},
       {"ordering 3-urn per-step", "ordering", 3, {40, 30, 20}, {40, 30, 20},
        0.1, DenseMode::kPerStep, false, 500'000'000, 53,
        "interactions=133995 state_changes=568 last_change_step=133994 "

@@ -198,58 +198,6 @@ TEST(ZipfWeightsTest, ExtremeExponentsStayFinite) {
   }
 }
 
-TEST(RngForkTest, DeterministicAndOrderIndependent) {
-  // fork(i) is a pure function of (parent state, i): calling it repeatedly,
-  // or interleaved with other forks in any order, yields the same child
-  // stream — the property the dense urn engine relies on to make per-block
-  // epoch draws independent of block iteration order.
-  Rng parent(123);
-  parent();  // advance off the seed state
-  std::vector<std::vector<std::uint64_t>> first;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    Rng child = parent.fork(i);
-    first.push_back({child(), child(), child()});
-  }
-  // Re-fork in reverse order; streams must not change.
-  for (std::uint64_t i = 5; i-- > 0;) {
-    Rng child = parent.fork(i);
-    EXPECT_EQ(child(), first[i][0]) << "fork " << i;
-    EXPECT_EQ(child(), first[i][1]) << "fork " << i;
-    EXPECT_EQ(child(), first[i][2]) << "fork " << i;
-  }
-}
-
-TEST(RngForkTest, DoesNotAdvanceParent) {
-  Rng a(7), b(7);
-  (void)a.fork(0);
-  (void)a.fork(99);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(a(), b());
-}
-
-TEST(RngForkTest, DistinctIndicesAndStatesGiveDistinctStreams) {
-  Rng parent(2024);
-  Rng c0 = parent.fork(0);
-  Rng c1 = parent.fork(1);
-  EXPECT_NE(c0(), c1());
-  // Advancing the parent moves every fork index to a fresh stream.
-  Rng before = parent.fork(3);
-  parent();
-  Rng after = parent.fork(3);
-  EXPECT_NE(before(), after());
-}
-
-TEST(RngForkTest, ChildStreamsLookUniform) {
-  // Cheap sanity: means of child uniform01 streams concentrate around 1/2.
-  Rng parent(9);
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    Rng child = parent.fork(i);
-    double sum = 0;
-    const int kDraws = 4000;
-    for (int d = 0; d < kDraws; ++d) sum += child.uniform01();
-    EXPECT_NEAR(sum / kDraws, 0.5, 0.03) << "fork " << i;
-  }
-}
-
 TEST(SplitMix64Test, KnownValuesAdvanceState) {
   std::uint64_t state = 0;
   const std::uint64_t a = splitmix64(state);
