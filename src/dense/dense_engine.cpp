@@ -218,8 +218,7 @@ struct DenseEngine::Sim {
       }
       n += urn.n;
       urn_sizes.push_back(urn.n);
-      urn_spans.push_back(
-          std::span<const std::uint64_t>(urn.counts.data(), urn.counts.size()));
+      urn_spans.push_back(urn.counts);
     }
     pair_capacity.resize(num_urns * num_urns);
     for (std::size_t u = 0; u < num_urns; ++u) {
@@ -515,6 +514,7 @@ struct DenseEngine::Sim {
     const std::uint64_t fv = urn_r.n - mv;
     const std::uint64_t w_both = mu * (mv - own);
     const std::uint64_t w_used_fresh = mu * fv;
+    const std::uint64_t w_fresh_used = fu * mv;
     const auto used = [&](const Urn& urn, std::uint64_t total,
                           std::uint64_t exclude) {
       return pick(urn.touched, total, exclude,
@@ -524,7 +524,8 @@ struct DenseEngine::Sim {
       return pick(urn.present, total, kNoExclude,
                   [&](pp::StateId s) { return urn.counts[s] - urn.used[s]; });
     };
-    const std::uint64_t r = rng.uniform_below(w_both + w_used_fresh + fu * mv);
+    const std::uint64_t r =
+        rng.uniform_below(w_both + w_used_fresh + w_fresh_used);
     if (r < w_both) {
       si = used(urn_i, mu, kNoExclude);
       sr = used(urn_r, mv - own, own ? si : kNoExclude);
@@ -613,10 +614,7 @@ struct DenseEngine::Sim {
   }
 
   std::span<const std::uint64_t> rec_counts() const {
-    if (num_urns == 1) {
-      return std::span<const std::uint64_t>(urns[0].counts.data(),
-                                            urns[0].counts.size());
-    }
+    if (num_urns == 1) return urns[0].counts;
     return aggregate;
   }
   /// The present-state hint: a superset of the states holding agents.
