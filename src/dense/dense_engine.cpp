@@ -581,12 +581,11 @@ struct DenseEngine::Sim {
             std::uint32_t cr) {
           const std::size_t bu = b / num_urns;
           const std::size_t bv = b % num_urns;
-          if (!apply_group(bu, bv, urns[bu].present[ci], urns[bv].present[cr],
-                           1)) {
-            return;
+          if (apply_group(bu, bv, urns[bu].present[ci], urns[bv].present[cr],
+                          1)) {
+            productive += 1;
+            last_change = step;
           }
-          productive += 1;
-          last_change = step;
         });
   }
 
