@@ -173,7 +173,9 @@ TEST(OrderingSimulationTest, SingleColorPopulation) {
 // advances it mod k.
 // ---------------------------------------------------------------------------
 
-using LabelMultiset = std::vector<std::uint32_t>;  // occupancy per slot
+// Occupancy per slot. Not a byte vector: as a std::map key its <=> becomes
+// a memcmp for which GCC 12 -O3 emits a false -Wstringop-overread.
+using LabelMultiset = std::vector<std::uint32_t>;
 
 std::vector<LabelMultiset> moves(const LabelMultiset& m) {
   std::vector<LabelMultiset> out;
