@@ -7,11 +7,18 @@
 // one worker thread and once with --threads (default: hardware). Results
 // are bitwise identical either way; only the wall clock changes. On a
 // >= 4-core machine the multi-threaded pass is expected to be > 2x faster.
+//
+// The calibration section times agent, per-step dense and dense_batched to
+// silence on a grid of circles cells and checks that backend=auto picks the
+// fastest backend (within 10%) everywhere; --calibration_only runs just that
+// section (EXPERIMENTS.md, "Auto crossover").
+#include <algorithm>
+#include <array>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
-
-#include <algorithm>
 
 #include "bench_report.hpp"
 #include "exp_common.hpp"
@@ -53,6 +60,15 @@ double transitions_per_second(const pp::Protocol& protocol,
   (void)checksum;
   return elapsed > 0 ? static_cast<double>(calls) / elapsed : 0.0;
 }
+
+/// Trials per calibration cell: about this many agents in total (a quarter
+/// under --smoke), 1 to 200 trials, so small-n cells average out
+/// trial-to-trial spread.
+constexpr std::uint64_t kCalibrationWork = 16'000;
+
+/// auto passes a calibration cell when its pick ran within this factor of
+/// the fastest backend.
+constexpr double kCalibrationSlack = 1.10;
 
 }  // namespace
 
@@ -99,6 +115,9 @@ int main(int argc, char** argv) {
       "interaction budget for the dense_batched rate measurement at fluid_n"));
   const auto seed =
       static_cast<std::uint64_t>(cli.int_flag("seed", 2, "rng seed"));
+  const bool calibration_only = cli.bool_flag(
+      "calibration_only", false,
+      "run only the auto calibration section (table, JSON cells, verdict)");
   const bool progress = cli.bool_flag(
       "progress", false,
       "stderr heartbeat every 2s: trials done, interactions/sec");
@@ -134,10 +153,183 @@ int main(int argc, char** argv) {
   manifest.trials = trials;
   manifest.threads = batch.threads;
   const auto t_program = Clock::now();
+  // The machine-readable perf trajectory, written before the verdict so a
+  // FAIL run still leaves its numbers behind for diagnosis.
+  const auto write_report = [&] {
+    if (json_path.empty()) return;
+    manifest.finished_utc = metrics::utc_timestamp_now();
+    manifest.wall_ms = seconds_since(t_program) * 1000.0;
+    report.set_manifest(manifest);
+    report.add_metrics(metrics_registry);
+    report.write(json_path);
+  };
 
   bench::print_header("E11",
                       "implementation quality — transition and engine "
                       "throughput, single- vs multi-threaded");
+
+  // Auto crossover calibration: agent, per-step dense and dense_batched run
+  // the same circles trials (same seeds, so the same workloads) to silence
+  // on a (k, workload, n) grid with one thread and no telemetry, as a plain
+  // sweep runs them. A backend's figure is its mean trial wall clock, best
+  // of three passes (noise only ever slows a pass down); the backends take
+  // turns going first, and one over 2x the best so far skips its remaining
+  // passes. A backend over 10x slower than the fastest at some n is not run
+  // at the larger n of its row: the gap only widens with n, and those runs
+  // would take minutes.
+  //
+  // auto must never pick per-step dense, and where its size rules decide,
+  // its pick must run within kCalibrationSlack of the fastest. Cells where
+  // num_states > n keeps auto on the agent array follow a memory rule, not
+  // a speed one (at k=12 n=1000 one dense_batched trial peaks 3 MB above
+  // the agent array): they are reported with their ratio but not held to
+  // it.
+  std::uint32_t calibration_cells = 0, calibration_failures = 0;
+  std::uint32_t memory_rule_cells = 0;
+  double memory_rule_worst = 1.0;
+  std::string calibration_failure;
+  {
+    constexpr std::array<sim::EngineKind, 3> backends{
+        sim::EngineKind::kAgentArray, sim::EngineKind::kDense,
+        sim::EngineKind::kDenseBatched};
+    constexpr int passes = 3;
+    auto options = batch;
+    options.threads = 1;
+    options.keep_trials = false;
+    options.metrics = nullptr;
+    options.progress = nullptr;
+    util::Table table({"k", "workload", "n", "trials", "agent ms", "dense ms",
+                       "dense_batched ms", "fastest", "auto",
+                       "auto / fastest"});
+    const std::vector<std::uint64_t> calibration_n =
+        smoke ? std::vector<std::uint64_t>{32, 64, 128, 256, 1000}
+              : std::vector<std::uint64_t>{32,   64,   128,  256,
+                                           512,  1000, 2000, 4000,
+                                           8000, 16000, 30000};
+    for (const std::uint32_t k : {3u, 5u, 12u}) {
+      for (const char* workload : {"unique", "margin1"}) {
+        std::array<bool, 3> pruned{};
+        for (const std::uint64_t n : calibration_n) {
+          sim::RunSpec spec;
+          spec.protocol = "circles";
+          spec.params.k = k;
+          spec.n = n;
+          spec.workload = sim::WorkloadSpec::parse(workload);
+          spec.trials = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
+              kCalibrationWork / (smoke ? 4 : 1) / spec.n, 1, 200));
+          spec.seed = sim::mix_seed(seed, 0xCA1B);
+          spec.engine.max_interactions = ~std::uint64_t{0};
+
+          // Not run: infinitely slow.
+          std::array<double, 3> ms;
+          ms.fill(std::numeric_limits<double>::infinity());
+          for (int pass = 0; pass < passes; ++pass) {
+            const double best = *std::min_element(ms.begin(), ms.end());
+            for (std::size_t i = 0; i < backends.size(); ++i) {
+              const std::size_t b = (pass + i) % backends.size();
+              if (pruned[b] || ms[b] > 2.0 * best) continue;
+              spec.backend = backends[b];
+              ms[b] = std::min(
+                  ms[b],
+                  sim::BatchRunner(options).run_one(spec).trial_ms.mean);
+            }
+          }
+          const auto fastest = static_cast<std::size_t>(
+              std::min_element(ms.begin(), ms.end()) - ms.begin());
+          spec.backend = sim::EngineKind::kAuto;
+          const sim::PreparedSpec prepared(spec,
+                                           sim::ProtocolRegistry::global());
+          const auto pick = static_cast<std::size_t>(
+              std::find(backends.begin(), backends.end(),
+                        prepared.backend()) -
+              backends.begin());
+          // A pick outside the three timed backends, or a pruned one, has
+          // no figure: the ratio is infinite and the cell fails.
+          const double ratio = pick < backends.size()
+                                   ? ms[pick] / ms[fastest]
+                                   : std::numeric_limits<double>::infinity();
+          const bool memory_rule =
+              spec.n >= sim::kAutoDenseMinN &&
+              prepared.kernel().num_states() > spec.n;
+          const bool ok = prepared.backend() != sim::EngineKind::kDense &&
+                          (memory_rule || ratio <= kCalibrationSlack);
+          ++calibration_cells;
+          if (memory_rule) {
+            ++memory_rule_cells;
+            memory_rule_worst = std::max(memory_rule_worst, ratio);
+          }
+          if (!ok) {
+            ++calibration_failures;
+            if (calibration_failure.empty()) {
+              calibration_failure = "auto picks " +
+                                    sim::to_string(prepared.backend()) +
+                                    " on circles k=" + std::to_string(k) +
+                                    " n=" + std::to_string(n) + " " +
+                                    workload + " (" +
+                                    util::Table::num(ratio, 2) +
+                                    "x the fastest, " +
+                                    sim::to_string(backends[fastest]) + ")";
+            }
+          }
+          for (std::size_t b = 0; b < backends.size(); ++b) {
+            if (ms[b] > 10.0 * ms[fastest]) pruned[b] = true;
+          }
+
+          auto& cell = report.add_cell()
+                           .set("section", "calibration")
+                           .set("protocol", "circles")
+                           .set("k", std::uint64_t{k})
+                           .set("n", n)
+                           .set("workload", workload)
+                           .set("trials",
+                                static_cast<std::uint64_t>(spec.trials));
+          const auto ms_cell = [](double v) {
+            return std::isinf(v) ? std::string("-") : util::Table::num(v, 3);
+          };
+          for (std::size_t b = 0; b < backends.size(); ++b) {
+            if (!std::isinf(ms[b])) {
+              cell.set(sim::to_string(backends[b]) + "_ms", ms[b]);
+            }
+          }
+          cell.set("fastest", sim::to_string(backends[fastest]))
+              .set("auto", sim::to_string(prepared.backend()))
+              .set("auto_reason", prepared.auto_reason())
+              .set("auto_over_fastest", ratio)
+              .set("rule", memory_rule ? "memory" : "speed")
+              .set("auto_ok", ok ? "yes" : "no");
+          table.add_row({std::to_string(k), workload, std::to_string(n),
+                         std::to_string(spec.trials), ms_cell(ms[0]),
+                         ms_cell(ms[1]), ms_cell(ms[2]),
+                         sim::to_string(backends[fastest]),
+                         sim::to_string(prepared.backend()),
+                         util::Table::num(ratio, 2) +
+                             (memory_rule ? " (states > n)"
+                                          : ok ? ""
+                                               : " FAIL")});
+        }
+      }
+    }
+    table.print("auto calibration — circles, ms per trial to silence (best "
+                "of 3 passes, 1 thread; '-' = not run, over 10x the fastest "
+                "at a smaller n)");
+    std::printf(
+        "auto calibration: %u/%u speed-rule cells within %.0f%% of the "
+        "fastest backend, none on per-step dense; %u cells kept on agent by "
+        "num_states > n (up to %.2fx the fastest): %s\n",
+        calibration_cells - memory_rule_cells - calibration_failures,
+        calibration_cells - memory_rule_cells,
+        (kCalibrationSlack - 1.0) * 100.0, memory_rule_cells,
+        memory_rule_worst, calibration_failures == 0 ? "PASS" : "FAIL");
+  }
+  const bool calibration_ok = calibration_failures == 0;
+  if (calibration_only) {
+    write_report();
+    return bench::verdict(
+        calibration_ok,
+        calibration_ok ? "auto picks a backend within 10% of the fastest on "
+                         "every calibration cell its size rules decide"
+                       : calibration_failure);
+  }
 
   {
     util::Table table({"protocol", "raw transitions/sec"});
@@ -606,15 +798,7 @@ int main(int argc, char** argv) {
         std::string(spans_identical ? "yes" : "NO") + ")");
   }
 
-  // Emit the machine-readable perf trajectory before the verdict so a FAIL
-  // run still leaves its numbers behind for diagnosis.
-  if (!json_path.empty()) {
-    manifest.finished_utc = metrics::utc_timestamp_now();
-    manifest.wall_ms = seconds_since(t_program) * 1000.0;
-    report.set_manifest(manifest);
-    report.add_metrics(metrics_registry);
-    report.write(json_path);
-  }
+  write_report();
 
   // The speedup requirement only binds where the hardware can deliver it —
   // and never under --smoke, whose sizes are too small to amortize anything
@@ -635,9 +819,11 @@ int main(int argc, char** argv) {
   const bool spans_ok =
       spans_identical && (smoke || spans_overhead < 0.02);
   const bool pass = identical && single_rate > 0 && speedup_ok && dense_ok &&
-                    urn_ok && fluid_ok && spans_ok;
+                    urn_ok && fluid_ok && spans_ok && calibration_ok;
   std::string failure;
-  if (!identical) {
+  if (!calibration_ok) {
+    failure = calibration_failure;
+  } else if (!identical) {
     failure = "thread count changed the results";
   } else if (single_rate <= 0) {
     failure = "single-threaded throughput measured as zero";
@@ -665,9 +851,10 @@ int main(int argc, char** argv) {
               std::to_string(fluid_n) + ")";
   }
   return bench::verdict(
-      pass, pass ? "throughput measured; deterministic results at every "
-                   "thread count; dense backend at least matches the agent "
-                   "array; clustered "
+      pass, pass ? "throughput measured; auto within 10% of the fastest "
+                   "backend wherever its size rules decide; deterministic "
+                   "results at every thread count; dense backend at least "
+                   "matches the agent array; clustered "
                    "urn backend beats the agent engine by " +
                        util::Table::num(urn_speedup, 0) + "x at n=" +
                        std::to_string(urn_n) +

@@ -75,6 +75,7 @@ std::string RunManifest::to_json() const {
   };
   field("spec", spec);
   field("backend", backend);
+  if (!auto_reason.empty()) field("auto_reason", auto_reason);
   field("kernel", kernel);
   out += ",\"seed\":" + std::to_string(seed);
   out += ",\"trials\":" + std::to_string(trials);

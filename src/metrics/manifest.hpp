@@ -14,6 +14,9 @@ struct RunManifest {
   // What ran (filled by the BatchRunner / bench harness).
   std::string spec;     ///< Full RunSpec::to_string() round-trippable string.
   std::string backend;  ///< Resolved backend ("dense_batched", not "auto").
+  /// backend=auto specs: the dispatch rule that picked `backend`; empty
+  /// (and left out of the JSON) for explicit backends.
+  std::string auto_reason;
   std::string kernel;   ///< kernel::CompileStats kind, "" if no kernel.
   std::uint64_t seed = 0;
   std::uint32_t trials = 0;

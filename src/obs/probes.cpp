@@ -154,7 +154,9 @@ void ConvergenceProbe::on_begin(const ProbeContext& ctx) {
 }
 
 bool ConvergenceProbe::leader_ok(const Snapshot& snapshot) {
-  if (!expected_.has_value()) return false;
+  // A symbol the protocol cannot output (tie-aware grading of a tied input
+  // on a protocol without a TIE symbol) never leads.
+  if (!expected_.has_value() || *expected_ >= histogram_.size()) return false;
   std::fill(histogram_.begin(), histogram_.end(), 0);
   for_each_present(snapshot, [&](pp::StateId s, std::uint64_t c) {
     histogram_[output_of(snapshot, s)] += c;

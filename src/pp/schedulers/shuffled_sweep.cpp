@@ -10,7 +10,7 @@ ShuffledSweepScheduler::ShuffledSweepScheduler(std::uint32_t n,
                                                std::uint64_t seed)
     : rng_(seed) {
   CIRCLES_CHECK_MSG(n >= 2, "scheduler needs at least two agents");
-  CIRCLES_CHECK_MSG(n <= 1024,
+  CIRCLES_CHECK_MSG(n <= kMaxAgents,
                     "ShuffledSweepScheduler materializes n(n-1) pairs; use the "
                     "uniform scheduler for large populations");
   pairs_.reserve(static_cast<std::size_t>(n) * (n - 1));

@@ -14,6 +14,9 @@ namespace circles::pp {
 
 class ShuffledSweepScheduler final : public Scheduler {
  public:
+  /// Largest population: the sweep holds all n(n-1) ordered pairs.
+  static constexpr std::uint32_t kMaxAgents = 1024;
+
   ShuffledSweepScheduler(std::uint32_t n, std::uint64_t seed);
 
   AgentPair next(const Population& population) override;

@@ -15,6 +15,8 @@
 #include "dense/urn_config.hpp"
 #include "fluid/fluid_engine.hpp"
 #include "metrics/metrics.hpp"
+#include "pp/schedulers/clustered.hpp"
+#include "pp/schedulers/shuffled_sweep.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -252,6 +254,26 @@ void validate_spec(const RunSpec& spec, const pp::Protocol& protocol) {
         "(circles_stats / track_used_states / reboot_faults / grader / "
         "scheduler_factory)");
   }
+  if (spec.scheduler == pp::SchedulerKind::kShuffledSweep &&
+      spec.effective_n() > pp::ShuffledSweepScheduler::kMaxAgents) {
+    throw std::invalid_argument(
+        "RunSpec '" + spec.to_string() + "' runs the shuffled scheduler on " +
+        std::to_string(spec.effective_n()) + " agents; it materializes all " +
+        "n(n-1) ordered pairs, so it takes n <= " +
+        std::to_string(pp::ShuffledSweepScheduler::kMaxAgents) +
+        " (use scheduler=uniform for larger populations)");
+  }
+  if (spec.scheduler == pp::SchedulerKind::kClustered) {
+    // Cluster sizes that do not add up to n, or more clusters than agents,
+    // fail here rather than inside a trial.
+    try {
+      pp::clustered_lumping(spec.effective_n(), spec.clustered_options())
+          .validate();
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("RunSpec '" + spec.to_string() +
+                                  "': " + e.what());
+    }
+  }
   if ((spec.clusters != 0 || !spec.cluster_sizes.empty()) &&
       spec.scheduler != pp::SchedulerKind::kClustered) {
     throw std::invalid_argument(
@@ -299,6 +321,18 @@ void validate_spec(const RunSpec& spec, const pp::Protocol& protocol) {
 
 namespace {
 
+/// registry.create, with a refusal (unknown protocol, k out of range)
+/// naming the spec.
+std::unique_ptr<pp::Protocol> create_protocol(
+    const RunSpec& spec, const ProtocolRegistry& registry) {
+  try {
+    return registry.create(spec.protocol, spec.params);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("RunSpec '" + spec.to_string() +
+                                "': " + e.what());
+  }
+}
+
 /// One count-level trial on a prepared dense or fluid engine. Stream
 /// discipline: the engine runs on a seed split off the head of the trial
 /// stream (the agent path spends the head on the color shuffle, which
@@ -330,18 +364,28 @@ PreparedSpec::PreparedSpec(const RunSpec& spec,
                            metrics::MetricsRegistry* metrics,
                            trace::Tracer* tracer,
                            kernel::CompileOptions compile)
-    : spec_(spec), protocol_(registry.create(spec.protocol, spec.params)) {
+    : spec_(spec), protocol_(create_protocol(spec, registry)) {
   validate_spec(spec, *protocol_);
 
   // Resolve the concrete backend. Auto dispatch: agent-only features or a
   // non-lumpable scheduler force the agent array; otherwise the
   // population size and state count pick the count-level engine.
-  const bool agent_only_features =
-      spec.circles_stats || spec.track_used_states ||
-      spec.reboot_faults > 0 || static_cast<bool>(spec.grader) ||
-      static_cast<bool>(spec.scheduler_factory) || spec.chemical_time;
+  std::string agent_only_features;
+  for (const auto& [on, name] :
+       {std::pair{spec.circles_stats, "circles_stats"},
+        std::pair{spec.track_used_states, "track_used_states"},
+        std::pair{spec.reboot_faults > 0, "faults"},
+        std::pair{static_cast<bool>(spec.grader), "grader"},
+        std::pair{static_cast<bool>(spec.scheduler_factory),
+                  "scheduler_factory"},
+        std::pair{spec.chemical_time, "chemical_time"}}) {
+    if (!on) continue;
+    if (!agent_only_features.empty()) agent_only_features += ", ";
+    agent_only_features += name;
+  }
   std::optional<pp::UrnLumping> lumping;
-  if (spec.backend != EngineKind::kAgentArray && !agent_only_features) {
+  if (spec.backend != EngineKind::kAgentArray &&
+      agent_only_features.empty()) {
     try {
       lumping = scheduler_lumping(spec, protocol_.get());
     } catch (const std::invalid_argument& e) {
@@ -351,17 +395,30 @@ PreparedSpec::PreparedSpec(const RunSpec& spec,
   }
   backend_ = spec.backend;
   if (backend_ == EngineKind::kAuto) {
-    const std::uint64_t auto_n = spec.effective_n();
-    if (agent_only_features || !lumping.has_value() ||
-        protocol_->num_states() > auto_n || auto_n < kAutoDenseMinN) {
-      backend_ = EngineKind::kAgentArray;
-    } else if (auto_n >= kAutoFluidMinN) {
+    const std::uint64_t n = spec.effective_n();
+    const std::uint64_t states = protocol_->num_states();
+    const std::string n_text = "n=" + std::to_string(n);
+    backend_ = EngineKind::kAgentArray;
+    if (!agent_only_features.empty()) {
+      auto_reason_ = "agent-only features (" + agent_only_features + ")";
+    } else if (!lumping.has_value()) {
+      auto_reason_ =
+          "scheduler " + pp::to_string(spec.scheduler) + " not lumpable";
+    } else if (n < kAutoDenseMinN) {
+      auto_reason_ = n_text + " < " + std::to_string(kAutoDenseMinN);
+    } else if (states > n) {
+      auto_reason_ = std::to_string(states) + " states > " + n_text;
+    } else if (n >= kAutoFluidMinN) {
       backend_ = EngineKind::kFluid;
-    } else if (auto_n >= kAutoBatchedMinN) {
-      backend_ = EngineKind::kDenseBatched;
+      auto_reason_ = n_text + " >= " + std::to_string(kAutoFluidMinN) +
+                     ", lumpable";
     } else {
-      backend_ = EngineKind::kDense;
+      backend_ = EngineKind::kDenseBatched;
+      auto_reason_ = n_text + " >= " + std::to_string(kAutoDenseMinN) +
+                     ", lumpable, " + std::to_string(states) +
+                     " states <= n";
     }
+    auto_reason_ += " -> " + sim::to_string(backend_);
   }
 
   if (backend_ != EngineKind::kAgentArray) {
@@ -448,6 +505,7 @@ PreparedSpec::PreparedSpec(const RunSpec& spec,
       }
       // Auto picked fluid on size alone; fall back one tier.
       backend_ = EngineKind::kDenseBatched;
+      auto_reason_ += "; drift table refused the protocol -> dense_batched";
     }
   }
   // Concrete specs were range-checked by validate_spec; auto ones are
@@ -683,6 +741,7 @@ std::vector<SpecResult> BatchRunner::run(
     spec_seeds[i] = spec_seed(spec, options_.base_seed, i);
     results[i].spec = spec;
     results[i].backend_resolved = prepared[i].backend();
+    results[i].auto_reason = prepared[i].auto_reason();
     results[i].trials.resize(spec.trials);
   }
 
@@ -873,6 +932,7 @@ std::vector<SpecResult> BatchRunner::run(
     result.manifest = base_manifest;
     result.manifest.spec = specs[i].to_string();
     result.manifest.backend = sim::to_string(result.backend_resolved);
+    result.manifest.auto_reason = result.auto_reason;
     result.manifest.kernel = kernel::to_string(result.kernel_stats.kind);
     result.manifest.seed = spec_seeds[i];
     result.manifest.trials = specs[i].trials;

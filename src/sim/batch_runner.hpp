@@ -73,6 +73,10 @@ struct SpecResult {
   /// engine the runner picked when spec.backend is EngineKind::kAuto
   /// (scheduler lumpability + n + state count decide — see EngineKind).
   EngineKind backend_resolved = EngineKind::kAgentArray;
+  /// backend=auto only: the dispatch rule that picked backend_resolved,
+  /// e.g. "n=1000 >= 64, lumpable, 125 states <= n -> dense_batched";
+  /// empty for explicit backends.
+  std::string auto_reason;
 
   /// Kernel compile stats for this spec's protocol. The kernel is compiled
   /// exactly once per spec and shared by every trial on every thread; build
@@ -219,12 +223,16 @@ class PreparedSpec {
   const kernel::CompiledProtocol& kernel() const { return *kernel_; }
   /// The concrete backend the trials run on (never kAuto).
   EngineKind backend() const { return backend_; }
+  /// backend=auto only: the rule that picked backend() (see
+  /// SpecResult::auto_reason); empty for explicit backends.
+  const std::string& auto_reason() const { return auto_reason_; }
 
  private:
   RunSpec spec_;
   std::unique_ptr<pp::Protocol> protocol_;
   std::shared_ptr<const kernel::CompiledProtocol> kernel_;
   EngineKind backend_ = EngineKind::kAgentArray;
+  std::string auto_reason_;
   pp::EngineOptions engine_options_;
   std::unique_ptr<dense::DenseEngine> dense_;
   std::unique_ptr<fluid::FluidEngine> fluid_;

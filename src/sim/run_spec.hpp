@@ -71,12 +71,13 @@ enum class EngineKind {
   /// dense::DenseEngine, per-step mode: a lumpable scheduler (uniform or
   /// clustered — see pp::Scheduler::lumping) simulated directly on per-state
   /// counts, one count vector per urn; O(present states) per interaction,
-  /// O(num_urns * num_states) memory, exact silence detection.
+  /// O(num_urns * num_states) memory, exact silence detection. Explicit
+  /// only: auto never picks it.
   kDense,
   /// dense::DenseEngine, batched mode: collision-free epochs of ~sqrt(n)
   /// interactions advanced with hypergeometric draws per urn-pair block —
-  /// the scaling backend for n >= 10^6. Lumpable schedulers only, like
-  /// kDense.
+  /// auto's count backend from kAutoDenseMinN up to the fluid tier.
+  /// Lumpable schedulers only, like kDense.
   kDenseBatched,
   /// fluid::FluidEngine: the lumped count chain integrated as a mean-field
   /// ODE (adaptive embedded RK pair, rtol/atol via RunSpec::rtol/atol),
@@ -84,20 +85,22 @@ enum class EngineKind {
   /// cost independent of n — the n >= 1e9 tier. Lumpable schedulers only,
   /// like the dense backends.
   kFluid,
-  /// Resolved per spec by the BatchRunner: fluid for lumpable schedulers at
-  /// huge n, dense_batched at large n, dense at moderate n, agent otherwise
-  /// (agent-only features, non-lumpable schedulers, tiny n, or num_states >
-  /// n). The resolution lands in SpecResult::backend_resolved.
+  /// Resolved per spec by the BatchRunner on a three-rung ladder: agent for
+  /// agent-only features, non-lumpable schedulers, n < kAutoDenseMinN or
+  /// num_states > n; fluid from kAutoFluidMinN; dense_batched in between.
+  /// Auto never picks per-step kDense: dense_batched is faster at every n
+  /// where a count backend runs (bench_throughput's calibration section).
+  /// The resolution lands in SpecResult::backend_resolved, the rule that
+  /// fired in SpecResult::auto_reason.
   kAuto,
 };
 
-/// Auto-dispatch thresholds: below kAutoDenseMinN the agent array is at
-/// least as fast and strictly more featureful; above kAutoBatchedMinN the
-/// sqrt(n) epochs beat per-step count sampling; above kAutoFluidMinN the
+/// Auto-dispatch thresholds: below kAutoDenseMinN the agent array is as
+/// fast as dense_batched and strictly more featureful (the calibration
+/// grid's agent/dense_batched crossover); from kAutoFluidMinN the
 /// mean-field model error O(1/sqrt(n)) drops below the discrete chain's own
 /// trial-to-trial noise and the ODE costs nothing as n grows.
-inline constexpr std::uint64_t kAutoDenseMinN = 128;
-inline constexpr std::uint64_t kAutoBatchedMinN = 8192;
+inline constexpr std::uint64_t kAutoDenseMinN = 64;
 inline constexpr std::uint64_t kAutoFluidMinN = 100'000'000;
 
 /// Parses "agent", "dense", "dense_batched", "fluid", "auto".

@@ -954,8 +954,8 @@ TEST(AutoBackendTest, ResolvesFromSchedulerSizeAndFeatures) {
     return result.backend_resolved;
   };
 
-  // Lumpable + moderate n -> dense per-step.
-  EXPECT_EQ(resolve([](sim::RunSpec&) {}), sim::EngineKind::kDense);
+  // Lumpable + moderate n -> batched: per-step dense is never auto's pick.
+  EXPECT_EQ(resolve([](sim::RunSpec&) {}), sim::EngineKind::kDenseBatched);
   // Large n -> batched; clustered is lumpable too.
   EXPECT_EQ(resolve([](sim::RunSpec& s) { s.n = 10000; }),
             sim::EngineKind::kDenseBatched);
@@ -1008,6 +1008,66 @@ TEST(AutoBackendTest, ResolvesFromSchedulerSizeAndFeatures) {
             sim::EngineKind::kAgentArray);
 }
 
+/// The backend and reason PreparedSpec resolves for circles(k) at n under
+/// backend=auto; nothing runs.
+std::pair<sim::EngineKind, std::string> auto_pick(
+    std::uint32_t k, std::uint64_t n,
+    pp::SchedulerKind scheduler = pp::SchedulerKind::kUniformRandom) {
+  sim::RunSpec spec;
+  spec.protocol = "circles";
+  spec.params.k = k;
+  spec.n = n;
+  spec.scheduler = scheduler;
+  spec.backend = sim::EngineKind::kAuto;
+  const sim::PreparedSpec prepared(spec, sim::ProtocolRegistry::global());
+  return {prepared.backend(), prepared.auto_reason()};
+}
+
+TEST(AutoBackendTest, ThresholdsAreInclusiveAndNamed) {
+  // circles k=2 has 8 states: the size threshold alone decides.
+  EXPECT_EQ(auto_pick(2, sim::kAutoDenseMinN - 1),
+            std::pair(sim::EngineKind::kAgentArray,
+                      std::string("n=63 < 64 -> agent")));
+  EXPECT_EQ(auto_pick(2, sim::kAutoDenseMinN),
+            std::pair(sim::EngineKind::kDenseBatched,
+                      std::string("n=64 >= 64, lumpable, 8 states <= n -> "
+                                  "dense_batched")));
+  // circles k=5 has 125 states: states = n runs on counts, states = n + 1
+  // stays on the agent array.
+  EXPECT_EQ(auto_pick(5, 125),
+            std::pair(sim::EngineKind::kDenseBatched,
+                      std::string("n=125 >= 64, lumpable, 125 states <= n "
+                                  "-> dense_batched")));
+  EXPECT_EQ(auto_pick(5, 124),
+            std::pair(sim::EngineKind::kAgentArray,
+                      std::string("125 states > n=124 -> agent")));
+  EXPECT_EQ(auto_pick(3, sim::kAutoFluidMinN),
+            std::pair(sim::EngineKind::kFluid,
+                      std::string("n=100000000 >= 100000000, lumpable -> "
+                                  "fluid")));
+  EXPECT_EQ(auto_pick(3, 500, pp::SchedulerKind::kRoundRobin).second,
+            "scheduler " + pp::to_string(pp::SchedulerKind::kRoundRobin) +
+                " not lumpable -> agent");
+}
+
+TEST(AutoBackendTest, NeverResolvesToPerStepDense) {
+  for (const auto scheduler :
+       {pp::SchedulerKind::kUniformRandom, pp::SchedulerKind::kClustered}) {
+    for (const std::uint32_t k : {2u, 3u, 5u}) {
+      for (std::uint64_t n = 2; n <= 10'000'000; n = n * 3 / 2 + 1) {
+        // Two clusters need two agents each.
+        if (scheduler == pp::SchedulerKind::kClustered && n < 4) continue;
+        const auto [backend, reason] = auto_pick(k, n, scheduler);
+        EXPECT_NE(backend, sim::EngineKind::kDense)
+            << "k=" << k << " n=" << n << ": " << reason;
+        EXPECT_NE(reason.find("-> " + sim::to_string(backend)),
+                  std::string::npos)
+            << reason;
+      }
+    }
+  }
+}
+
 TEST(AutoBackendTest, ExplicitBackendsReportThemselves) {
   sim::RunSpec spec;
   spec.protocol = "circles";
@@ -1017,6 +1077,17 @@ TEST(AutoBackendTest, ExplicitBackendsReportThemselves) {
   spec.backend = sim::EngineKind::kDense;
   const sim::SpecResult result = sim::BatchRunner().run_one(spec);
   EXPECT_EQ(result.backend_resolved, sim::EngineKind::kDense);
+  // Only auto specs carry a dispatch reason, in the result and manifest.
+  EXPECT_EQ(result.auto_reason, "");
+  EXPECT_EQ(result.manifest.to_json().find("auto_reason"), std::string::npos);
+
+  spec.backend = sim::EngineKind::kAuto;
+  const sim::SpecResult resolved = sim::BatchRunner().run_one(spec);
+  EXPECT_EQ(resolved.auto_reason, "n=40 < 64 -> agent");
+  EXPECT_EQ(resolved.manifest.auto_reason, resolved.auto_reason);
+  EXPECT_NE(resolved.manifest.to_json().find(
+                "\"auto_reason\":\"n=40 < 64 -> agent\""),
+            std::string::npos);
 }
 
 // --- cross-backend equivalence --------------------------------------------

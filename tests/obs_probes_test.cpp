@@ -346,14 +346,19 @@ TEST(ConvergenceProbeTest, NoExpectedSymbolNeverConverges) {
   ctx.n = 2;
   std::vector<std::uint64_t> counts(protocol.num_states(), 0);
   counts[protocol.input(0)] = 2;
-  ConvergenceProbe probe(std::nullopt);
-  probe.on_begin(ctx);
-  Snapshot snapshot;
-  snapshot.counts = counts;
-  snapshot.ctx = &ctx;
-  probe.on_sample(snapshot);
-  probe.on_finish(snapshot);
-  EXPECT_FALSE(probe.converged());
+  // nullopt, and the TIE symbol k that tie-aware grading expects of a tied
+  // input, which plain circles cannot output.
+  for (const auto expected :
+       {std::optional<pp::OutputSymbol>{}, std::optional<pp::OutputSymbol>{2}}) {
+    ConvergenceProbe probe(expected);
+    probe.on_begin(ctx);
+    Snapshot snapshot;
+    snapshot.counts = counts;
+    snapshot.ctx = &ctx;
+    probe.on_sample(snapshot);
+    probe.on_finish(snapshot);
+    EXPECT_FALSE(probe.converged());
+  }
 }
 
 // --- make_probe ------------------------------------------------------------

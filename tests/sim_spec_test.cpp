@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/batch_runner.hpp"
 #include "sim/specs_from_flags.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -772,6 +773,45 @@ TEST(RunSpecFuzzTest, MutatedSpecsParseOrThrowInvalidArgument) {
   }
   // Both outcomes occur, so the mutations neither all miss nor all break.
   EXPECT_GT(parsed, 100);
+  EXPECT_GT(rejected, 100);
+}
+
+TEST(ValidateSpecFuzzTest, RandomSpecsRunOneTrialOrThrowNamingTheSpec) {
+  // Random specs, mostly backend=auto, shrunk to k <= 4, n <= 2000 and
+  // small budgets: each must either pass every check and run one trial, or
+  // throw std::invalid_argument naming the spec. An abort fails the whole
+  // binary; under ASan, so does an out-of-bounds access.
+  util::Rng rng(0xF024);
+  int ran = 0, rejected = 0;
+  for (int i = 0; i < 1000; ++i) {
+    RunSpec spec = RunSpec::parse(random_spec_text(rng));
+    if (rng.uniform01() < 0.6) spec.backend = EngineKind::kAuto;
+    spec.params.k = 1 + static_cast<std::uint32_t>(rng.uniform_below(4));
+    spec.n = 2 + rng.uniform_below(1999);
+    for (auto& count : spec.workload.counts) count %= 400;
+    spec.engine.max_interactions = 1 + rng.uniform_below(10'000);
+    // Fault bursts run outside the budget.
+    spec.fault_burst_min %= 1000;
+    spec.fault_burst_span %= 1000;
+    const std::string text = spec.to_string();
+    try {
+      const TrialRecord record =
+          BatchRunner::execute_trial(spec, rng());
+      EXPECT_LE(record.outcome.run.interactions,
+                spec.engine.max_interactions)
+          << text;
+      ++ran;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(text), std::string::npos)
+          << "'" << e.what() << "' does not name '" << text << "'";
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "'" << text << "' threw a non-invalid_argument: "
+                    << e.what();
+    }
+  }
+  // Both outcomes occur, so the generator neither all passes nor all fails.
+  EXPECT_GT(ran, 100);
   EXPECT_GT(rejected, 100);
 }
 
