@@ -10,13 +10,14 @@
 //
 // The calibration section times agent, per-step dense and dense_batched to
 // silence on a grid of circles cells and checks that backend=auto picks the
-// fastest backend (within 10%) everywhere; --calibration_only runs just that
-// section (EXPERIMENTS.md, "Auto crossover").
+// fastest backend (within 10%) at every size; --calibration_only runs just
+// that section (EXPERIMENTS.md, "Auto crossover").
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -66,8 +67,8 @@ double transitions_per_second(const pp::Protocol& protocol,
 /// trial-to-trial spread.
 constexpr std::uint64_t kCalibrationWork = 16'000;
 
-/// auto passes a calibration cell when its pick ran within this factor of
-/// the fastest backend.
+/// auto passes a calibration size when its pick ran within this factor of
+/// the fastest backend, summed over the grid's workloads.
 constexpr double kCalibrationSlack = 1.10;
 
 }  // namespace
@@ -170,142 +171,180 @@ int main(int argc, char** argv) {
 
   // Auto crossover calibration: agent, per-step dense and dense_batched run
   // the same circles trials (same seeds, so the same workloads) to silence
-  // on a (k, workload, n) grid with one thread and no telemetry, as a plain
-  // sweep runs them. A backend's figure is its mean trial wall clock, best
-  // of three passes (noise only ever slows a pass down); the backends take
-  // turns going first, and one over 2x the best so far skips its remaining
-  // passes. A backend over 10x slower than the fastest at some n is not run
-  // at the larger n of its row: the gap only widens with n, and those runs
-  // would take minutes.
+  // on a (k, workload, n) grid, one thread, no telemetry. Each backend's
+  // spec is prepared once per cell (kernel compile and engine build are
+  // per spec, not per trial) and the backends take turns trial by trial, so
+  // a slow spell of the machine hits all of them alike. A backend's figure
+  // is its mean trial wall clock, best of three passes; one over 2x the
+  // best so far skips its remaining passes. A backend over 10x slower than
+  // the fastest at some n is not run at the larger n of its row: the gap
+  // only widens with n, and those runs would take minutes.
   //
-  // auto must never pick per-step dense, and where its size rules decide,
-  // its pick must run within kCalibrationSlack of the fastest. Cells where
-  // num_states > n keeps auto on the agent array follow a memory rule, not
-  // a speed one (at k=12 n=1000 one dense_batched trial peaks 3 MB above
-  // the agent array): they are reported with their ratio but not held to
-  // it.
-  std::uint32_t calibration_cells = 0, calibration_failures = 0;
-  std::uint32_t memory_rule_cells = 0;
+  // auto must never pick per-step dense. Its rules see k and n, not the
+  // workload, so it is held to the grid's workloads together: at each
+  // (k, n) its pick's summed time must be within kCalibrationSlack of the
+  // best single backend's. Cells where a single workload's fastest backend
+  // differs are reported, not held (at k=3 n=32 margin-1 favours
+  // dense_batched, unique the agent array). Sizes where num_states > n
+  // keeps auto on the agent array follow a memory rule, not a speed one
+  // (at k=12 n=1000 one dense_batched trial peaks 3 MB above the agent
+  // array): they are reported with their ratio but not held to it.
+  std::uint32_t calibration_sizes = 0, calibration_failures = 0;
+  std::uint32_t memory_rule_sizes = 0, cell_misses = 0;
   double memory_rule_worst = 1.0;
   std::string calibration_failure;
   {
     constexpr std::array<sim::EngineKind, 3> backends{
         sim::EngineKind::kAgentArray, sim::EngineKind::kDense,
         sim::EngineKind::kDenseBatched};
+    constexpr std::array<const char*, 2> workloads{"unique", "margin1"};
     constexpr int passes = 3;
-    auto options = batch;
-    options.threads = 1;
-    options.keep_trials = false;
-    options.metrics = nullptr;
-    options.progress = nullptr;
-    util::Table table({"k", "workload", "n", "trials", "agent ms", "dense ms",
-                       "dense_batched ms", "fastest", "auto",
-                       "auto / fastest"});
+    constexpr double kNotRun = std::numeric_limits<double>::infinity();
+    const std::uint64_t calibration_seed = sim::mix_seed(seed, 0xCA1B);
     const std::vector<std::uint64_t> calibration_n =
         smoke ? std::vector<std::uint64_t>{32, 64, 128, 256, 1000}
               : std::vector<std::uint64_t>{32,   64,   128,  256,
                                            512,  1000, 2000, 4000,
                                            8000, 16000, 30000};
+    util::Table table({"k", "n", "workload", "trials", "agent ms",
+                       "dense ms", "dense_batched ms", "fastest", "auto",
+                       "auto / fastest"});
     for (const std::uint32_t k : {3u, 5u, 12u}) {
-      for (const char* workload : {"unique", "margin1"}) {
-        std::array<bool, 3> pruned{};
-        for (const std::uint64_t n : calibration_n) {
+      // Per workload row: backends dropped at a smaller n.
+      std::array<std::array<bool, 3>, 2> pruned{};
+      for (const std::uint64_t n : calibration_n) {
+        std::array<double, 3> size_ms{};  // summed over the workloads
+        sim::EngineKind pick = sim::EngineKind::kAuto;
+        std::string reason;
+        bool memory_rule = false;
+        for (std::size_t w = 0; w < workloads.size(); ++w) {
           sim::RunSpec spec;
           spec.protocol = "circles";
           spec.params.k = k;
           spec.n = n;
-          spec.workload = sim::WorkloadSpec::parse(workload);
+          spec.workload = sim::WorkloadSpec::parse(workloads[w]);
           spec.trials = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
-              kCalibrationWork / (smoke ? 4 : 1) / spec.n, 1, 200));
-          spec.seed = sim::mix_seed(seed, 0xCA1B);
+              kCalibrationWork / (smoke ? 4 : 1) / n, 1, 200));
           spec.engine.max_interactions = ~std::uint64_t{0};
+          std::array<std::optional<sim::PreparedSpec>, 3> prepared;
+          for (std::size_t b = 0; b < backends.size(); ++b) {
+            if (pruned[w][b]) continue;
+            spec.backend = backends[b];
+            prepared[b].emplace(spec, sim::ProtocolRegistry::global());
+          }
 
-          // Not run: infinitely slow.
           std::array<double, 3> ms;
-          ms.fill(std::numeric_limits<double>::infinity());
+          ms.fill(kNotRun);
           for (int pass = 0; pass < passes; ++pass) {
             const double best = *std::min_element(ms.begin(), ms.end());
-            for (std::size_t i = 0; i < backends.size(); ++i) {
-              const std::size_t b = (pass + i) % backends.size();
-              if (pruned[b] || ms[b] > 2.0 * best) continue;
-              spec.backend = backends[b];
-              ms[b] = std::min(
-                  ms[b],
-                  sim::BatchRunner(options).run_one(spec).trial_ms.mean);
+            std::array<double, 3> total{};
+            for (std::uint32_t t = 0; t < spec.trials; ++t) {
+              const std::uint64_t trial_seed =
+                  sim::trial_seed(calibration_seed, t);
+              for (std::size_t i = 0; i < backends.size(); ++i) {
+                const std::size_t b = (pass + i) % backends.size();
+                if (!prepared[b] || ms[b] > 2.0 * best) continue;
+                const auto start = Clock::now();
+                (void)prepared[b]->run_trial(trial_seed);
+                total[b] += seconds_since(start) * 1000.0;
+              }
+            }
+            for (std::size_t b = 0; b < backends.size(); ++b) {
+              if (prepared[b] && ms[b] <= 2.0 * best) {
+                ms[b] = std::min(ms[b], total[b] / spec.trials);
+              }
             }
           }
           const auto fastest = static_cast<std::size_t>(
               std::min_element(ms.begin(), ms.end()) - ms.begin());
+          for (std::size_t b = 0; b < backends.size(); ++b) {
+            size_ms[b] += ms[b];
+            if (ms[b] > 10.0 * ms[fastest]) pruned[w][b] = true;
+          }
+
           spec.backend = sim::EngineKind::kAuto;
-          const sim::PreparedSpec prepared(spec,
+          const sim::PreparedSpec resolved(spec,
                                            sim::ProtocolRegistry::global());
-          const auto pick = static_cast<std::size_t>(
-              std::find(backends.begin(), backends.end(),
-                        prepared.backend()) -
+          pick = resolved.backend();
+          reason = resolved.auto_reason();
+          memory_rule = n >= sim::kAutoDenseMinN &&
+                        resolved.kernel().num_states() > n;
+          const auto at = static_cast<std::size_t>(
+              std::find(backends.begin(), backends.end(), pick) -
               backends.begin());
           // A pick outside the three timed backends, or a pruned one, has
-          // no figure: the ratio is infinite and the cell fails.
-          const double ratio = pick < backends.size()
-                                   ? ms[pick] / ms[fastest]
-                                   : std::numeric_limits<double>::infinity();
-          const bool memory_rule =
-              spec.n >= sim::kAutoDenseMinN &&
-              prepared.kernel().num_states() > spec.n;
-          const bool ok = prepared.backend() != sim::EngineKind::kDense &&
-                          (memory_rule || ratio <= kCalibrationSlack);
-          ++calibration_cells;
-          if (memory_rule) {
-            ++memory_rule_cells;
-            memory_rule_worst = std::max(memory_rule_worst, ratio);
-          }
-          if (!ok) {
-            ++calibration_failures;
-            if (calibration_failure.empty()) {
-              calibration_failure = "auto picks " +
-                                    sim::to_string(prepared.backend()) +
-                                    " on circles k=" + std::to_string(k) +
-                                    " n=" + std::to_string(n) + " " +
-                                    workload + " (" +
-                                    util::Table::num(ratio, 2) +
-                                    "x the fastest, " +
-                                    sim::to_string(backends[fastest]) + ")";
-            }
-          }
-          for (std::size_t b = 0; b < backends.size(); ++b) {
-            if (ms[b] > 10.0 * ms[fastest]) pruned[b] = true;
-          }
+          // no figure: the ratio is infinite.
+          const double ratio =
+              at < backends.size() ? ms[at] / ms[fastest] : kNotRun;
+          if (!memory_rule && ratio > kCalibrationSlack) ++cell_misses;
 
           auto& cell = report.add_cell()
                            .set("section", "calibration")
                            .set("protocol", "circles")
                            .set("k", std::uint64_t{k})
                            .set("n", n)
-                           .set("workload", workload)
+                           .set("workload", workloads[w])
                            .set("trials",
                                 static_cast<std::uint64_t>(spec.trials));
-          const auto ms_cell = [](double v) {
-            return std::isinf(v) ? std::string("-") : util::Table::num(v, 3);
-          };
           for (std::size_t b = 0; b < backends.size(); ++b) {
             if (!std::isinf(ms[b])) {
               cell.set(sim::to_string(backends[b]) + "_ms", ms[b]);
             }
           }
           cell.set("fastest", sim::to_string(backends[fastest]))
-              .set("auto", sim::to_string(prepared.backend()))
-              .set("auto_reason", prepared.auto_reason())
+              .set("auto", sim::to_string(pick))
+              .set("auto_reason", reason)
               .set("auto_over_fastest", ratio)
-              .set("rule", memory_rule ? "memory" : "speed")
-              .set("auto_ok", ok ? "yes" : "no");
-          table.add_row({std::to_string(k), workload, std::to_string(n),
-                         std::to_string(spec.trials), ms_cell(ms[0]),
-                         ms_cell(ms[1]), ms_cell(ms[2]),
+              .set("rule", memory_rule ? "memory" : "speed");
+          const auto ms_text = [](double v) {
+            return std::isinf(v) ? std::string("-") : util::Table::num(v, 3);
+          };
+          table.add_row({std::to_string(k), std::to_string(n), workloads[w],
+                         std::to_string(spec.trials), ms_text(ms[0]),
+                         ms_text(ms[1]), ms_text(ms[2]),
                          sim::to_string(backends[fastest]),
-                         sim::to_string(prepared.backend()),
+                         sim::to_string(pick),
                          util::Table::num(ratio, 2) +
-                             (memory_rule ? " (states > n)"
-                                          : ok ? ""
-                                               : " FAIL")});
+                             (memory_rule ? " (states > n)" : "")});
+        }
+
+        // The size verdict: auto's pick against the best single backend
+        // over both workloads.
+        const auto best = static_cast<std::size_t>(
+            std::min_element(size_ms.begin(), size_ms.end()) -
+            size_ms.begin());
+        const auto at = static_cast<std::size_t>(
+            std::find(backends.begin(), backends.end(), pick) -
+            backends.begin());
+        const double ratio =
+            at < backends.size() ? size_ms[at] / size_ms[best] : kNotRun;
+        const bool ok = pick != sim::EngineKind::kDense &&
+                        (memory_rule || ratio <= kCalibrationSlack);
+        ++calibration_sizes;
+        if (memory_rule) {
+          ++memory_rule_sizes;
+          memory_rule_worst = std::max(memory_rule_worst, ratio);
+        }
+        report.add_cell()
+            .set("section", "calibration_size")
+            .set("protocol", "circles")
+            .set("k", std::uint64_t{k})
+            .set("n", n)
+            .set("fastest", sim::to_string(backends[best]))
+            .set("auto", sim::to_string(pick))
+            .set("auto_reason", reason)
+            .set("auto_over_fastest", ratio)
+            .set("rule", memory_rule ? "memory" : "speed")
+            .set("auto_ok", ok ? "yes" : "no");
+        if (!ok) {
+          ++calibration_failures;
+          if (calibration_failure.empty()) {
+            calibration_failure =
+                "auto picks " + sim::to_string(pick) + " on circles k=" +
+                std::to_string(k) + " n=" + std::to_string(n) + " (" +
+                util::Table::num(ratio, 2) + "x the fastest, " +
+                sim::to_string(backends[best]) + ", over both workloads)";
+          }
         }
       }
     }
@@ -313,12 +352,14 @@ int main(int argc, char** argv) {
                 "of 3 passes, 1 thread; '-' = not run, over 10x the fastest "
                 "at a smaller n)");
     std::printf(
-        "auto calibration: %u/%u speed-rule cells within %.0f%% of the "
-        "fastest backend, none on per-step dense; %u cells kept on agent by "
+        "auto calibration: %u/%u speed-rule sizes within %.0f%% of the "
+        "fastest backend over both workloads, none on per-step dense; %u "
+        "single-workload cells beyond %.0f%%; %u sizes kept on agent by "
         "num_states > n (up to %.2fx the fastest): %s\n",
-        calibration_cells - memory_rule_cells - calibration_failures,
-        calibration_cells - memory_rule_cells,
-        (kCalibrationSlack - 1.0) * 100.0, memory_rule_cells,
+        calibration_sizes - memory_rule_sizes - calibration_failures,
+        calibration_sizes - memory_rule_sizes,
+        (kCalibrationSlack - 1.0) * 100.0, cell_misses,
+        (kCalibrationSlack - 1.0) * 100.0, memory_rule_sizes,
         memory_rule_worst, calibration_failures == 0 ? "PASS" : "FAIL");
   }
   const bool calibration_ok = calibration_failures == 0;
@@ -326,8 +367,8 @@ int main(int argc, char** argv) {
     write_report();
     return bench::verdict(
         calibration_ok,
-        calibration_ok ? "auto picks a backend within 10% of the fastest on "
-                         "every calibration cell its size rules decide"
+        calibration_ok ? "auto picks a backend within 10% of the fastest at "
+                         "every calibration size its size rules decide"
                        : calibration_failure);
   }
 
