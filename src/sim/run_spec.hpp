@@ -95,11 +95,13 @@ enum class EngineKind {
   kAuto,
 };
 
-/// Auto-dispatch thresholds: below kAutoDenseMinN the agent array is as
-/// fast as dense_batched and strictly more featureful (the calibration
-/// grid's agent/dense_batched crossover); from kAutoFluidMinN the
-/// mean-field model error O(1/sqrt(n)) drops below the discrete chain's own
-/// trial-to-trial noise and the ODE costs nothing as n grows.
+/// Auto-dispatch thresholds: below kAutoDenseMinN the agent array beats
+/// dense_batched on most inputs and is strictly more featureful (the
+/// agent/dense_batched crossover of bench_throughput's calibration grid;
+/// at circles k=3 n=32 only margin-1 inputs run faster batched); from
+/// kAutoFluidMinN the mean-field model error O(1/sqrt(n)) drops below the
+/// discrete chain's own trial-to-trial noise and the ODE costs nothing as
+/// n grows.
 inline constexpr std::uint64_t kAutoDenseMinN = 64;
 inline constexpr std::uint64_t kAutoFluidMinN = 100'000'000;
 
