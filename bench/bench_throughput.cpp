@@ -62,9 +62,10 @@ double transitions_per_second(const pp::Protocol& protocol,
   return elapsed > 0 ? static_cast<double>(calls) / elapsed : 0.0;
 }
 
-/// Trials per calibration cell: about this many agents in total (a quarter
-/// under --smoke), 1 to 200 trials, so small-n cells average out
-/// trial-to-trial spread.
+/// Trials per calibration cell: about this many agents in total, 1 to 200
+/// trials, so small-n cells average out trial-to-trial spread. --smoke
+/// runs fewer sizes, not fewer trials: a smoke cell samples the same
+/// trials as the full grid's.
 constexpr std::uint64_t kCalibrationWork = 16'000;
 
 /// auto passes a calibration size when its pick ran within this factor of
@@ -223,8 +224,8 @@ int main(int argc, char** argv) {
           spec.params.k = k;
           spec.n = n;
           spec.workload = sim::WorkloadSpec::parse(workloads[w]);
-          spec.trials = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
-              kCalibrationWork / (smoke ? 4 : 1) / n, 1, 200));
+          spec.trials = static_cast<std::uint32_t>(
+              std::clamp<std::uint64_t>(kCalibrationWork / n, 1, 200));
           spec.engine.max_interactions = ~std::uint64_t{0};
           std::array<std::optional<sim::PreparedSpec>, 3> prepared;
           for (std::size_t b = 0; b < backends.size(); ++b) {
