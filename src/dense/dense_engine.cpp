@@ -8,7 +8,6 @@
 #include "metrics/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "trace/trace.hpp"
-#include "util/arena.hpp"
 #include "util/check.hpp"
 
 namespace circles::dense {
@@ -72,20 +71,20 @@ DenseEngine::DenseEngine(std::shared_ptr<const kernel::CompiledProtocol> kernel,
 }
 
 /// Run-local state shared by both modes. The per-urn count/presence/used
-/// fields live in a few contiguous (urn, state)-indexed arena slabs so the
-/// epoch hot loops walk adjacent memory; the caller's count storage is
-/// copied in once here and copied back by sync_out() when the run ends.
+/// fields live in a few contiguous (urn, state)-indexed slabs so the epoch
+/// hot loops walk adjacent memory; the caller's count storage is copied in
+/// once here and copied back by sync_out() when the run ends.
 struct DenseEngine::Sim {
   /// One urn (cluster): a count-vector view plus its presence bookkeeping.
   /// `present` contains every state with count > 0, possibly plus stale
   /// zero-count entries; compact() drops the latter. The categorical walks
   /// skip zero counts naturally.
   struct Urn {
-    std::span<std::uint64_t> counts;  // arena slab row, num_states wide
+    std::span<std::uint64_t> counts;  // counts_flat row, num_states wide
     std::span<std::uint64_t> out;     // the caller's storage (copy-back)
     std::uint64_t n = 0;  // fixed urn size (counts always sum to this)
     std::vector<pp::StateId> present;
-    std::span<std::uint8_t> in_present;  // arena slab row
+    std::span<std::uint8_t> in_present;  // in_present_flat row
     // Set by add_count when a count reaches zero: only then can `present`
     // hold a stale entry, so compact() of an unflagged urn is skipped.
     bool has_zero = false;
@@ -94,7 +93,7 @@ struct DenseEngine::Sim {
     bool index_stale = true;
     // Epoch scratch: post-transition state histogram of this epoch's
     // participants, reset via `touched`.
-    std::span<std::uint64_t> used;  // arena slab row
+    std::span<std::uint64_t> used;  // used_flat row
     std::vector<pp::StateId> touched;
     std::uint64_t used_total = 0;
   };
@@ -102,7 +101,10 @@ struct DenseEngine::Sim {
   const DenseEngine& engine;
   util::Rng& rng;
   obs::Recorder* recorder;  // null: no probes
-  util::Arena arena;  // backs every flat slab below; append-only, run-local
+  // The urns' rows, (urn, state)-indexed; sized once, never reallocated.
+  std::vector<std::uint64_t> counts_flat;
+  std::vector<std::uint8_t> in_present_flat;
+  std::vector<std::uint64_t> used_flat;
   std::vector<Urn> urns;
   std::size_t num_urns = 0;
   std::uint64_t n = 0;  // total population
@@ -123,28 +125,28 @@ struct DenseEngine::Sim {
   //                    A[s][s] c_u[s],
   // kept exact by add_count() one count delta at a time (uint64 arithmetic
   // wraps mod 2^64, and the true values fit).
-  std::span<std::uint64_t> active;
+  std::vector<std::uint64_t> active;
   std::uint64_t live_active = 0;
   // Per-(state, urn) partner masses, state-major (index s * num_urns + u):
   // resp_mass[s, v] = sum_{t : A[s][t]} c_v[t] is the responder mass urn v
   // offers initiator state s; init_mass[t, u] = sum_{s : A[s][t]} c_u[s] is
   // the initiator mass urn u offers responder state t. Live for reached
   // states only.
-  std::span<std::uint64_t> resp_mass;
-  std::span<std::uint64_t> init_mass;
+  std::vector<std::uint64_t> resp_mass;
+  std::vector<std::uint64_t> init_mass;
   // The states that have held agents in some urn this run, and their
   // non-null partners among them: responders[s] lists t with A[s][t],
   // initiators[t] lists s with A[s][t]. A state joins in reach(), so the
   // lists cost nonnull lookups over the reached set only, whatever the
   // kernel's table kind.
   std::vector<pp::StateId> reached;
-  std::span<std::uint8_t> in_reached;
-  std::span<std::uint8_t> self_active;  // A[s][s], for reached s
+  std::vector<std::uint8_t> in_reached;
+  std::vector<std::uint8_t> self_active;  // A[s][s], for reached s
   std::vector<std::vector<pp::StateId>> responders;
   std::vector<std::vector<pp::StateId>> initiators;
   // Epoch count deltas, staged per (urn, state) and applied once by
   // flush_staged() (two's complement; `staged_list` may repeat an index).
-  std::span<std::uint64_t> staged;
+  std::vector<std::uint64_t> staged;
   std::vector<std::size_t> staged_list;
 
   // This run's span buffer (the run thread's; null = tracing off).
@@ -181,29 +183,26 @@ struct DenseEngine::Sim {
     const std::size_t states = engine.num_states_;
     const std::size_t num_blocks = num_urns * num_urns;
 
-    const std::span<std::uint64_t> counts_flat =
-        arena.alloc<std::uint64_t>(num_urns * states);
-    const std::span<std::uint8_t> in_present_flat =
-        arena.alloc<std::uint8_t>(num_urns * states);
-    const std::span<std::uint64_t> used_flat =
-        arena.alloc<std::uint64_t>(num_urns * states);
-    active = arena.alloc<std::uint64_t>(num_blocks);
-    resp_mass = arena.alloc<std::uint64_t>(states * num_urns);
-    init_mass = arena.alloc<std::uint64_t>(states * num_urns);
-    in_reached = arena.alloc<std::uint8_t>(states);
-    self_active = arena.alloc<std::uint8_t>(states);
+    counts_flat.resize(num_urns * states);
+    in_present_flat.resize(num_urns * states);
+    used_flat.resize(num_urns * states);
+    active.resize(num_blocks);
+    resp_mass.resize(states * num_urns);
+    init_mass.resize(states * num_urns);
+    in_reached.resize(states);
+    self_active.resize(states);
     responders.resize(states);
     initiators.resize(states);
-    staged = arena.alloc<std::uint64_t>(num_urns * states);
+    staged.resize(num_urns * states);
 
     urns.resize(num_urns);
     for (std::size_t u = 0; u < num_urns; ++u) {
       Urn& urn = urns[u];
       CIRCLES_DCHECK(counts[u].size() == states);
       urn.out = counts[u];
-      urn.counts = counts_flat.subspan(u * states, states);
-      urn.in_present = in_present_flat.subspan(u * states, states);
-      urn.used = used_flat.subspan(u * states, states);
+      urn.counts = std::span(counts_flat).subspan(u * states, states);
+      urn.in_present = std::span(in_present_flat).subspan(u * states, states);
+      urn.used = std::span(used_flat).subspan(u * states, states);
     }
     // The working counts start at zero and every initial count enters as a
     // delta, so the active-pair bookkeeping has exactly one update path.
@@ -230,10 +229,13 @@ struct DenseEngine::Sim {
     }
     check_active();
   }
+  // The urns' spans point into this Sim's slabs.
+  Sim(const Sim&) = delete;
+  Sim& operator=(const Sim&) = delete;
 
   /// Copies the working counts back into the caller's storage. run_impl
   /// calls this once, after the run loop; everything in between mutates
-  /// only the arena slabs.
+  /// only the slabs.
   void sync_out() {
     for (Urn& urn : urns) {
       std::copy(urn.counts.begin(), urn.counts.end(), urn.out.begin());
@@ -833,29 +835,20 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result) const {
 
   LastChangeMark mark;
 
-  // Per-epoch scratch, carved from the run's arena once: stride-S rows per
-  // block for the role deals, per-urn rows for the participant draws. Only
-  // `seq` keeps a dynamic vector (its length varies per epoch); it reuses
-  // its capacity across epochs.
+  // Per-epoch scratch, sized once per run: stride-S rows per block for the
+  // role deals, per-urn rows for the participant draws. Only `seq` changes
+  // length per epoch; it reuses its capacity across epochs.
   const std::size_t states = num_states_;
   std::vector<std::uint32_t> seq;                  // multi-urn block sequence
-  const std::span<std::uint64_t> block_len =
-      sim.arena.alloc<std::uint64_t>(num_blocks);
-  const std::span<std::uint64_t> block_productive =
-      sim.arena.alloc<std::uint64_t>(num_blocks);
-  const std::span<std::uint64_t> phase1_used =
-      sim.arena.alloc<std::uint64_t>(u_count);
-  const std::span<std::size_t> width = sim.arena.alloc<std::size_t>(u_count);
-  const std::span<std::uint64_t> init_flat =
-      sim.arena.alloc<std::uint64_t>(num_blocks * states);
-  const std::span<std::uint64_t> resp_flat =
-      sim.arena.alloc<std::uint64_t>(num_blocks * states);
-  const std::span<std::uint64_t> pool_flat =
-      sim.arena.alloc<std::uint64_t>(u_count * states);
-  const std::span<std::uint64_t> drawn_flat =
-      sim.arena.alloc<std::uint64_t>(u_count * states);
-  const std::span<std::uint64_t> rem_flat =
-      sim.arena.alloc<std::uint64_t>(u_count * states);
+  std::vector<std::uint64_t> block_len(num_blocks);
+  std::vector<std::uint64_t> block_productive(num_blocks);
+  std::vector<std::uint64_t> phase1_used(u_count);
+  std::vector<std::size_t> width(u_count);
+  std::vector<std::uint64_t> init_flat(num_blocks * states);
+  std::vector<std::uint64_t> resp_flat(num_blocks * states);
+  std::vector<std::uint64_t> pool_flat(u_count * states);
+  std::vector<std::uint64_t> drawn_flat(u_count * states);
+  std::vector<std::uint64_t> rem_flat(u_count * states);
 
   while (!result.silent && result.interactions < options_.max_interactions) {
     const std::uint64_t remaining =
@@ -1052,10 +1045,12 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result) const {
         }
         if (t_u == 0) continue;
 
-        const std::span<std::uint64_t> pool = pool_flat.subspan(u * states, w);
+        const std::span<std::uint64_t> pool =
+            std::span(pool_flat).subspan(u * states, w);
         const std::span<std::uint64_t> drawn =
-            drawn_flat.subspan(u * states, w);
-        const std::span<std::uint64_t> rem = rem_flat.subspan(u * states, w);
+            std::span(drawn_flat).subspan(u * states, w);
+        const std::span<std::uint64_t> rem =
+            std::span(rem_flat).subspan(u * states, w);
         for (std::size_t i = 0; i < w; ++i) {
           pool[i] = urn.counts[urn.present[i]];
         }
@@ -1080,11 +1075,11 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result) const {
         };
         for (std::size_t v = 0; v < u_count; ++v) {
           const std::size_t b = u * u_count + v;
-          deal_role(init_flat.subspan(b * states, w), block_len[b]);
+          deal_role(std::span(init_flat).subspan(b * states, w), block_len[b]);
         }
         for (std::size_t v = 0; v < u_count; ++v) {
           const std::size_t b = v * u_count + u;
-          deal_role(resp_flat.subspan(b * states, w), block_len[b]);
+          deal_role(std::span(resp_flat).subspan(b * states, w), block_len[b]);
         }
       }
 
@@ -1103,9 +1098,9 @@ void DenseEngine::run_batched(Sim& sim, pp::RunResult& result) const {
         const std::size_t bu = b / u_count;
         const std::size_t bv = b % u_count;
         const std::span<const std::uint64_t> init =
-            init_flat.subspan(b * states, width[bu]);
+            std::span(init_flat).subspan(b * states, width[bu]);
         const std::span<std::uint64_t> resp =
-            resp_flat.subspan(b * states, width[bv]);
+            std::span(resp_flat).subspan(b * states, width[bv]);
         std::uint64_t resp_pool = block_len[b];
         for (std::size_t a = 0; a < init.size(); ++a) {
           std::uint64_t need = init[a];

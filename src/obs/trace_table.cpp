@@ -10,10 +10,10 @@ namespace circles::obs {
 
 namespace {
 
-/// Shared by the CSV and JSONL sinks. Deliberately NOT util::CsvWriter's
-/// cell(double) (%.10g): traces feed regression comparisons, so a value
-/// must survive the write/parse round trip bit-exactly (%.17g does;
-/// column names are code-controlled identifiers, so no escaping either).
+/// Shared by the CSV and JSONL sinks. %.17g: traces feed regression
+/// comparisons, so a value must survive the write/parse round trip
+/// bit-exactly (column names are code-controlled identifiers, so no
+/// escaping either).
 std::string format_cell(double v) {
   char buffer[40];
   std::snprintf(buffer, sizeof(buffer), "%.17g", v);

@@ -19,7 +19,6 @@
 #include "pp/schedulers/shuffled_sweep.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace circles::sim {
 
@@ -304,7 +303,7 @@ void validate_spec(const RunSpec& spec, const pp::Protocol& protocol) {
         std::to_string(spec.run_threads != 1 ? spec.run_threads
                                              : spec.engine.run_threads) +
         " threads inside a run; every run is serial inside (threads=1), "
-        "trials spread across the batch pool instead (sweep --threads)");
+        "trials spread across the batch's threads instead (sweep --threads)");
   }
   if (spec.engine.metrics != nullptr || spec.engine.tracer != nullptr) {
     throw std::invalid_argument(
@@ -698,11 +697,11 @@ std::vector<SpecResult> BatchRunner::run(
   // spec of the batch; collected once, stamped with the batch start time.
   const metrics::RunManifest base_manifest = metrics::RunManifest::collect();
 
-  // Across-trial width: trials run on one pool, whose size (helpers + 1)
-  // caps it, as does the job count. Results are bitwise identical at every
-  // width — this is purely a wall-clock decision.
-  util::ThreadPool& pool = util::ThreadPool::shared();
-  const std::uint32_t cores = pool.helpers() + 1;
+  // Across-trial width: the core count caps it, as does the job count.
+  // Results are bitwise identical at every width — this is purely a
+  // wall-clock decision.
+  const std::uint32_t cores =
+      std::max(std::thread::hardware_concurrency(), 1u);
   std::size_t total_jobs = 0;
   for (const RunSpec& spec : specs) total_jobs += spec.trials;
   const std::uint32_t threads = static_cast<std::uint32_t>(
@@ -798,10 +797,10 @@ std::vector<SpecResult> BatchRunner::run(
 
   const auto run_phase_start = std::chrono::steady_clock::now();
 
-  // One (spec, trial) job. Nothing may escape it: on a pool helper an
+  // One (spec, trial) job. Nothing may escape it: on a batch thread an
   // exception would call std::terminate, so the first one is parked in
-  // `error` (rethrown on this thread once the pool drains) and the jobs
-  // not yet started are skipped.
+  // `error` (rethrown on this thread once every batch thread has joined)
+  // and the jobs not yet started are skipped.
   const auto run_job = [&](std::size_t index) {
     if (failed.load(std::memory_order_relaxed)) return;
     const Job job = jobs[index];
@@ -843,6 +842,17 @@ std::vector<SpecResult> BatchRunner::run(
       fail("worker exception (unknown)");
     }
   };
+  // Each batch thread claims jobs one at a time until none is left; which
+  // thread runs which job is racy on purpose, and harmless: every job
+  // writes only its own record, and aggregation runs afterwards in order.
+  std::atomic<std::size_t> next_job{0};
+  const auto drain_jobs = [&]() {
+    for (std::size_t index = next_job.fetch_add(1, std::memory_order_relaxed);
+         index < jobs.size();
+         index = next_job.fetch_add(1, std::memory_order_relaxed)) {
+      run_job(index);
+    }
+  };
 
   const auto snapshot_progress = [&]() {
     BatchProgress progress;
@@ -856,8 +866,8 @@ std::vector<SpecResult> BatchRunner::run(
   };
 
   // The heartbeat runs on its own thread so a single giant trial cannot
-  // starve it; it exits promptly via the condition variable when the pool
-  // drains (or a worker throws).
+  // starve it; it exits promptly via the condition variable when the batch
+  // threads have joined (or a job threw).
   std::mutex heartbeat_mutex;
   std::condition_variable heartbeat_cv;
   bool heartbeat_stop = false;
@@ -875,7 +885,15 @@ std::vector<SpecResult> BatchRunner::run(
   }
 
   phase_begin("batch.run");
-  pool.parallel_for(jobs.size(), threads, run_job);
+  // Width 1 runs inline on the calling thread; wider batches start
+  // threads - 1 threads for this batch, and the caller drains alongside.
+  std::vector<std::thread> batch_threads;
+  batch_threads.reserve(threads - 1);
+  for (std::uint32_t t = 1; t < threads; ++t) {
+    batch_threads.emplace_back(drain_jobs);
+  }
+  drain_jobs();
+  for (std::thread& thread : batch_threads) thread.join();
   if (heartbeat.joinable()) {
     {
       std::lock_guard<std::mutex> lock(heartbeat_mutex);
@@ -901,8 +919,8 @@ std::vector<SpecResult> BatchRunner::run(
   phase_end("batch.aggregate");
 
   // Phase breakdown and utilization. busy/available measures how well the
-  // (spec, trial) jobs filled the pool: low utilization on a long batch
-  // means stragglers (one giant spec serializing the tail).
+  // (spec, trial) jobs filled the batch threads: low utilization on a long
+  // batch means stragglers (one giant spec serializing the tail).
   double busy_ms = 0.0;
   for (const SpecResult& result : results) {
     busy_ms += result.trial_ms.mean * static_cast<double>(

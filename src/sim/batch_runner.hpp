@@ -1,4 +1,4 @@
-// BatchRunner: execute a vector of RunSpecs on the shared util::ThreadPool.
+// BatchRunner: execute a vector of RunSpecs across a batch's threads.
 //
 // Each spec is prepared once (sim::PreparedSpec: checks, backend choice,
 // kernel, engine); every (spec, trial) pair is then an independent job whose
@@ -145,9 +145,11 @@ struct BatchProgress {
 };
 
 struct BatchOptions {
-  /// Across-trial width; 0 = every core. Capped at the shared pool's
-  /// width (util::ThreadPool::shared().helpers() + 1) and at the job count;
-  /// the manifests and the batch.threads gauge record the width that ran.
+  /// Across-trial width; 0 = every core. Capped at
+  /// std::thread::hardware_concurrency() and at the job count; the
+  /// manifests and the batch.threads gauge record the width that ran.
+  /// run() starts width - 1 threads for the batch and joins them before
+  /// it returns; width 1 runs every trial on the calling thread.
   std::uint32_t threads = 0;
 
   /// Base seed feeding specs that do not fix their own seed.

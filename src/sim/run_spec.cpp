@@ -1,7 +1,6 @@
 #include "sim/run_spec.hpp"
 
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -430,39 +429,22 @@ RunSpec RunSpec::parse(const std::string& text) {
 }
 
 std::optional<pp::UrnLumping> scheduler_lumping(const RunSpec& spec,
-                                                const pp::Protocol* protocol) {
+                                                const pp::Protocol*) {
   if (spec.scheduler_factory) return std::nullopt;
   const std::uint64_t n = spec.effective_n();
   if (n < 2) return std::nullopt;
-  // Probe instances of the lumpable kinds are O(U^2) to build; the other
-  // kinds answer nullopt but can be expensive to construct (a shuffled
-  // sweep materializes n(n-1) pairs — its header caps comfort at n ~ 1024),
-  // so the hook is only consulted on instances that are cheap to make.
-  const bool cheap = spec.scheduler == pp::SchedulerKind::kUniformRandom ||
-                     spec.scheduler == pp::SchedulerKind::kClustered;
-  if (!cheap && (n > 1024 || (protocol == nullptr &&
-                              spec.scheduler ==
-                                  pp::SchedulerKind::kAdversarialDelay))) {
-    return std::nullopt;
+  switch (spec.scheduler) {
+    case pp::SchedulerKind::kUniformRandom:
+      return pp::UrnLumping::uniform(n);
+    case pp::SchedulerKind::kClustered: {
+      pp::UrnLumping lumping =
+          pp::clustered_lumping(n, spec.clustered_options());
+      lumping.validate();
+      return lumping;
+    }
+    default:
+      return std::nullopt;
   }
-  const pp::ClusteredOptions clustered = spec.clustered_options();
-  if (n <= std::numeric_limits<std::uint32_t>::max()) {
-    const auto probe =
-        pp::make_scheduler(spec.scheduler, static_cast<std::uint32_t>(n),
-                           /*seed=*/0, protocol, &clustered);
-    return probe->lumping();
-  }
-  // Beyond the agent-id range no probe instance can exist; the lumpable
-  // kinds' contracts are closed-form, everything else is agent-bound.
-  if (spec.scheduler == pp::SchedulerKind::kUniformRandom) {
-    return pp::UrnLumping::uniform(n);
-  }
-  if (spec.scheduler == pp::SchedulerKind::kClustered) {
-    pp::UrnLumping lumping = pp::clustered_lumping(n, clustered);
-    lumping.validate();
-    return lumping;
-  }
-  return std::nullopt;
 }
 
 std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) {

@@ -4,7 +4,7 @@
 // protocol (by registry name) on which workload family, at which population
 // size, under which scheduler, for how many trials, with which engine
 // options and instrumentation. The BatchRunner executes vectors of RunSpecs
-// across a thread pool with fully deterministic per-trial seeding, so a spec
+// across threads with fully deterministic per-trial seeding, so a spec
 // grid IS the experiment — binaries only format the aggregated results.
 #pragma once
 
@@ -75,9 +75,11 @@ enum class EngineKind {
   /// only: auto never picks it.
   kDense,
   /// dense::DenseEngine, batched mode: collision-free epochs of ~sqrt(n)
-  /// interactions advanced with hypergeometric draws per urn-pair block —
-  /// auto's count backend from kAutoDenseMinN up to the fluid tier.
-  /// Lumpable schedulers only, like kDense.
+  /// interactions, each sampled agent by agent when it touches few agents
+  /// against the urns' present states (most epochs), else dealt with
+  /// hypergeometric draws per urn-pair block; sparse activity is
+  /// fast-forwarded — auto's count backend from kAutoDenseMinN up to the
+  /// fluid tier. Lumpable schedulers only, like kDense.
   kDenseBatched,
   /// fluid::FluidEngine: the lumped count chain integrated as a mean-field
   /// ODE (adaptive embedded RK pair, rtol/atol via RunSpec::rtol/atol),
@@ -265,14 +267,14 @@ struct RunSpec {
   static RunSpec parse(const std::string& text);
 };
 
-/// The exact count-level lumping of the spec's scheduler, if it has one:
-/// builds a probe scheduler instance (seed-independent by contract) and asks
-/// pp::Scheduler::lumping() — this is how the BatchRunner decides "is this
-/// spec count-simulable?" and with which urn structure. Returns nullopt for
-/// scheduler_factory specs and non-lumpable kinds. Probe instances of
-/// expensive kinds (a shuffled sweep materializes O(n^2) pairs) are only
-/// built at small n; their lumping() is nullopt anyway. `protocol` is
-/// needed only by kinds whose construction requires it (adversarial).
+/// The exact count-level lumping of the spec's scheduler, if it has one —
+/// how the BatchRunner decides "is this spec count-simulable?" and with which
+/// urn structure. Answered from the scheduler kind, without building a
+/// scheduler: uniform is one urn, clustered is pp::clustered_lumping of the
+/// spec's cluster shape (validated; throws std::invalid_argument on a bad
+/// shape). Returns nullopt for scheduler_factory specs, n < 2 and every
+/// other kind. Equals pp::make_scheduler(...)->lumping() for every kind
+/// (tested). `protocol` is unused; the parameter stays for existing callers.
 std::optional<pp::UrnLumping> scheduler_lumping(
     const RunSpec& spec, const pp::Protocol* protocol = nullptr);
 

@@ -137,8 +137,8 @@ class SessionBuilder {
     spec_.label = std::move(label);
     return *this;
   }
-  /// Worker threads across trials (the BatchRunner's pool); each run is
-  /// serial inside.
+  /// Threads across trials (BatchOptions::threads); each run is serial
+  /// inside.
   SessionBuilder& threads(std::uint32_t threads) {
     batch_.threads = threads;
     return *this;
@@ -156,7 +156,7 @@ class SessionBuilder {
     return *this;
   }
   /// Attach a span tracer: batch phases, per-trial spans, engine regions and
-  /// pool-worker attribution land in `tracer` (caller-owned; must outlive
+  /// per-thread attribution land in `tracer` (caller-owned; must outlive
   /// run()), and failing trials dump flight-recorder REPRO lines to stderr.
   SessionBuilder& spans(trace::Tracer* tracer) {
     batch_.tracer = tracer;

@@ -28,8 +28,7 @@ std::uint64_t os_pid() {
 
 std::uint64_t os_tid() {
 #ifdef __linux__
-  // One syscall per thread lifetime: cached thread-locally because region
-  // lambdas resolve their buffer per task.
+  // One syscall per thread lifetime.
   static thread_local const std::uint64_t tid =
       static_cast<std::uint64_t>(::syscall(SYS_gettid));
   return tid;
@@ -112,68 +111,29 @@ Tracer::Tracer(TracerOptions options)
     : options_(options), epoch_(std::chrono::steady_clock::now()) {
   // The constructing thread is the batch's driver: register it eagerly so
   // phase spans land under a named "main" track.
-  (void)register_thread(os_tid(), "main");
+  (void)thread_buffer("main");
 }
 
 Tracer::~Tracer() = default;
 
 TraceBuffer* Tracer::thread_buffer(const char* name_hint) {
   const std::uint64_t tid = os_tid();
-  std::size_t index = static_cast<std::size_t>(
-      (tid * 0x9E3779B97F4A7C15ull) >> 32) % kMaxThreads;
-  for (std::size_t probes = 0; probes < kMaxThreads; ++probes) {
-    const std::uint64_t seen = tids_[index].load(std::memory_order_acquire);
-    if (seen == tid) return buffers_[index].load(std::memory_order_acquire);
-    if (seen == 0) return register_thread(tid, name_hint);
-    index = (index + 1) % kMaxThreads;
-  }
-  return register_thread(tid, name_hint);  // table full: recheck under lock
-}
-
-TraceBuffer* Tracer::register_thread(std::uint64_t tid,
-                                     const char* name_hint) {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Double-check: another probe may have registered this thread between the
-  // lock-free miss and acquiring the mutex (the owner thread itself cannot
-  // race here, but the same tid can reach this through a full-table fall-
-  // through).
   for (const auto& owned : owned_) {
-    if (owned->tid() == tid) {
-      return owned.get();
-    }
+    if (owned->tid() == tid) return owned.get();
   }
   std::string name;
-  if (registered_ == 0) {
+  if (owned_.empty()) {
     name = name_hint != nullptr ? name_hint : "main";
   } else {
     name = (name_hint != nullptr ? std::string(name_hint)
                                  : std::string("thread")) +
-           "-" + std::to_string(registered_);
+           "-" + std::to_string(owned_.size());
   }
   owned_.push_back(std::make_unique<TraceBuffer>(options_.buffer_capacity,
                                                  tid, std::move(name),
                                                  epoch_));
-  TraceBuffer* buffer = owned_.back().get();
-  registered_ += 1;
-  // Publish into the lock-free table: buffer pointer before tid, so a
-  // reader that sees the tid always sees the buffer.
-  std::size_t index = static_cast<std::size_t>(
-      (tid * 0x9E3779B97F4A7C15ull) >> 32) % kMaxThreads;
-  for (std::size_t probes = 0; probes < kMaxThreads; ++probes) {
-    std::uint64_t expected = 0;
-    if (tids_[index].load(std::memory_order_acquire) == 0) {
-      buffers_[index].store(buffer, std::memory_order_release);
-      if (tids_[index].compare_exchange_strong(expected, tid,
-                                               std::memory_order_release)) {
-        break;
-      }
-    }
-    index = (index + 1) % kMaxThreads;
-  }
-  // Table overflow (> kMaxThreads live threads) leaves the buffer owned but
-  // unindexed: every lookup from that thread re-takes the mutex. Correct,
-  // merely slower, and unreachable at realistic pool widths.
-  return buffer;
+  return owned_.back().get();
 }
 
 std::vector<Event> Tracer::drain() const {

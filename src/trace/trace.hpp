@@ -5,7 +5,7 @@
 //  * Timelines: per-thread ring buffers of begin/end/instant events drained
 //    into Chrome Trace Event Format JSON (load the file in chrome://tracing
 //    or https://ui.perfetto.dev) so "where does the time go" is answerable
-//    per batch phase, per trial, per dense epoch, per pool worker.
+//    per batch phase, per trial, per dense epoch, per batch thread.
 //  * Failure forensics: the same bounded rings double as a flight recorder.
 //    When a trial fails (grader fail, exhausted budget, validation abort,
 //    uncaught worker exception) the BatchRunner dumps the last-N events plus
@@ -19,9 +19,9 @@
 //  * Tracing NEVER touches the trial RNG streams or reorders work: spans-on
 //    and spans-off runs are bitwise identical on every backend (tested).
 //  * Everything keys off a `Tracer*` that defaults to nullptr. Call sites
-//    resolve their thread's `TraceBuffer*` once per run or region; with no
-//    tracer attached the hot paths compile down to a null-pointer test and
-//    a null ScopedSpan never reads the clock.
+//    resolve their thread's `TraceBuffer*` once per trial, engine run or
+//    probe flush; with no tracer attached the hot paths compile down to a
+//    null-pointer test and a null ScopedSpan never reads the clock.
 //  * Emission is owner-thread-only into a lock-free power-of-two ring
 //    (per-field relaxed stores, one release store on the write index), so a
 //    worker emitting a span never contends with another thread. Readers
@@ -34,7 +34,6 @@
 //    validates (see write_chrome_trace).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -49,8 +48,8 @@ namespace circles::trace {
 struct TracerOptions {
   /// Events retained per thread (rounded up to a power of two). Sized so a
   /// multi-trial batch keeps its setup spans (kernel.compile, batch.trial):
-  /// one pool worker runs several trials in turn, each leaving its
-  /// decimated engine spans (~15k per trial) on that worker's ring.
+  /// one batch thread runs several trials in turn, each leaving its
+  /// decimated engine spans (~15k per trial) on that thread's ring.
   /// ~40 bytes per slot, allocated per registered thread, tracing opt-in.
   std::size_t buffer_capacity = 1 << 16;
   /// Events per flight-recorder dump (most recent first across threads).
@@ -128,8 +127,10 @@ struct FailureContext {
   std::string final_outputs;  // space-separated counts (empty: no outcome)
 };
 
-/// Owns the per-thread buffers and the export/dump machinery. One Tracer per
-/// batch (or per spec under `spans=PATH`); attach via BatchOptions::tracer,
+/// Owns the per-thread buffers and the export/dump machinery. A tracer keeps
+/// one ring for every thread that touches it, for the tracer's lifetime;
+/// BatchRunner::run starts fresh threads per batch, so one Tracer serves one
+/// batch (or one spec under `spans=PATH`). Attach via BatchOptions::tracer,
 /// SessionBuilder::spans(), or sweep --spans-out.
 class Tracer {
  public:
@@ -141,8 +142,9 @@ class Tracer {
   /// This thread's buffer, registering it on first use. `name_hint` labels
   /// the thread in the exported timeline ("trial-worker" becomes "trial-worker-3"); it
   /// is only consulted at registration, so later calls may pass nullptr.
-  /// The constructing thread is pre-registered as "main". Lookup after
-  /// registration is lock-free (one hash probe into an atomic table).
+  /// The constructing thread is pre-registered as "main". Lookup takes the
+  /// tracer's mutex; call sites resolve their buffer once per trial, engine
+  /// run or probe flush, never per event.
   TraceBuffer* thread_buffer(const char* name_hint = nullptr);
 
   /// Snapshot of every buffer's retained events, sorted by timestamp
@@ -165,19 +167,10 @@ class Tracer {
   std::uint64_t events_dropped() const;
 
  private:
-  TraceBuffer* register_thread(std::uint64_t tid, const char* name_hint);
-
-  static constexpr std::size_t kMaxThreads = 256;
-
   TracerOptions options_;
   std::chrono::steady_clock::time_point epoch_;
-  // Lock-free tid -> buffer map: open addressing, tids published with
-  // release stores after the buffer pointer, 0 = empty (no OS uses tid 0).
-  std::array<std::atomic<std::uint64_t>, kMaxThreads> tids_{};
-  std::array<std::atomic<TraceBuffer*>, kMaxThreads> buffers_{};
-  mutable std::mutex mutex_;  // registration + dump serialization
+  mutable std::mutex mutex_;  // buffer lookup + dump serialization
   std::vector<std::unique_ptr<TraceBuffer>> owned_;  // guarded by mutex_
-  std::size_t registered_ = 0;                       // guarded by mutex_
 };
 
 /// Null-safe buffer resolution: the one-liner engines use at run start.

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "metrics/metrics.hpp"
 #include "sim/session.hpp"
@@ -124,6 +126,53 @@ TEST(BatchRunnerTest, PooledTrialExceptionIsRethrownWithOneRepro) {
   EXPECT_NE(err.find("worker exception: grader failed on purpose"),
             std::string::npos)
       << err;
+}
+
+TEST(BatchRunnerTest, ConcurrentBatchesMatchSerialRuns) {
+  // Two batches in flight at once, each with its own threads, must not
+  // share any per-run state: each equals a width-1 run record by record.
+  auto specs = small_grid();
+  specs.push_back(RunSpec::parse(
+      "circles(k=3) n=1000 workload=zipf:1.2 scheduler=clustered clusters=4 "
+      "bridge=0.05 trials=4 backend=dense_batched"));
+  const auto serial = BatchRunner({.threads = 1, .base_seed = 7}).run(specs);
+  std::vector<SpecResult> first;
+  std::vector<SpecResult> second;
+  std::thread a([&]() {
+    first = BatchRunner({.threads = 3, .base_seed = 7}).run(specs);
+  });
+  std::thread b([&]() {
+    second = BatchRunner({.threads = 3, .base_seed = 7}).run(specs);
+  });
+  a.join();
+  b.join();
+  ASSERT_EQ(first.size(), specs.size());
+  ASSERT_EQ(second.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_identical(serial[i], first[i]);
+    expect_identical(serial[i], second[i]);
+  }
+}
+
+TEST(BatchRunnerTest, WidthOneRunsOnTheCallingThread) {
+  std::mutex mutex;
+  std::set<std::thread::id> graders;
+  RunSpec spec;
+  spec.protocol = "circles";
+  spec.params.k = 3;
+  spec.n = 24;
+  spec.trials = 5;
+  spec.grader = [&](const pp::Protocol&, const analysis::Workload&,
+                    std::span<const pp::ColorId>, const pp::Population&,
+                    const pp::RunResult&) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    graders.insert(std::this_thread::get_id());
+    return true;
+  };
+  const SpecResult result = BatchRunner({.threads = 1}).run_one(spec);
+  EXPECT_EQ(result.trial_count, 5u);
+  EXPECT_EQ(graders, std::set<std::thread::id>{std::this_thread::get_id()});
 }
 
 TEST(BatchRunnerTest, TrialSeedsAreIndependentStreams) {

@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/circles_protocol.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/specs_from_flags.hpp"
 #include "util/cli.hpp"
@@ -543,6 +545,53 @@ TEST(SchedulerLumpingTest, ReflectsSpecSchedulerAndShape) {
     return pp::make_scheduler(pp::SchedulerKind::kUniformRandom, n, seed);
   };
   EXPECT_FALSE(scheduler_lumping(spec).has_value());
+}
+
+TEST(SchedulerLumpingTest, MatchesTheSchedulerInstanceHook) {
+  // scheduler_lumping answers from the kind alone; the instance hook
+  // (pp::Scheduler::lumping) stays the reference it must agree with,
+  // including on shapes both reject.
+  const core::CirclesProtocol protocol(3);
+  for (const std::uint64_t n : {2u, 17u, 1000u}) {
+    std::vector<RunSpec> cases;
+    for (const pp::SchedulerKind kind : pp::kAllSchedulerKinds) {
+      RunSpec spec;
+      spec.n = n;
+      spec.scheduler = kind;
+      cases.push_back(spec);
+    }
+    RunSpec three = cases.back();
+    three.scheduler = pp::SchedulerKind::kClustered;
+    three.clusters = 3;
+    three.bridge = 0.1;
+    cases.push_back(three);
+    RunSpec sized = three;
+    sized.cluster_sizes = {n / 4, n - n / 4};
+    cases.push_back(sized);
+    for (const RunSpec& spec : cases) {
+      SCOPED_TRACE(spec.to_string());
+      const pp::ClusteredOptions clustered = spec.clustered_options();
+      std::optional<pp::UrnLumping> expected;
+      bool rejected = false;
+      try {
+        expected = pp::make_scheduler(spec.scheduler,
+                                      static_cast<std::uint32_t>(n),
+                                      /*seed=*/0, &protocol, &clustered)
+                       ->lumping();
+      } catch (const std::invalid_argument&) {
+        rejected = true;
+      }
+      if (rejected) {
+        EXPECT_THROW((void)scheduler_lumping(spec), std::invalid_argument);
+        continue;
+      }
+      const std::optional<pp::UrnLumping> lumping = scheduler_lumping(spec);
+      ASSERT_EQ(lumping.has_value(), expected.has_value());
+      if (!expected.has_value()) continue;
+      EXPECT_EQ(lumping->sizes, expected->sizes);
+      EXPECT_EQ(lumping->rates, expected->rates);
+    }
+  }
 }
 
 TEST(SpecsFromFlagsTest, DenseNonUniformCornersAreSkippedNotFatal) {

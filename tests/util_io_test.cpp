@@ -1,13 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "util/cli.hpp"
-#include "util/csv.hpp"
 #include "util/table.hpp"
 
 namespace circles::util {
@@ -53,45 +50,6 @@ TEST(TableTest, NumberFormatting) {
 TEST(TableDeathTest, RowWidthMismatchAborts) {
   Table t({"a", "b"});
   EXPECT_DEATH(t.add_row({"only-one"}), "width");
-}
-
-TEST(CsvTest, WritesHeaderAndRows) {
-  const std::string path = testing::TempDir() + "/circles_csv_test.csv";
-  {
-    CsvWriter csv(path, {"a", "b"});
-    csv.row({"1", "x"});
-    csv.row({CsvWriter::cell(2.5), CsvWriter::cell(std::uint64_t{7})});
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "a,b");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,x");
-  std::getline(in, line);
-  EXPECT_EQ(line, "2.5,7");
-  std::remove(path.c_str());
-}
-
-TEST(CsvTest, EscapesSpecialCharacters) {
-  const std::string path = testing::TempDir() + "/circles_csv_escape.csv";
-  {
-    CsvWriter csv(path, {"c"});
-    csv.row({"has,comma"});
-    csv.row({"has\"quote"});
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);  // header
-  std::getline(in, line);
-  EXPECT_EQ(line, "\"has,comma\"");
-  std::getline(in, line);
-  EXPECT_EQ(line, "\"has\"\"quote\"");
-  std::remove(path.c_str());
-}
-
-TEST(CsvTest, ThrowsOnUnwritablePath) {
-  EXPECT_THROW(CsvWriter("/nonexistent-dir/x.csv", {"a"}), std::runtime_error);
 }
 
 class CliFixture {
