@@ -1,15 +1,11 @@
 #include "crn/gillespie.hpp"
 
 #include <cmath>
-#include <optional>
 #include <queue>
 #include <set>
 #include <vector>
 
 #include "kernel/compiled_protocol.hpp"
-#include "metrics/metrics.hpp"
-#include "obs/monitor_probe.hpp"
-#include "pp/scheduler.hpp"
 #include "util/check.hpp"
 
 namespace circles::crn {
@@ -20,11 +16,10 @@ ExponentialClockMonitor::ExponentialClockMonitor(
 
 void ExponentialClockMonitor::on_start(const pp::Population& population,
                                        const pp::Protocol&) {
+  if (begun_) return;  // engine re-entry within one trial: keep the clock
+  begun_ = true;
   rate_ = static_cast<double>(population.size()) - 1.0;
   CIRCLES_CHECK_MSG(rate_ > 0.0, "chemical kinetics need at least 2 agents");
-  now_ = 0.0;
-  last_change_time_ = 0.0;
-  last_output_change_time_ = 0.0;
 }
 
 void ExponentialClockMonitor::on_interaction(const pp::InteractionEvent& event,
@@ -36,57 +31,6 @@ void ExponentialClockMonitor::on_interaction(const pp::InteractionEvent& event,
   if (kernel_->output_changes(event.initiator_before, event.responder_before)) {
     last_output_change_time_ = now_;
   }
-}
-
-GillespieResult run_gillespie(const kernel::CompiledProtocol& kernel,
-                              std::span<const pp::ColorId> colors,
-                              std::uint64_t seed,
-                              pp::EngineOptions options,
-                              obs::Recorder* recorder) {
-  const pp::Protocol& protocol = kernel.protocol();
-  util::Rng rng(seed);
-  pp::Population population(protocol, colors);
-  auto scheduler = pp::make_scheduler(
-      pp::SchedulerKind::kUniformRandom,
-      static_cast<std::uint32_t>(colors.size()), rng(), &protocol);
-  ExponentialClockMonitor clock(rng(), kernel);
-  // The clock monitor runs first so the recorder's snapshots read the
-  // already-advanced chemical time of the interaction they describe.
-  std::optional<obs::RecorderMonitor> recorder_monitor;
-  std::vector<pp::Monitor*> monitors{&clock};
-  if (recorder != nullptr) {
-    recorder_monitor.emplace(*recorder, &kernel,
-                             [&clock]() { return clock.now(); });
-    monitors.push_back(&*recorder_monitor);
-  }
-  const std::span<pp::Monitor* const> monitor_span(monitors.data(),
-                                                   monitors.size());
-
-  pp::Engine engine(options);
-  GillespieResult result;
-  result.run = engine.run(kernel, population, *scheduler, monitor_span);
-  result.stabilization_time = clock.last_change_time();
-  result.convergence_time = clock.last_output_change_time();
-  result.parallel_time = static_cast<double>(result.run.interactions) /
-                         static_cast<double>(colors.size());
-
-  // The engine flushed its own counters already (engine.interactions,
-  // engine.monitor, ...); tag the run as chemical-time so dashboards can
-  // tell the two apart.
-  if (options.metrics != nullptr) {
-    options.metrics->counter("crn.runs").add(1);
-  }
-  return result;
-}
-
-GillespieResult run_gillespie(const pp::Protocol& protocol,
-                              std::span<const pp::ColorId> colors,
-                              std::uint64_t seed,
-                              pp::EngineOptions options,
-                              obs::Recorder* recorder) {
-  const kernel::CompiledProtocol kernel(protocol,
-                                        kernel::CompileOptions::one_shot());
-  return run_gillespie(kernel, colors, seed, options, recorder);
 }
 
 std::string Reaction::to_string(const pp::Protocol& protocol) const {

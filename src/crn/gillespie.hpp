@@ -9,26 +9,26 @@
 // process with total rate n−1 and the expected "parallel time" of T
 // interactions is T/n.
 //
-// GillespieResult augments the discrete engine run with exact stochastic
-// simulation times; because all pair propensities are equal, the embedded
-// jump chain is exactly the uniform-random scheduler, and the discrete and
-// continuous semantics agree on everything but the clock (tested).
+// ExponentialClockMonitor puts that clock on a discrete agent run: a
+// clock=chemical trial is the ordinary sim::AgentTrial with this monitor
+// first in its monitor list. Because all pair propensities are equal, the
+// embedded jump chain of Gillespie kinetics is exactly the uniform-random
+// scheduler, so under scheduler=uniform the clocked run IS an exact
+// stochastic simulation; under any other scheduler the clock stamps each
+// interaction with an Exp(n−1) wait. The clock draws from its own stream,
+// so the discrete run is the same with or without it (tested).
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
-#include "pp/engine.hpp"
 #include "pp/monitor.hpp"
 #include "util/rng.hpp"
 
 namespace circles::kernel {
 class CompiledProtocol;
-}
-
-namespace circles::obs {
-class Recorder;
 }
 
 namespace circles::crn {
@@ -38,7 +38,9 @@ namespace circles::crn {
 /// variables. Records the clock at the last state change (= stabilization
 /// time) and at the last output flip (= convergence time). The output-flip
 /// predicate is the kernel's precomputed per-pair output-delta flag (one
-/// load); `kernel` must outlive the monitor.
+/// load); `kernel` must outlive the monitor. Survives engine re-entry
+/// (fault bursts): only the first on_start resets the clock, so it keeps
+/// running across the bursts of one trial.
 class ExponentialClockMonitor final : public pp::Monitor {
  public:
   ExponentialClockMonitor(std::uint64_t seed,
@@ -60,35 +62,8 @@ class ExponentialClockMonitor final : public pp::Monitor {
   double now_ = 0.0;
   double last_change_time_ = 0.0;
   double last_output_change_time_ = 0.0;
+  bool begun_ = false;
 };
-
-struct GillespieResult {
-  pp::RunResult run;
-  /// Chemical time at which the last state change happened.
-  double stabilization_time = 0.0;
-  /// Chemical time at which the last announced output flipped.
-  double convergence_time = 0.0;
-  /// Discrete proxy used throughout the PP literature: interactions / n.
-  double parallel_time = 0.0;
-};
-
-/// Runs `protocol` on `colors` under chemical kinetics until silence (or the
-/// engine budget). Deterministic in `seed` (a recorder never perturbs the
-/// run's RNG streams). Compiles a one-shot kernel; the overload below shares
-/// a prebuilt one across trials. `recorder`, when non-null, receives count
-/// snapshots stamped with the exponential clock — pair it with
-/// obs::RecorderOptions::Clock::kChemical for chemical-time cadence.
-GillespieResult run_gillespie(const pp::Protocol& protocol,
-                              std::span<const pp::ColorId> colors,
-                              std::uint64_t seed,
-                              pp::EngineOptions options = {},
-                              obs::Recorder* recorder = nullptr);
-
-GillespieResult run_gillespie(const kernel::CompiledProtocol& kernel,
-                              std::span<const pp::ColorId> colors,
-                              std::uint64_t seed,
-                              pp::EngineOptions options = {},
-                              obs::Recorder* recorder = nullptr);
 
 /// One reaction of the network induced by a protocol.
 struct Reaction {

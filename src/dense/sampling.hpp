@@ -10,8 +10,8 @@
 // block drawn by BlockDraw); the engine and the conformance test call the
 // same code. Everything here is built directly on util::Rng inversion, so
 // results are deterministic per seed; the only platform dependence is
-// ordinary double arithmetic, the same caliber as the Gillespie module's
-// exponential clocks.
+// ordinary double arithmetic, the same caliber as the crn module's
+// exponential clock.
 #pragma once
 
 #include <cstdint>

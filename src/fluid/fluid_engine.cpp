@@ -29,6 +29,14 @@ double inf_norm(std::span<const double> v) {
 constexpr std::uint64_t kTraceFullSteps = 512;
 constexpr std::uint64_t kTraceStride = 256;
 
+/// The silence test runs once the drift infinity-norm falls below this many
+/// agents' worth of fractions per unit chemical time (0.5 / n).
+constexpr double kSilenceDriftAgents = 0.5;
+
+/// Hard cap on accepted-plus-rejected integrator steps (stiffness guard;
+/// hitting it reports budget_exhausted).
+constexpr std::uint64_t kMaxSteps = 50'000'000;
+
 }  // namespace
 
 FluidEngine::FluidEngine(const pp::Protocol& protocol, pp::EngineOptions engine,
@@ -229,7 +237,7 @@ void FluidEngine::run_ode(Sim& sim) const {
   std::uint64_t steps = 0;
 
   while (sim.t < sim.horizon) {
-    if (++steps > options_.max_steps) {
+    if (++steps > kMaxSteps) {
       sim.budget = true;
       return;
     }
@@ -368,8 +376,7 @@ pp::RunResult FluidEngine::run_counts(
   sim.trace = trace::buffer(engine_.tracer);
   const trace::ScopedSpan run_span(sim.trace, "fluid.run_ode", "n", n);
   sim.horizon = static_cast<double>(engine_.max_interactions) / sim.n;
-  sim.drift_tol =
-      options_.drift_tol > 0.0 ? options_.drift_tol : 0.5 / sim.n;
+  sim.drift_tol = kSilenceDriftAgents / sim.n;
 
   sim.aggregate.assign(num_states, 0);
   if (sim.U > 1) {

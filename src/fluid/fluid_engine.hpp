@@ -19,7 +19,7 @@
 // fixed spec; runs ignore the seed.
 //
 // Convergence/silence detection: when the drift infinity-norm
-// falls below FluidOptions::drift_tol (default 0.5/n — the drift can no
+// falls below 0.5/n (fractions per unit chemical time — the drift can no
 // longer move half an agent per unit time) AND the fractions rounded to
 // integer counts form an exactly silent configuration, the run stops with
 // silent = true. A run parked at a mean-field fixed point that is not a
@@ -57,15 +57,6 @@ struct FluidOptions {
   /// controller, applied to the per-urn state fractions.
   double rtol = 1e-6;
   double atol = 1e-9;
-
-  /// Drift infinity-norm (fractions per unit chemical time) below which the
-  /// integrator tests the rounded configuration for exact silence. 0 = auto:
-  /// 0.5 / n.
-  double drift_tol = 0.0;
-
-  /// Hard cap on accepted-plus-rejected integrator steps (stiffness guard;
-  /// hitting it reports budget_exhausted).
-  std::uint64_t max_steps = 50'000'000;
 
   /// DriftTable compile budget (transition lookups).
   std::uint64_t max_pair_lookups = 1ull << 26;

@@ -10,6 +10,11 @@ namespace circles::kernel {
 
 namespace {
 
+/// The per-state output array is precomputed up to this many states (4
+/// bytes per state); larger protocols keep virtual output() calls, which
+/// sit on no steady-state path.
+constexpr std::uint64_t kMaxOutputStates = 1ull << 24;
+
 std::uint64_t round_up_pow2(std::uint64_t v) {
   std::uint64_t p = 1;
   while (p < v) p <<= 1;
@@ -73,7 +78,7 @@ CompiledProtocol::CompiledProtocol(const pp::Protocol& protocol,
   for (pp::ColorId c = 0; c < num_colors_; ++c) {
     inputs_[c] = protocol.input(c);
   }
-  if (num_states_ <= options.max_output_states) {
+  if (num_states_ <= kMaxOutputStates) {
     outputs_.resize(num_states_);
     for (std::uint64_t s = 0; s < num_states_; ++s) {
       outputs_[s] = protocol.output(static_cast<pp::StateId>(s));
@@ -101,20 +106,18 @@ CompiledProtocol::CompiledProtocol(const pp::Protocol& protocol,
         }
       }
     }
-    if (options.build_adjacency) {
-      adjacency_offsets_.resize(num_states_ + 1, 0);
-      for (std::uint64_t s = 0; s < num_states_; ++s) {
-        adjacency_offsets_[s + 1] = adjacency_offsets_[s] + degree[s];
-      }
-      adjacency_partners_.resize(nonnull_pairs_);
-      std::vector<std::size_t> cursor(adjacency_offsets_.begin(),
-                                      adjacency_offsets_.end() - 1);
-      for (std::uint64_t a = 0; a < num_states_; ++a) {
-        const std::size_t row = static_cast<std::size_t>(a) * num_states_;
-        for (std::uint64_t b = 0; b < num_states_; ++b) {
-          if (flags_[row + b] & kNonNull) {
-            adjacency_partners_[cursor[a]++] = static_cast<pp::StateId>(b);
-          }
+    adjacency_offsets_.resize(num_states_ + 1, 0);
+    for (std::uint64_t s = 0; s < num_states_; ++s) {
+      adjacency_offsets_[s + 1] = adjacency_offsets_[s] + degree[s];
+    }
+    adjacency_partners_.resize(nonnull_pairs_);
+    std::vector<std::size_t> cursor(adjacency_offsets_.begin(),
+                                    adjacency_offsets_.end() - 1);
+    for (std::uint64_t a = 0; a < num_states_; ++a) {
+      const std::size_t row = static_cast<std::size_t>(a) * num_states_;
+      for (std::uint64_t b = 0; b < num_states_; ++b) {
+        if (flags_[row + b] & kNonNull) {
+          adjacency_partners_[cursor[a]++] = static_cast<pp::StateId>(b);
         }
       }
     }

@@ -2,7 +2,7 @@
 //
 // This module lowers a pp::Protocol ONCE into an immutable, thread-shareable
 // kernel, and it is the only transition path of every engine (agent array,
-// Gillespie, dense, fluid): no steady-state loop makes a virtual
+// dense, fluid): no steady-state loop makes a virtual
 // Protocol::transition() call. Protocol::transition stays the reference the
 // kernel is checked against pair by pair. The kernel carries everything the
 // hot loops need:
@@ -66,16 +66,6 @@ struct CompileOptions {
   /// set of every registered protocol at practical population sizes; a full
   /// cache degrades to per-call computation, never to wrong answers.
   std::uint64_t sparse_slots = 1ull << 20;
-
-  /// Build the per-state active-responder adjacency index (dense kind only;
-  /// the sparse kind cannot know a state's partners without enumerating all
-  /// of them).
-  bool build_adjacency = true;
-
-  /// Precompute the per-state output array when num_states <= this bound
-  /// (4 bytes per state); larger protocols keep virtual output() calls,
-  /// which sit on no steady-state path.
-  std::uint64_t max_output_states = 1ull << 24;
 
   /// Count sparse-cache hits (one relaxed fetch_add per probe that lands on
   /// a materialized entry). Off by default: the hit path is THE hot path of
@@ -177,8 +167,9 @@ class CompiledProtocol {
     return (sparse_lookup(a, b).flags & kOutputDelta) != 0;
   }
 
-  /// True when the per-state adjacency index was built (dense kind with
-  /// build_adjacency).
+  /// True when the per-state adjacency index was built: always for the dense
+  /// kind, never for the sparse kind, which cannot know a state's partners
+  /// without enumerating all of them.
   bool has_adjacency() const { return !adjacency_offsets_.empty(); }
 
   /// Responders t with transition(s, t) non-null, ascending. Requires

@@ -21,7 +21,8 @@ class RecorderMonitor final : public pp::Monitor {
  public:
   /// `kernel`, when available, accelerates on-demand active-pair counts.
   /// `chemical_now`, when set, is read per interaction and stamped on every
-  /// snapshot (the Gillespie host passes its exponential clock).
+  /// snapshot (a chemical-time sim::AgentTrial passes its exponential
+  /// clock).
   explicit RecorderMonitor(Recorder& recorder,
                            const kernel::CompiledProtocol* kernel = nullptr,
                            std::function<double()> chemical_now = {})

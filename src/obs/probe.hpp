@@ -5,8 +5,8 @@
 // feasible never materialize agents at all. A Probe instead receives what
 // every backend has — the per-state count vector, the interaction index and
 // (where tracked) the chemical clock — at the decimated cadence of a
-// Recorder, so one observation pipeline serves pp::Engine, both DenseEngine
-// modes and the Gillespie loop.
+// Recorder, so one observation pipeline serves pp::Engine (with or without
+// the chemical clock), both DenseEngine modes and the fluid engine.
 #pragma once
 
 #include <cstdint>

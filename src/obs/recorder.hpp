@@ -31,7 +31,7 @@ namespace circles::obs {
 struct RecorderOptions {
   enum class Clock {
     kInteractions,  // due points are interaction indices
-    kChemical,      // due points are chemical times (Gillespie hosts)
+    kChemical,      // due points are chemical times (chemical-clock hosts)
   };
   Clock clock = Clock::kInteractions;
 

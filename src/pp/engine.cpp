@@ -16,13 +16,9 @@ RunResult Engine::run(const kernel::CompiledProtocol& kernel,
                     "engine requires at least two agents");
   RunResult result;
 
-  // Telemetry accumulates in locals and flushes once at the end; the only
-  // per-interaction cost when enabled is the monitor-dispatch timer, and
-  // that is skipped entirely when there are no monitors.
+  // Telemetry accumulates in locals and flushes once at the end, so it
+  // costs nothing per interaction.
   std::uint64_t silence_checks = 0;
-  metrics::Timer* monitor_timer =
-      monitors.empty() ? nullptr
-                       : metrics::timer(options_.metrics, "engine.monitor");
 
   // Spans follow the same rule: the per-interaction loop emits nothing (one
   // run = one span), so tracing costs two clock reads per run and zero when
@@ -60,7 +56,6 @@ RunResult Engine::run(const kernel::CompiledProtocol& kernel,
     }
 
     if (!monitors.empty()) {
-      metrics::ScopedTimer span(monitor_timer);
       const InteractionEvent event{result.interactions, pair.initiator,
                                    pair.responder,     before_i,
                                    before_r,           tr.initiator,

@@ -244,15 +244,6 @@ void validate_spec(const RunSpec& spec, const pp::Protocol& protocol) {
                                   "': " + e.what());
     }
   }
-  if (spec.chemical_time &&
-      (spec.circles_stats || spec.track_used_states ||
-       spec.reboot_faults > 0 || spec.grader || spec.scheduler_factory)) {
-    throw std::invalid_argument(
-        "RunSpec '" + spec.to_string() +
-        "' combines chemical_time with engine-only features "
-        "(circles_stats / track_used_states / reboot_faults / grader / "
-        "scheduler_factory)");
-  }
   if (spec.scheduler == pp::SchedulerKind::kShuffledSweep &&
       spec.effective_n() > pp::ShuffledSweepScheduler::kMaxAgents) {
     throw std::invalid_argument(
@@ -448,13 +439,13 @@ PreparedSpec::PreparedSpec(const RunSpec& spec,
             "RunSpec '" + spec.to_string() +
             "' combines chemical_time with the fluid backend; the fluid "
             "trajectory already advances the chemical clock (trace= "
-            "probes record the chemical_time column), but the Gillespie "
+            "probes record the chemical_time column), but the chemical "
             "stabilization/convergence statistics ride the agent engine's "
             "event stream — use backend=agent for those");
       }
       throw std::invalid_argument(
           "RunSpec '" + spec.to_string() +
-          "' combines chemical_time with a dense backend; the Gillespie "
+          "' combines chemical_time with a dense backend; the chemical "
           "clock rides the agent engine's event stream — use "
           "backend=agent (count probes still record chemical-time "
           "cadence there)");
@@ -532,7 +523,7 @@ TrialRecord PreparedSpec::run_trial(std::uint64_t trial_seed) const {
   rec.seed = trial_seed;
 
   // Trial wall clock: stamped on every return path via RAII, so latency
-  // quantiles cover dense/fluid, chemical and agent trials alike.
+  // quantiles cover dense/fluid and agent trials alike.
   struct WallClock {
     TrialRecord& rec;
     std::chrono::steady_clock::time_point start =
@@ -607,18 +598,6 @@ TrialRecord PreparedSpec::run_trial(std::uint64_t trial_seed) const {
     return rec;
   }
 
-  if (spec.chemical_time) {
-    const AgentDraws draws(rec.workload, trial_seed);
-    const crn::GillespieResult result =
-        crn::run_gillespie(*kernel_, draws.colors, draws.scheduler_seed,
-                           engine_options_, recorder_ptr);
-    rec.outcome = grade_run(result.run, rec.workload, expected);
-    rec.stabilization_time = result.stabilization_time;
-    rec.convergence_time = result.convergence_time;
-    collect_traces();
-    return rec;
-  }
-
   const auto* circles =
       spec.circles_stats
           ? dynamic_cast<const core::CirclesProtocol*>(&protocol)
@@ -642,6 +621,7 @@ TrialRecord PreparedSpec::run_trial(std::uint64_t trial_seed) const {
   options.scheduler_factory = spec.scheduler_factory;
   options.clustered = spec.clustered_options();
   options.recorder = recorder_ptr;
+  options.chemical_time = spec.chemical_time;
   AgentTrial trial(protocol, rec.workload, options, monitors, kernel_.get());
 
   // Transient-fault injection: run in bursts; after each burst reboot one
@@ -672,6 +652,10 @@ TrialRecord PreparedSpec::run_trial(std::uint64_t trial_seed) const {
     rec.circles = instruments->stats(*trial.population, rec.workload);
   }
   if (spec.track_used_states) rec.used_states = used_states.used();
+  if (const crn::ExponentialClockMonitor* clock = trial.clock()) {
+    rec.stabilization_time = clock->last_change_time();
+    rec.convergence_time = clock->last_output_change_time();
+  }
   collect_traces();
   return rec;
 }

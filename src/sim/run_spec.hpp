@@ -207,12 +207,16 @@ struct RunSpec {
   /// tokens by to_string()/parse().
   std::vector<obs::ProbeSpec> probes;
 
-  /// Run under continuous-time (Gillespie) semantics instead of the engine
-  /// loop; records chemical stabilization/convergence times. The embedded
-  /// jump chain is the uniform scheduler. Incompatible with the engine-only
-  /// features (circles_stats, track_used_states, reboot_faults, grader,
-  /// scheduler_factory) — the BatchRunner rejects such specs up front.
-  /// Rendered as a "clock=chemical" token.
+  /// Put the chemical clock on the agent run: sim::AgentTrial attaches a
+  /// crn::ExponentialClockMonitor, which stamps every interaction with an
+  /// Exp(n−1) wait, and the trial records the chemical stabilization and
+  /// convergence times. Under scheduler=uniform that is exactly Gillespie
+  /// kinetics (its embedded jump chain is the uniform scheduler); under any
+  /// other scheduler it is that scheduler's run on the same clock. The
+  /// clock draws from its own stream, so every discrete result equals the
+  /// same spec without it, and it combines with every agent-level feature.
+  /// Agent backend only (auto resolves such specs to agent). Rendered as a
+  /// "clock=chemical" token.
   bool chemical_time = false;
 
   /// Per-spec telemetry sink: when non-empty, the BatchRunner gives this

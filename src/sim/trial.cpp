@@ -4,11 +4,17 @@
 #include <vector>
 
 #include "core/decomposition.hpp"
+#include "sim/run_spec.hpp"
 #include "util/check.hpp"
 
 namespace circles::sim {
 
 namespace {
+
+/// ASCII "CHEMCLOK": salt of the chemical clock's stream. The clock never
+/// draws from the trial's own stream, so clock=chemical moves no discrete
+/// draw.
+constexpr std::uint64_t kChemicalClockSalt = 0x4348454d434c4f4bULL;
 
 std::optional<pp::OutputSymbol> histogram_consensus(
     const std::vector<std::uint64_t>& histogram) {
@@ -46,20 +52,14 @@ TrialOutcome grade_run(const pp::RunResult& run,
   return outcome;
 }
 
-AgentDraws::AgentDraws(const analysis::Workload& workload, std::uint64_t seed)
-    : rng(seed), colors(workload.agent_colors(rng)) {
-  CIRCLES_CHECK_MSG(colors.size() >= 2, "trials need at least two agents");
-  scheduler_seed = rng.split()();
-}
-
 AgentTrial::AgentTrial(const pp::Protocol& protocol,
                        const analysis::Workload& workload,
                        const TrialOptions& options,
                        std::span<pp::Monitor* const> monitors,
                        const kernel::CompiledProtocol* kernel)
-    : AgentDraws(workload, options.seed),
-      kernel_(kernel),
-      monitors_(monitors.begin(), monitors.end()) {
+    : rng(options.seed), colors(workload.agent_colors(rng)), kernel_(kernel) {
+  CIRCLES_CHECK_MSG(colors.size() >= 2, "trials need at least two agents");
+  const std::uint64_t scheduler_seed = rng.split()();
   CIRCLES_CHECK_MSG(workload.k() == protocol.num_colors(),
                     "workload color count does not match the protocol");
   if (kernel_ == nullptr) {
@@ -72,8 +72,18 @@ AgentTrial::AgentTrial(const pp::Protocol& protocol,
                    ? options.scheduler_factory(n, scheduler_seed)
                    : pp::make_scheduler(options.scheduler, n, scheduler_seed,
                                         &protocol, &options.clustered);
+  // The clock runs first, so later monitors (the recorder's snapshots) read
+  // the already-advanced time of the interaction they see.
+  if (options.chemical_time) {
+    monitors_.push_back(&clock_.emplace(
+        mix_seed(options.seed, kChemicalClockSalt), *kernel_));
+  }
+  monitors_.insert(monitors_.end(), monitors.begin(), monitors.end());
   if (options.recorder != nullptr) {
-    monitors_.push_back(&recorder_monitor_.emplace(*options.recorder, kernel_));
+    std::function<double()> now;
+    if (clock_.has_value()) now = [this]() { return clock_->now(); };
+    monitors_.push_back(&recorder_monitor_.emplace(*options.recorder, kernel_,
+                                                   std::move(now)));
   }
 }
 

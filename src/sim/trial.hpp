@@ -16,6 +16,7 @@
 #include "analysis/workload.hpp"
 #include "core/circles_protocol.hpp"
 #include "core/invariants.hpp"
+#include "crn/gillespie.hpp"
 #include "kernel/compiled_protocol.hpp"
 #include "obs/monitor_probe.hpp"
 #include "pp/engine.hpp"
@@ -44,6 +45,10 @@ struct TrialOptions {
   /// observes agent runs too. Never perturbs the trial's RNG streams —
   /// results are bitwise identical with or without.
   obs::Recorder* recorder = nullptr;
+  /// Attach the chemical clock (crn::ExponentialClockMonitor, RunSpec
+  /// clock=chemical). It draws from its own stream, salted from `seed`, so
+  /// the discrete run is bitwise identical with or without it.
+  bool chemical_time = false;
 };
 
 /// Outcome of running any plurality protocol on a workload.
@@ -56,27 +61,20 @@ struct TrialOutcome {
   std::optional<pp::OutputSymbol> consensus;
 };
 
-/// The head of every agent-level trial's RNG stream, drawn in the one order
-/// REPRO replays rely on: the workload's colors shuffled onto agents, then
-/// one split for the scheduler (or Gillespie clock) seed. `rng` continues
-/// the stream for whatever the trial draws next (fault bursts).
-struct AgentDraws {
-  AgentDraws(const analysis::Workload& workload, std::uint64_t seed);
-
-  util::Rng rng;
-  std::vector<pp::ColorId> colors;
-  std::uint64_t scheduler_seed = 0;
-};
-
-/// One agent-array trial, set up once: the draws above, then the
-/// population and the scheduler (options.scheduler_factory, else
-/// pp::make_scheduler with options.clustered), then an obs::RecorderMonitor
-/// after the caller's monitors when options.recorder is set. run() may be
-/// called repeatedly on the same population (fault bursts re-enter the
-/// engine; the recorder monitor keeps counting across entries). `kernel`,
-/// when given, must outlive the trial; otherwise the trial compiles a
-/// one-shot kernel for `protocol`.
-class AgentTrial : public AgentDraws {
+/// One agent-array trial, set up once. Its RNG stream draws in the one
+/// order REPRO replays rely on: the workload's colors shuffled onto agents,
+/// then one split for the scheduler seed; `rng` continues the stream for
+/// whatever the trial draws next (fault bursts). Then come the population
+/// and the scheduler (options.scheduler_factory, else pp::make_scheduler
+/// with options.clustered). The monitor list is the chemical clock first
+/// when options.chemical_time is set, then the caller's monitors, then an
+/// obs::RecorderMonitor (stamped with the clock's time) when
+/// options.recorder is set. run() may be called repeatedly on the same
+/// population (fault bursts re-enter the engine; the clock and the
+/// recorder monitor keep counting across entries). `kernel`, when given,
+/// must outlive the trial; otherwise the trial compiles a one-shot kernel
+/// for `protocol`.
+class AgentTrial {
  public:
   AgentTrial(const pp::Protocol& protocol, const analysis::Workload& workload,
              const TrialOptions& options,
@@ -87,12 +85,20 @@ class AgentTrial : public AgentDraws {
 
   pp::RunResult run(const pp::EngineOptions& engine);
 
+  /// The chemical clock, or null unless options.chemical_time.
+  const crn::ExponentialClockMonitor* clock() const {
+    return clock_.has_value() ? &*clock_ : nullptr;
+  }
+
+  util::Rng rng;
+  std::vector<pp::ColorId> colors;
   std::unique_ptr<pp::Population> population;
 
  private:
   std::optional<kernel::CompiledProtocol> owned_kernel_;
   const kernel::CompiledProtocol* kernel_;
   std::unique_ptr<pp::Scheduler> scheduler_;
+  std::optional<crn::ExponentialClockMonitor> clock_;
   std::optional<obs::RecorderMonitor> recorder_monitor_;
   std::vector<pp::Monitor*> monitors_;
 };

@@ -160,6 +160,9 @@ std::uint64_t Tracer::events_dropped() const {
 
 namespace {
 
+/// Events per flight-recorder dump (most recent across threads).
+constexpr std::size_t kFlightRecorderEvents = 64;
+
 void append_event_json(std::string& out, const Event& event,
                        std::uint64_t pid, char ph) {
   out += "{\"name\":\"";
@@ -265,7 +268,7 @@ void Tracer::write_chrome_trace(const std::string& path) const {
 
 void Tracer::dump_failure(const FailureContext& ctx, std::FILE* out) const {
   std::vector<Event> events = drain();
-  const std::size_t last = options_.flight_recorder_events;
+  const std::size_t last = kFlightRecorderEvents;
   const std::size_t start = events.size() > last ? events.size() - last : 0;
 
   std::string block;

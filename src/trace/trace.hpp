@@ -52,8 +52,6 @@ struct TracerOptions {
   /// decimated engine spans (~15k per trial) on that thread's ring.
   /// ~40 bytes per slot, allocated per registered thread, tracing opt-in.
   std::size_t buffer_capacity = 1 << 16;
-  /// Events per flight-recorder dump (most recent first across threads).
-  std::size_t flight_recorder_events = 64;
 };
 
 /// One drained event. `name`/`arg_name`/`thread_name` stay valid while the
@@ -159,7 +157,7 @@ class Tracer {
   std::string chrome_trace_json() const;
   void write_chrome_trace(const std::string& path) const;
 
-  /// Flight-recorder dump: the failure context, the last-N events across
+  /// Flight-recorder dump: the failure context, the last 64 events across
   /// all threads, and the greppable REPRO line. Serialized internally so
   /// concurrent failing trials don't interleave their blocks.
   void dump_failure(const FailureContext& ctx, std::FILE* out) const;

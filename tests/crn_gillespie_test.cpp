@@ -8,30 +8,57 @@
 #include "baselines/approx_majority_3state.hpp"
 #include "core/circles_protocol.hpp"
 #include "kernel/compiled_protocol.hpp"
+#include "obs/obs.hpp"
+#include "sim/sim.hpp"
 
 namespace circles::crn {
 namespace {
+
+/// A chemical-time trial through sim::AgentTrial, the body every
+/// clock=chemical RunSpec trial runs.
+struct ChemicalRun {
+  pp::RunResult run;
+  double now = 0.0;
+  double stabilization_time = 0.0;
+  double convergence_time = 0.0;
+};
+
+ChemicalRun run_chemical(const pp::Protocol& protocol,
+                         const analysis::Workload& workload,
+                         std::uint64_t seed) {
+  sim::TrialOptions options;
+  options.seed = seed;
+  options.chemical_time = true;
+  sim::AgentTrial trial(protocol, workload, options);
+  ChemicalRun out;
+  out.run = trial.run(options.engine);
+  out.now = trial.clock()->now();
+  out.stabilization_time = trial.clock()->last_change_time();
+  out.convergence_time = trial.clock()->last_output_change_time();
+  return out;
+}
 
 TEST(GillespieTest, ClockAdvancesMonotonically) {
   core::CirclesProtocol protocol(3);
   util::Rng rng(1);
   const analysis::Workload w = analysis::random_unique_winner(rng, 20, 3);
-  const auto colors = w.agent_colors(rng);
-  const GillespieResult result = run_gillespie(protocol, colors, 7);
+  const ChemicalRun result = run_chemical(protocol, w, 7);
   EXPECT_TRUE(result.run.silent);
   EXPECT_GT(result.stabilization_time, 0.0);
   EXPECT_GT(result.convergence_time, 0.0);
-  EXPECT_LE(result.convergence_time, result.stabilization_time * 10 + 1e9);
-  EXPECT_GT(result.parallel_time, 0.0);
+  EXPECT_LE(result.convergence_time, result.stabilization_time);
+  EXPECT_LE(result.stabilization_time, result.now);
 }
 
 TEST(GillespieTest, DeterministicUnderSeed) {
   core::CirclesProtocol protocol(2);
-  std::vector<pp::ColorId> colors{0, 0, 0, 1, 1};
-  const GillespieResult a = run_gillespie(protocol, colors, 42);
-  const GillespieResult b = run_gillespie(protocol, colors, 42);
+  analysis::Workload w;
+  w.counts = {3, 2};
+  const ChemicalRun a = run_chemical(protocol, w, 42);
+  const ChemicalRun b = run_chemical(protocol, w, 42);
   EXPECT_EQ(a.run.interactions, b.run.interactions);
   EXPECT_DOUBLE_EQ(a.stabilization_time, b.stabilization_time);
+  EXPECT_DOUBLE_EQ(a.now, b.now);
 }
 
 TEST(GillespieTest, JumpChainMatchesDiscreteEngineOutcome) {
@@ -41,8 +68,7 @@ TEST(GillespieTest, JumpChainMatchesDiscreteEngineOutcome) {
   util::Rng rng(5);
   for (int trial = 0; trial < 5; ++trial) {
     const analysis::Workload w = analysis::random_unique_winner(rng, 16, 4);
-    const auto colors = w.agent_colors(rng);
-    const GillespieResult result = run_gillespie(protocol, colors, rng());
+    const ChemicalRun result = run_chemical(protocol, w, rng());
     EXPECT_TRUE(result.run.silent);
     EXPECT_TRUE(result.run.consensus_on(*w.winner())) << w.to_string();
   }
@@ -55,14 +81,63 @@ TEST(GillespieTest, ParallelTimeTracksChemicalTime) {
   core::CirclesProtocol protocol(6);
   util::Rng rng(9);
   const analysis::Workload w = analysis::random_unique_winner(rng, 100, 6);
-  const auto colors = w.agent_colors(rng);
-  const GillespieResult result = run_gillespie(protocol, colors, rng());
+  const ChemicalRun result = run_chemical(protocol, w, rng());
   ASSERT_TRUE(result.run.silent);
   const double chem = result.stabilization_time;
   const double para =
       static_cast<double>(result.run.last_change_step + 1) / 100.0;
   EXPECT_GT(chem, 0.2 * para);
   EXPECT_LT(chem, 5.0 * para);
+}
+
+TEST(ChemicalClockTest, DiscreteRunMatchesTheSpecWithoutTheClock) {
+  // clock=chemical attaches a clock with its own stream to the one agent
+  // trial body, so every discrete result is the same spec's without it,
+  // under whatever scheduler the spec names.
+  for (const char* text :
+       {"circles(k=3) n=40 workload=unique scheduler=uniform trials=1",
+        "circles(k=3) n=40 workload=unique scheduler=clustered clusters=2 "
+        "bridge=0.001 trials=1",
+        "circles(k=3) n=40 workload=unique scheduler=round_robin trials=1",
+        "circles(k=3) n=40 workload=unique faults=2 burst_min=2000 "
+        "burst_span=0 trace=counts@linear:64 trials=1"}) {
+    SCOPED_TRACE(text);
+    const sim::RunSpec discrete = sim::RunSpec::parse(text);
+    sim::RunSpec chemical = discrete;
+    chemical.chemical_time = true;
+    const sim::TrialRecord a = sim::BatchRunner::execute_trial(discrete, 5);
+    const sim::TrialRecord b = sim::BatchRunner::execute_trial(chemical, 5);
+    const pp::RunResult& ra = a.outcome.run;
+    const pp::RunResult& rb = b.outcome.run;
+    EXPECT_EQ(ra.interactions, rb.interactions);
+    EXPECT_EQ(ra.state_changes, rb.state_changes);
+    EXPECT_EQ(ra.last_change_step, rb.last_change_step);
+    EXPECT_EQ(ra.final_outputs, rb.final_outputs);
+    EXPECT_EQ(ra.silent, rb.silent);
+    EXPECT_EQ(ra.budget_exhausted, rb.budget_exhausted);
+    EXPECT_EQ(a.outcome.correct, b.outcome.correct);
+    EXPECT_EQ(a.outcome.consensus, b.outcome.consensus);
+    EXPECT_EQ(a.stabilization_time, 0.0);
+    EXPECT_GT(b.stabilization_time, 0.0);
+    if (discrete.reboot_faults == 0) continue;
+
+    // The clock keeps running across the fault bursts: the recorder's last
+    // row, at the end of the final run, sits after both 2000-interaction
+    // bursts, and its chemical time covers every interaction so far.
+    ASSERT_EQ(b.traces.size(), 1u);
+    const obs::TraceTable& trace = b.traces[0];
+    const std::vector<double> times =
+        trace.column(trace.column_index("chemical_time"));
+    ASSERT_GT(times.size(), 2u);
+    EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
+    EXPECT_GE(times.back(), b.stabilization_time);
+    const double total = static_cast<double>(
+        2 * discrete.fault_burst_min + rb.interactions);
+    EXPECT_EQ(trace.column(trace.column_index("interactions")).back(), total);
+    const double expected = total / 39.0;  // rate n − 1
+    EXPECT_GT(times.back(), 0.8 * expected);
+    EXPECT_LT(times.back(), 1.25 * expected);
+  }
 }
 
 TEST(ReactionEnumerationTest, ApproxMajorityHasTheTextbookNetwork) {

@@ -6,10 +6,64 @@
 #include <vector>
 
 #include "pp/silence.hpp"
-#include "pp/trace.hpp"
 
 namespace circles::pp {
 namespace {
+
+/// Records every interaction event.
+class InteractionRecorder final : public Monitor {
+ public:
+  void on_interaction(const InteractionEvent& event,
+                      const Population&) override {
+    events_.push_back(event);
+  }
+  const std::vector<InteractionEvent>& events() const { return events_; }
+
+ private:
+  std::vector<InteractionEvent> events_;
+};
+
+/// Tracks when agent outputs last changed: the step index (+1) of the last
+/// output flip, and the number of per-agent flips.
+class OutputStabilityMonitor final : public Monitor {
+ public:
+  void on_start(const Population&, const Protocol& protocol) override {
+    protocol_ = &protocol;
+  }
+  void on_interaction(const InteractionEvent& event,
+                      const Population&) override {
+    if (!event.changed()) return;
+    const bool initiator_flip = protocol_->output(event.initiator_before) !=
+                                protocol_->output(event.initiator_after);
+    const bool responder_flip = protocol_->output(event.responder_before) !=
+                                protocol_->output(event.responder_after);
+    if (!initiator_flip && !responder_flip) return;
+    last_output_change_ = event.step + 1;
+    total_flips_ += (initiator_flip ? 1 : 0) + (responder_flip ? 1 : 0);
+  }
+  std::uint64_t last_output_change() const { return last_output_change_; }
+  std::uint64_t total_output_flips() const { return total_flips_; }
+
+ private:
+  const Protocol* protocol_ = nullptr;
+  std::uint64_t last_output_change_ = 0;
+  std::uint64_t total_flips_ = 0;
+};
+
+/// Counts changing and null interactions.
+class StateChangeCounter final : public Monitor {
+ public:
+  void on_interaction(const InteractionEvent& event,
+                      const Population&) override {
+    ++(event.changed() ? changes_ : nulls_);
+  }
+  std::uint64_t changes() const { return changes_; }
+  std::uint64_t nulls() const { return nulls_; }
+
+ private:
+  std::uint64_t changes_ = 0;
+  std::uint64_t nulls_ = 0;
+};
 
 /// Epidemic protocol: state 1 infects state 0; silent once uniform.
 class EpidemicProtocol final : public Protocol {

@@ -162,11 +162,13 @@ TEST(AgentTrialGoldenTest, SharedBodyKeepsEveryDraw) {
          spec.probes.push_back(obs::ProbeSpec::parse("counts@log:16"));
          return record_fingerprint(BatchRunner::execute_trial(spec, 505));
        },
-       "interactions=1918 state_changes=66 last_change_step=1853 silent=1 "
+       // The discrete part is the same spec's without clock=chemical: the
+       // clock draws from its own stream.
+       "interactions=1372 state_changes=86 last_change_step=1307 silent=1 "
        "correct=1 outputs=0,50,0 exchanges=0 creations=0 destructions=0 "
        "invariant=0 descent=0 increases=0 decomposition=0 used_states=0 "
-       "stabilization=37.232561692184483 convergence=15.928570547110459 "
-       "trace=3:3306.5346621430836"},
+       "stabilization=25.543508675413285 convergence=11.238500459219965 "
+       "trace=3:2800.5293537601228"},
       {"custom grader",
        [] {
          RunSpec spec = circles_spec(3, 40);

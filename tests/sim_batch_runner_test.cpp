@@ -280,15 +280,24 @@ TEST(BatchRunnerTest, ValidatesSpecsUpFront) {
   too_small.trials = 1;
   EXPECT_THROW(BatchRunner().run_one(too_small), std::invalid_argument);
 
-  // chemical_time is incompatible with engine-only features.
+  // chemical_time rides the one agent trial body, so it combines with
+  // circles_stats and reports both; the clock moves no discrete draw.
   RunSpec chemical_combo;
   chemical_combo.protocol = "circles";
   chemical_combo.params.k = 2;
   chemical_combo.n = 8;
-  chemical_combo.trials = 1;
+  chemical_combo.trials = 2;
   chemical_combo.chemical_time = true;
   chemical_combo.circles_stats = true;
-  EXPECT_THROW(BatchRunner().run_one(chemical_combo), std::invalid_argument);
+  const SpecResult chemical = BatchRunner().run_one(chemical_combo);
+  EXPECT_EQ(chemical.decomposition_matches, chemical.trial_count);
+  EXPECT_GT(chemical.stabilization_time.mean, 0.0);
+  RunSpec discrete = chemical_combo;
+  discrete.chemical_time = false;
+  const SpecResult reference = BatchRunner().run_one(discrete);
+  EXPECT_EQ(chemical.interactions.mean, reference.interactions.mean);
+  EXPECT_EQ(chemical.ket_exchanges.mean, reference.ket_exchanges.mean);
+  EXPECT_EQ(chemical.decomposition_matches, reference.decomposition_matches);
 }
 
 /// The std::invalid_argument message run_one throws for `spec`; fails the
